@@ -20,6 +20,7 @@ from .errors import (
     OrbitTooLarge,
     SingularReducedLaplacian,
     UnsupportedForDigraph,
+    ValidationFailed,
 )
 from .graphs import SinkedGraph
 from .intlinalg import (
@@ -170,9 +171,10 @@ def is_recurrent_burning(
 class SandpileGroup:
     """The sandpile group of a sinked graph, with cached exact machinery.
 
-    Everything algebraic is derived from one Smith decomposition of the
-    transposed reduced Laplacian; the recurrent set is enumerated lazily and
-    only on demand (guarded by orbit_guard).
+    The structure comes from the Smith diagonal of the reduced Laplacian L
+    modulo |det L|; membership witnesses, class keys and element orders come
+    from one cached LatticeSolver, i.e. det * (L^T)^-1.  The recurrent set is
+    enumerated lazily and only on demand (guarded by orbit_guard).
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -223,7 +225,12 @@ class SandpileGroup:
     @property
     def solver(self) -> LatticeSolver:
         if self._solver is None:
-            self._solver = LatticeSolver(self.reduced_laplacian)
+            try:
+                self._solver = LatticeSolver(self.reduced_laplacian)
+            except InfiniteCokernel as exc:
+                raise SingularReducedLaplacian(
+                    "reduced Laplacian is singular (no global sink / disconnected)"
+                ) from exc
         return self._solver
 
     def in_image(self, v: Sequence[int]) -> tuple[int, ...] | None:
@@ -280,15 +287,10 @@ class SandpileGroup:
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
-            assert len(seen) == size
+            if len(seen) != size:
+                raise ValidationFailed(f"recurrent orbit has {len(seen)} elements, not {size}")
             self._recurrents = frozenset(seen)
         return self._recurrents
-
-    def recurrent_configs(self) -> list[RecurrentConfig]:
-        return [
-            RecurrentConfig(self.graph, c, "orbit")
-            for c in sorted(self.recurrents())
-        ]
 
     def _class_lookup(self, x: Sequence[int]) -> Chips:
         if self._class_index is None:
@@ -333,7 +335,8 @@ class SandpileGroup:
             else:
                 raise AssertionError("sink firing failed to reach a recurrent configuration")
             rc = self._certify(values, "sink-firing")
-        assert self.in_image([a - b for a, b in zip(rc.values, x)]) is not None
+        if self.in_image([a - b for a, b in zip(rc.values, x)]) is None:
+            raise ValidationFailed(f"representative {rc.values} is not congruent to {tuple(x)}")
         return rc
 
     @property
@@ -355,37 +358,34 @@ class SandpileGroup:
             return RecurrentConfig(self.graph, values, "closure")
         return self._certify(values, "burning")
 
-    def power(self, c: RecurrentConfig, k: int) -> RecurrentConfig:
-        if k < 1:
-            raise ValueError("powers start at 1")
-        acc = c
-        for _ in range(k - 1):
-            acc = self.add(acc, c)
-        return acc
-
     def element_order(self, c: RecurrentConfig | Sequence[int]) -> int:
         """Least k with the k-fold sum of c equal to the identity.
 
-        Computed from the Smith coordinates of c - e, then certified through
-        the lattice: k(c-e) lies in Im L^T and (k/p)(c-e) does not, for every
-        prime p dividing k.
+        Computed as the order of the class of c - e in Z^n / Im L^T, then
+        certified through the lattice: k(c-e) lies in Im L^T and (k/p)(c-e)
+        does not, for every prime p dividing k.
         """
         values = c.values if isinstance(c, RecurrentConfig) else tuple(c)
         values = _check_vector(self.graph, values)
         e = self.identity.values
         diff = [a - b for a, b in zip(values, e)]
         k = self.solver.class_order(diff)
-        assert self.in_image([k * d for d in diff]) is not None
+        if self.in_image([k * d for d in diff]) is None:
+            raise ValidationFailed(f"{k} times {values} minus the identity is not in Im L^T")
+        primes = []
         p = 2
         kk = k
         while p * p <= kk:
             if kk % p == 0:
-                assert self.in_image([(k // p) * d for d in diff]) is None
+                primes.append(p)
                 while kk % p == 0:
                     kk //= p
             p += 1
         if kk > 1:
-            assert self.in_image([(k // kk) * d for d in diff]) is None
+            primes.append(kk)
+        for p in primes:
+            if self.in_image([(k // p) * d for d in diff]) is not None:
+                raise ValidationFailed(f"order {k} is not minimal: {k // p} already annihilates")
         return k
 
 

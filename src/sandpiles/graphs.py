@@ -2,8 +2,8 @@
 
 Vertices are opaque string labels; vertex order is insertion order and stays
 stable across every derived matrix and vector.  All graph values are immutable
-after construction, so Laplacians and Smith decompositions can be cached per
-graph object.
+after construction, so Laplacians, determinants and lattice solvers can be
+cached per graph object.
 """
 
 from __future__ import annotations

@@ -1,5 +1,12 @@
-"""Exact integer linear algebra: Laplacians, Smith normal form, determinants,
-and lattice membership.
+"""Exact integer linear algebra: Laplacians, determinants, cokernels and
+lattice membership.
+
+Two eliminations with bounded coefficients answer every question about the
+lattice Im L^T of a nonsingular L.  Fraction-free (Bareiss) elimination gives
+det L and, run Gauss-Jordan style over [L^T | I], the det * (L^T)^-1 behind
+witnesses, class orders and class keys; elimination modulo |det| gives the
+Smith diagonal.  The Smith normal form with transforms serves only the `snf`
+command and the free rank of singular input.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -9,9 +16,10 @@ to a few hundred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Sequence, Union
 
-from .errors import InfiniteCokernel
+from .errors import InfiniteCokernel, ValidationFailed
 from .graphs import AnyGraph, Digraph, Multigraph, SinkedGraph
 
 
@@ -131,16 +139,20 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
 # -- determinant (Bareiss, fraction-free) --------------------------------------
 
 
-def determinant(a: IntMatrix) -> int:
-    if not a.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
+def _bareiss(m: list[list[int]], n: int, clear_above: bool = False) -> tuple[int, int]:
+    """Fraction-free elimination on the leading n x n block of m, in place.
+
+    Returns (sign, last pivot); their product is the block's determinant, and
+    the pivot is 0 when the block is singular (elimination stops there).
+    Every division is exact (Bareiss 1968), so entries stay minors of the
+    input.  With clear_above the rows above each pivot are eliminated too
+    (Gauss-Jordan): the block B becomes pivot * I, left implicit, and every
+    trailing column c becomes pivot * B^-1 c.
+    """
+    width = len(m[0]) if n else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -148,14 +160,26 @@ def determinant(a: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return sign, 0
         pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+        mk = m[k]
+        for i in range(0 if clear_above else k + 1, n):
+            if i == k:
+                continue
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, width):
+                mi[j] = (mi[j] * pivot - f * mk[j]) // prev
+            mi[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign, prev
+
+
+def determinant(a: IntMatrix) -> int:
+    if not a.is_square():
+        raise ValueError("determinant needs a square matrix")
+    sign, pivot = _bareiss([list(row) for row in a.entries], a.rows)
+    return sign * pivot
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -296,30 +320,18 @@ def _balanced(x: int, modulus: int) -> int:
 def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
     """Elimination diagonal with every entry kept reduced modulo the modulus.
 
-    Valid for computing the cokernel of a nonsingular square matrix with
-    |det| = modulus: the column lattice already contains modulus * Z^n, so
-    shifting any entry by the modulus is a unimodular column operation against
-    those implicit columns.  The true cyclic orders are gcd(g_i, modulus).
+    Valid whenever the row lattice of a already contains modulus * Z^cols, as
+    it does for a nonsingular square matrix with |det| = modulus, or for any
+    stack of rows that includes one: shifting an entry by the modulus is then
+    a row operation against those implicit rows.  The true cyclic orders are
+    gcd(g_i, modulus).
     """
-    n = a.rows
+    rows, cols = a.rows, a.cols
     m = [[_balanced(x, modulus) for x in row] for row in a.entries]
 
-    for t in range(n):
+    for t in range(min(rows, cols)):
         while True:
-            best = None
-            pos = None
-            for i in range(t, n):
-                mi = m[i]
-                for j in range(t, n):
-                    x = mi[j]
-                    if x:
-                        ax = -x if x < 0 else x
-                        if best is None or ax < best:
-                            best, pos = ax, (i, j)
-                            if ax == 1:
-                                break
-                if best == 1:
-                    break
+            pos = _find_pivot(m, t, rows, cols)
             if pos is None:
                 break
             i0, j0 = pos
@@ -330,17 +342,17 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
                     row[t], row[j0] = row[j0], row[t]
             pivot = m[t][t]
             clean = True
-            for i in range(t + 1, n):
+            for i in range(t + 1, rows):
                 if m[i][t]:
                     q = m[i][t] // pivot
                     mi, mt = m[i], m[t]
-                    for j in range(t, n):
+                    for j in range(t, cols):
                         mi[j] = _balanced(mi[j] - q * mt[j], modulus)
                     if mi[t]:
                         clean = False
             if not clean:
                 continue
-            for j in range(t + 1, n):
+            for j in range(t + 1, cols):
                 if m[t][j]:
                     q = m[t][j] // pivot
                     for row in m:
@@ -349,13 +361,11 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
                         clean = False
             if clean:
                 break
-    return [m[i][i] for i in range(n)]
+    return [m[i][i] for i in range(min(rows, cols))]
 
 
 def _divisibility_chain(orders: Sequence[int]) -> list[int]:
     """Normalize cyclic orders into the invariant-factor chain by gcd/lcm sweeps."""
-    from math import gcd
-
     chain = sorted(x for x in orders if x > 1)
     changed = True
     while changed:
@@ -369,6 +379,15 @@ def _divisibility_chain(orders: Sequence[int]) -> list[int]:
         if changed:
             chain.sort()
     return [x for x in chain if x > 1]
+
+
+def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
+    """The Smith diagonal of a, given a modulus with modulus * Z^cols inside
+    the row lattice of a: the invariant-factor chain, padded with leading ones
+    to min(rows, cols) entries."""
+    orders = [gcd(g, modulus) for g in _smith_diagonal_mod(a, modulus)]
+    chain = _divisibility_chain(orders)
+    return (1,) * (len(orders) - len(chain)) + tuple(chain)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -387,13 +406,12 @@ def _factorize(n: int) -> dict[int, int]:
 
 def group_structure_from_diagonal(diag: Sequence[int]) -> GroupStructure:
     invariant = tuple(d for d in diag if d not in (0, 1))
-    elementary: list[int] = []
-    order = 1
-    for d in invariant:
-        order *= d
-        for p, e in _factorize(d).items():
-            elementary.append(p**e)
-    return GroupStructure(invariant, tuple(sorted(elementary)), order)
+    return GroupStructure(invariant, elementary_divisors_of(invariant), prod(invariant))
+
+
+def _infinite_cokernel(a: IntMatrix) -> InfiniteCokernel:
+    rank = sum(1 for d in smith_normal_form(a).diagonal() if d)
+    return InfiniteCokernel(a.rows - rank)
 
 
 def invariant_factors(a: IntMatrix) -> GroupStructure:
@@ -403,22 +421,13 @@ def invariant_factors(a: IntMatrix) -> GroupStructure:
     coefficient growth flat at any dimension this package meets; the chain is
     then recovered through gcd(., det) and gcd/lcm normalization.
     """
-    from math import gcd
-
     if not a.is_square():
         raise ValueError("invariant factors need a square matrix")
     det = determinant(a)
     if det == 0:
-        rank = sum(1 for d in smith_normal_form(a).diagonal() if d)
-        raise InfiniteCokernel(a.rows - rank)
-    modulus = abs(det)
-    if modulus == 1:
-        return GroupStructure((), (), 1)
-    diag = _smith_diagonal_mod(a, modulus)
-    orders = [gcd(g, modulus) for g in diag]
-    chain = _divisibility_chain(orders)
-    structure = group_structure_from_diagonal(chain)
-    if structure.order != modulus:
+        raise _infinite_cokernel(a)
+    structure = group_structure_from_diagonal(cokernel_diagonal(a, abs(det)))
+    if structure.order != abs(det):
         raise AssertionError("invariant factors do not multiply to |det|")
     return structure
 
@@ -440,58 +449,54 @@ def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:
 
 
 class LatticeSolver:
-    """Decides membership in the column lattice of B = A^T and produces witnesses.
+    """Decides membership in the lattice Im A^T of a nonsingular square A,
+    produces witnesses, and names cokernel classes.
 
-    Built from one Smith decomposition of B; solving B y = v reduces to exact
-    divisions along the diagonal.
+    Built from one fraction-free Gauss-Jordan pass over [A^T | I], which
+    leaves X = delta * (A^T)^-1 with |delta| = |det A|.  Each query is then
+    one product X v: v lies in the lattice exactly when delta divides every
+    entry of X v, and the quotient is the (unique) witness.
     """
 
     def __init__(self, a: IntMatrix):
+        if not a.is_square():
+            raise ValueError("lattice solving needs a square matrix")
         self.a = a
         self.b = a.transpose()
-        self._snf = smith_normal_form(self.b)
-        self._diag = self._snf.diagonal()
+        n = a.rows
+        m = [
+            list(row) + [1 if i == j else 0 for j in range(n)]
+            for i, row in enumerate(self.b.entries)
+        ]
+        _, self._delta = _bareiss(m, n, clear_above=True)
+        if self._delta == 0:
+            raise _infinite_cokernel(a)
+        self._x = [row[n:] for row in m]
+
+    def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
+        if len(v) != self.b.rows:
+            raise ValueError("dimension mismatch")
+        return [sum(p * q for p, q in zip(row, v)) for row in self._x]
 
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Integer y with A^T y = v, or None if v is outside the lattice."""
-        if len(v) != self.b.rows:
-            raise ValueError("dimension mismatch")
-        uv = self._snf.u.mul_vector(v)
-        z = [0] * self.b.cols
-        for i, x in enumerate(uv):
-            d = self._diag[i] if i < len(self._diag) else 0
-            if d == 0:
-                if x != 0:
-                    return None
-            else:
-                if x % d:
-                    return None
-                z[i] = x // d
-        y = self._snf.v.mul_vector(z)
-        assert self.b.mul_vector(y) == tuple(v)
+        w = self._scaled_inverse(v)
+        if any(z % self._delta for z in w):
+            return None
+        y = tuple(z // self._delta for z in w)
+        if self.b.mul_vector(y) != tuple(v):
+            raise ValidationFailed("lattice witness does not solve A^T y = v")
         return y
 
     def class_coordinates(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the class of x in the cokernel's cyclic decomposition."""
-        ux = self._snf.u.mul_vector(x)
-        coords = []
-        for i, z in enumerate(ux):
-            d = self._diag[i] if i < len(self._diag) else 0
-            coords.append(z % d if d else z)
-        return tuple(coords)
+        """A key for the class of x in the cokernel: equal for two vectors
+        exactly when they are congruent modulo Im A^T."""
+        modulus = abs(self._delta)
+        return tuple(z % modulus for z in self._scaled_inverse(x))
 
     def class_order(self, x: Sequence[int]) -> int:
-        """Order of the class of x in the cokernel (matrix must be nonsingular)."""
-        from math import gcd, lcm
-
-        ux = self._snf.u.mul_vector(x)
-        order = 1
-        for i, z in enumerate(ux):
-            d = self._diag[i] if i < len(self._diag) else 0
-            if d == 0:
-                raise InfiniteCokernel(1)
-            order = lcm(order, d // gcd(d, z % d))
-        return order
+        """Order of the class of x in the cokernel."""
+        return abs(self._delta) // gcd(self._delta, *self._scaled_inverse(x))
 
 
 def lattice_membership(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

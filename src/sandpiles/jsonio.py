@@ -78,14 +78,6 @@ def load_config(path: str | Path) -> tuple[int, ...]:
     return tuple(data)
 
 
-def hom_to_dict(hom: UniformHom) -> dict:
-    return {
-        "map": dict(hom.vertex_map.mapping),
-        "subset_V": sorted(hom.subset),
-        "kind": hom.kind,
-    }
-
-
 def load_hom(path: str | Path, source, target) -> UniformHom:
     """Parse and validate a homomorphism file against already-loaded graphs."""
     try:

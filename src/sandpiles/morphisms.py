@@ -426,11 +426,11 @@ def verify_group_injection(
     # the sampled equivalence below is a belt-and-braces re-check.
     from .intlinalg import LatticeSolver
 
+    g_tgt.order, g_src.order  # both nonsingular
     l_tgt = g_tgt.reduced_laplacian
     l_src = g_src.reduced_laplacian
     col_tgt = LatticeSolver(l_tgt.transpose())
     col_src = LatticeSolver(l_src.transpose())
-    g_tgt.order, g_src.order  # both nonsingular
     n = tgt.n_nonsink
     for j in range(n):
         column = tuple(l_tgt.entries[i][j] for i in range(n))

@@ -198,6 +198,12 @@ class TestIdentityPattern:
         k_max = (n + d - 1) // n
         assert group.identity.values == (k_max * n,) * (1 << d)
 
+    def test_group_law_at_max_d(self):
+        group = sandpile_group(cube_cone(6))
+        assert group.element_order(group.identity) == 1
+        x = [(-1) ** i * (3 * i % 17) for i in range(64)]
+        assert group.congruent(group.representative(x).values, x)
+
 
 class TestParityCollapse:
     def test_degrees(self):
@@ -336,7 +342,7 @@ class TestDecomposition:
         rows = decomposition_rows(1)
         assert rows.entries == ((2, -1), (-1, 2), (1, 0))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_lattice_fills_out(self, d):
         report = verify_decomposition(d, element_level=(d <= 2))
         assert report.passed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import contracted_square, random_sinked_graph
 from sandpiles.dynamics import (
     RecurrentConfig,
+    SandpileGroup,
     add_recurrent,
     congruent,
     element_order,
@@ -26,6 +27,7 @@ from sandpiles.errors import (
     NotUndirected,
     OrbitTooLarge,
     SingularReducedLaplacian,
+    ValidationFailed,
 )
 from sandpiles.intlinalg import reduced_laplacian
 from sandpiles.graphs import (
@@ -250,6 +252,23 @@ class TestRepresentative:
         with pytest.raises(SingularReducedLaplacian):
             recurrent_representative(SinkedGraph(g, "a"), (0, 0))
 
+    def test_disconnected_refused_by_every_lattice_query(self):
+        g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])
+        group = SandpileGroup(SinkedGraph(g, "a"))
+        for query in (
+            lambda: group.congruent((0, 0), (1, 0)),
+            lambda: group.in_image((0, 0)),
+            lambda: group.class_key((0, 0)),
+        ):
+            with pytest.raises(SingularReducedLaplacian):
+                query()
+
+    def test_false_non_membership_is_caught(self, monkeypatch):
+        group = SandpileGroup(cone(cycle_graph(5)))
+        monkeypatch.setattr(group, "in_image", lambda v: None)
+        with pytest.raises(ValidationFailed):
+            group.representative((3, -2, 0, 1, 4))
+
 
 class TestElementOrder:
     def test_identity_order_one(self):
@@ -260,6 +279,12 @@ class TestElementOrder:
         g = contracted_square()
         assert element_order(RecurrentConfig(g, (2, 1, 2, 3), "burning")) == 2
         assert element_order(RecurrentConfig(g, (1, 2, 2, 3), "burning")) == 48
+
+    def test_non_minimal_order_is_caught(self, monkeypatch):
+        group = SandpileGroup(contracted_square())
+        monkeypatch.setattr(group, "in_image", lambda v: (0,) * len(v))
+        with pytest.raises(ValidationFailed):
+            group.element_order((1, 2, 2, 3))
 
     def test_orders_divide_group_order(self):
         g = cone(hypercube(2))

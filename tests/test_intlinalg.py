@@ -26,6 +26,8 @@ from sandpiles.graphs import (
 )
 from sandpiles.intlinalg import (
     IntMatrix,
+    LatticeSolver,
+    cokernel_diagonal,
     determinant,
     invariant_factors,
     laplacian,
@@ -243,6 +245,64 @@ class TestLatticeMembership:
         assert (got is not None) == expected
         if got is not None:
             assert a.transpose().mul_vector(got) == tuple(v)
+
+
+    def test_singular_matrix_refused(self):
+        a = IntMatrix.from_rows([[1, 2], [2, 4]])
+        with pytest.raises(InfiniteCokernel) as err:
+            LatticeSolver(a)
+        assert err.value.free_rank == 1
+        with pytest.raises(InfiniteCokernel):
+            lattice_membership(a, (0, 0))
+
+
+def _small_det(a: IntMatrix) -> bool:
+    return 0 < abs(determinant(a)) <= 50
+
+
+class TestLatticeSolverOracles:
+    @given(square_matrices, st.lists(st.integers(-6, 6), min_size=6, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_class_order_is_least_annihilator(self, a, x):
+        if not _small_det(a):
+            return
+        x = x[: a.rows]
+        k = LatticeSolver(a).class_order(x)
+        assert membership_by_rational_solve(a, [k * v for v in x])
+        assert not any(
+            membership_by_rational_solve(a, [j * v for v in x]) for j in range(1, k)
+        )
+
+    @given(
+        square_matrices,
+        st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+        st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_class_keys_agree_exactly_on_congruence(self, a, x, y):
+        if not _small_det(a):
+            return
+        x, y = x[: a.rows], y[: a.rows]
+        solver = LatticeSolver(a)
+        same_key = solver.class_coordinates(x) == solver.class_coordinates(y)
+        assert same_key == membership_by_rational_solve(a, [p - q for p, q in zip(x, y)])
+        assert solver.class_coordinates(x) == solver.class_coordinates(
+            [p + q for p, q in zip(x, a.transpose().mul_vector(y))]
+        )
+
+    @given(square_matrices, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_cokernel_diagonal_of_stacks(self, a, data):
+        if not _small_det(a):
+            return
+        extra = data.draw(
+            st.lists(
+                st.lists(st.integers(-9, 9), min_size=a.cols, max_size=a.cols), max_size=4
+            )
+        )
+        stack = IntMatrix.from_rows([list(r) for r in a.entries] + extra)
+        expected = smith_normal_form(stack).diagonal()
+        assert cokernel_diagonal(stack, abs(determinant(a))) == expected
 
 
 def test_group_structure_serialization():
