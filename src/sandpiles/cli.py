@@ -28,7 +28,7 @@ from .jsonio import (
     matrix_to_dict,
 )
 from .morphisms import verify_group_injection
-from .products import BoxContext, box_config
+from .products import BoxContext
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -148,7 +148,7 @@ def cmd_product(args, fmt: str) -> int:
     ctx = BoxContext(g, h, args.n)
     a = load_config(args.config_a)
     b = load_config(args.config_b)
-    vec = box_config(ctx, a, b)
+    vec = ctx.box(a, b)
     payload = {"box": config_to_list(vec), "vertices": list(ctx.product.vertices)}
     if args.certify:
         group = sandpile_group(ctx.cone_product)

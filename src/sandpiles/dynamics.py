@@ -27,6 +27,7 @@ from .intlinalg import (
     GroupStructure,
     IntMatrix,
     LatticeSolver,
+    _factorize,
     determinant,
     invariant_factors,
     reduced_laplacian,
@@ -333,7 +334,7 @@ class SandpileGroup:
                     break
                 c = [v + bi for v, bi in zip(stable, b)]
             else:
-                raise AssertionError("sink firing failed to reach a recurrent configuration")
+                raise ValidationFailed("sink firing failed to reach a recurrent configuration")
             rc = self._certify(values, "sink-firing")
         if self.in_image([a - b for a, b in zip(rc.values, x)]) is None:
             raise ValidationFailed(f"representative {rc.values} is not congruent to {tuple(x)}")
@@ -372,18 +373,7 @@ class SandpileGroup:
         k = self.solver.class_order(diff)
         if self.in_image([k * d for d in diff]) is None:
             raise ValidationFailed(f"{k} times {values} minus the identity is not in Im L^T")
-        primes = []
-        p = 2
-        kk = k
-        while p * p <= kk:
-            if kk % p == 0:
-                primes.append(p)
-                while kk % p == 0:
-                    kk //= p
-            p += 1
-        if kk > 1:
-            primes.append(kk)
-        for p in primes:
+        for p in _factorize(k):
             if self.in_image([(k // p) * d for d in diff]) is not None:
                 raise ValidationFailed(f"order {k} is not minimal: {k // p} already annihilates")
         return k

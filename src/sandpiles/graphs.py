@@ -1,15 +1,19 @@
 """Multigraphs, digraphs, and the sinked graphs all sandpile dynamics run on.
 
 Vertices are opaque string labels; vertex order is insertion order and stays
-stable across every derived matrix and vector.  All graph values are immutable
-after construction, so Laplacians, determinants and lattice solvers can be
-cached per graph object.
+stable across every derived matrix and vector.  The only stored form of a
+graph is one sparse adjacency row per vertex, mapping each neighbour index to
+its multiplicity in ascending index order, so building a graph costs O(V + E)
+and no n x n matrix exists here.  `intlinalg.laplacian` and
+`intlinalg.reduced_laplacian` are the only places that fill dense rows.  All
+graph values are immutable after construction, so Laplacians, determinants
+and lattice solvers can be cached per graph object.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence, Union
+from typing import ItemsView, Iterable, Sequence, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -21,26 +25,37 @@ from .errors import (
 )
 
 
-class Multigraph:
-    """Loop-free undirected graph with integer edge multiplicities."""
+class _Graph:
+    """Labelled vertices and one sparse adjacency row per vertex.
 
-    __slots__ = ("vertices", "_index", "_mult")
+    Row i maps each neighbour index j to the multiplicity of (i, j), in
+    ascending j, and holds no zero multiplicities.  Subclasses decide whether
+    an edge (u, v, m) is stored in both rows or in u's row only.
+    """
 
-    def __init__(self, vertices: Sequence[str], mult_matrix: Sequence[Sequence[int]]):
+    __slots__ = ("vertices", "_index", "_rows", "_hash")
+    _noun = "edge"
+
+    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]):
+        """Multiplicities of repeated (u, v) entries accumulate."""
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise UnknownVertex("duplicate vertex labels")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._mult = tuple(tuple(row) for row in mult_matrix)
-        n = len(self.vertices)
-        for i in range(n):
-            if self._mult[i][i] != 0:
-                raise LoopEdge(f"loop at {self.vertices[i]}")
-            for j in range(n):
-                if self._mult[i][j] != self._mult[j][i]:
-                    raise ValueError("multiplicity matrix must be symmetric")
-                if self._mult[i][j] < 0:
-                    raise NonPositiveMultiplicity("negative multiplicity")
+        self._index = index
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        for u, v, m in edges:
+            if u not in index or v not in index:
+                raise UnknownVertex(
+                    f"{self._noun} endpoint {u if u not in index else v!r} not declared"
+                )
+            if u == v:
+                raise LoopEdge(f"loop at {u}")
+            if m < 1:
+                raise NonPositiveMultiplicity(f"multiplicity {m} on {self._noun} ({u},{v})")
+            self._insert(rows, index[u], index[v], m)
+        self._rows = tuple({j: row[j] for j in sorted(row)} for row in rows)
+        self._hash = hash((self.vertices, tuple(tuple(row.items()) for row in self._rows)))
 
     @property
     def n(self) -> int:
@@ -52,110 +67,90 @@ class Multigraph:
         except KeyError:
             raise UnknownVertex(v) from None
 
-    def multiplicity(self, u: str, v: str) -> int:
-        return self._mult[self.index(u)][self.index(v)]
+    def row(self, i: int) -> ItemsView[int, int]:
+        """(neighbour index, multiplicity) pairs of vertex i, neighbours ascending."""
+        return self._rows[i].items()
 
-    def mult_row(self, i: int) -> tuple[int, ...]:
-        return self._mult[i]
+    def _multiplicity(self, u: str, v: str) -> int:
+        return self._rows[self.index(u)].get(self.index(v), 0)
 
-    def degree(self, v: str) -> int:
-        return sum(self._mult[self.index(v)])
+    def _degree(self, v: str) -> int:
+        return sum(self._rows[self.index(v)].values())
 
-    def edges(self) -> list[tuple[str, str, int]]:
-        """All edges as (u, v, multiplicity) with u before v in vertex order."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                m = self._mult[i][j]
-                if m:
-                    out.append((self.vertices[i], self.vertices[j], m))
-        return out
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j, m in enumerate(self._mult[i]):
-                if m and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == self.n
+    def _pairs(self, upper: bool) -> list[tuple[str, str, int]]:
+        vs = self.vertices
+        return [
+            (vs[i], vs[j], m)
+            for i, row in enumerate(self._rows)
+            for j, m in row.items()
+            if j > i or not upper
+        ]
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Multigraph)
+            type(other) is type(self)
             and self.vertices == other.vertices
-            and self._mult == other._mult
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self._mult))
+        return self._hash
+
+
+class Multigraph(_Graph):
+    """Loop-free undirected graph with integer edge multiplicities."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _insert(rows: list[dict[int, int]], i: int, j: int, m: int) -> None:
+        rows[i][j] = rows[i].get(j, 0) + m
+        rows[j][i] = rows[j].get(i, 0) + m
+
+    multiplicity = _Graph._multiplicity
+    degree = _Graph._degree
+
+    def edges(self) -> list[tuple[str, str, int]]:
+        """All edges as (u, v, multiplicity) with u before v in vertex order."""
+        return self._pairs(upper=True)
+
+    def is_connected(self) -> bool:
+        return self.n == 0 or _reach_count(0, self._rows) == self.n
 
     def __repr__(self) -> str:
         return f"Multigraph({len(self.vertices)} vertices, {len(self.edges())} edge classes)"
 
 
-class Digraph:
+class Digraph(_Graph):
     """Loop-free directed graph with integer arc multiplicities."""
 
-    __slots__ = ("vertices", "_index", "_amult")
+    __slots__ = ()
+    _noun = "arc"
 
-    def __init__(self, vertices: Sequence[str], amult_matrix: Sequence[Sequence[int]]):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise UnknownVertex("duplicate vertex labels")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._amult = tuple(tuple(row) for row in amult_matrix)
-        for i in range(len(self.vertices)):
-            if self._amult[i][i] != 0:
-                raise LoopEdge(f"loop at {self.vertices[i]}")
-            for x in self._amult[i]:
-                if x < 0:
-                    raise NonPositiveMultiplicity("negative multiplicity")
+    @staticmethod
+    def _insert(rows: list[dict[int, int]], i: int, j: int, m: int) -> None:
+        rows[i][j] = rows[i].get(j, 0) + m
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def index(self, v: str) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise UnknownVertex(v) from None
-
-    def arc_multiplicity(self, u: str, v: str) -> int:
-        return self._amult[self.index(u)][self.index(v)]
-
-    def mult_row(self, i: int) -> tuple[int, ...]:
-        return self._amult[i]
-
-    def out_degree(self, v: str) -> int:
-        return sum(self._amult[self.index(v)])
+    arc_multiplicity = _Graph._multiplicity
+    out_degree = _Graph._degree
 
     def arcs(self) -> list[tuple[str, str, int]]:
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                m = self._amult[i][j]
-                if m:
-                    out.append((self.vertices[i], self.vertices[j], m))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.vertices == other.vertices
-            and self._amult == other._amult
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self._amult))
+        return self._pairs(upper=False)
 
     def __repr__(self) -> str:
         return f"Digraph({len(self.vertices)} vertices)"
+
+
+def _reach_count(start: int, neighbours: Sequence[Iterable[int]]) -> int:
+    """Number of vertices reachable from start, by BFS over neighbour lists."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for j in neighbours[queue.popleft()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen)
 
 
 AnyGraph = Union[Multigraph, Digraph]
@@ -189,40 +184,29 @@ class SinkedGraph:
         self.directed = isinstance(graph, Digraph)
         self.nonsink_order = tuple(v for v in graph.vertices if v != sink)
         self._nonsink_index = {v: i for i, v in enumerate(self.nonsink_order)}
-        idx = [graph.index(v) for v in self.nonsink_order]
-
-        rows = [graph.mult_row(i) for i in idx]
-        self.out_degrees = tuple(sum(row) for row in rows)
-        self.sink_mult = tuple(row[sink_i] for row in rows)
+        # Non-sink index of graph index j is j, or j - 1 past the sink.
+        rows = [row for i, row in enumerate(graph._rows) if i != sink_i]
+        self.out_degrees = tuple(sum(row.values()) for row in rows)
+        self.sink_mult = tuple(row.get(sink_i, 0) for row in rows)
         # Adjacency among non-sink vertices only; chips sent to the sink vanish.
         self._adjacency = tuple(
-            tuple((j, row[gj]) for j, gj in enumerate(idx) if row[gj])
+            tuple((j - (j > sink_i), m) for j, m in row.items() if j != sink_i)
             for row in rows
         )
 
         if self.directed:
-            if graph.out_degree(sink) != 0:
+            if graph._rows[sink_i]:
                 raise NoGlobalSink(f"{sink} has outgoing arcs")
-            if not self._reaches_sink():
+            # BFS along reversed arcs from the sink.
+            preds: list[list[int]] = [[] for _ in graph._rows]
+            for i, row in enumerate(graph._rows):
+                for j in row:
+                    preds[j].append(i)
+            if _reach_count(sink_i, preds) != graph.n:
                 raise NoGlobalSink(f"{sink} is not reachable from every vertex")
             self._connected = True
         else:
             self._connected = graph.is_connected()
-
-    def _reaches_sink(self) -> bool:
-        # BFS along reversed arcs from the sink.
-        g = self.graph
-        n = g.n
-        sink_i = g.index(self.sink)
-        seen = {sink_i}
-        queue = deque([sink_i])
-        while queue:
-            j = queue.popleft()
-            for i in range(n):
-                if i not in seen and g.mult_row(i)[j]:
-                    seen.add(i)
-                    queue.append(i)
-        return len(seen) == n
 
     @property
     def connected(self) -> bool:
@@ -276,43 +260,13 @@ def build_multigraph(
     vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]
 ) -> Multigraph:
     """Build a multigraph; multiplicities of repeated (u, v) entries accumulate."""
-    order = list(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    if len(index) != len(order):
-        raise UnknownVertex("duplicate vertex labels")
-    n = len(order)
-    mult = [[0] * n for _ in range(n)]
-    for u, v, m in edges:
-        if u not in index or v not in index:
-            raise UnknownVertex(f"edge endpoint {u if u not in index else v!r} not declared")
-        if u == v:
-            raise LoopEdge(f"loop at {u}")
-        if m < 1:
-            raise NonPositiveMultiplicity(f"multiplicity {m} on edge {u}{v}")
-        i, j = index[u], index[v]
-        mult[i][j] += m
-        mult[j][i] += m
-    return Multigraph(order, mult)
+    return Multigraph(vertices, edges)
 
 
 def build_digraph(
     vertices: Sequence[str], arcs: Iterable[tuple[str, str, int]]
 ) -> Digraph:
-    order = list(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    if len(index) != len(order):
-        raise UnknownVertex("duplicate vertex labels")
-    n = len(order)
-    amult = [[0] * n for _ in range(n)]
-    for u, v, m in arcs:
-        if u not in index or v not in index:
-            raise UnknownVertex(f"arc endpoint {u if u not in index else v!r} not declared")
-        if u == v:
-            raise LoopEdge(f"loop at {u}")
-        if m < 1:
-            raise NonPositiveMultiplicity(f"multiplicity {m} on arc ({u},{v})")
-        amult[index[u]][index[v]] += m
-    return Digraph(order, amult)
+    return Digraph(vertices, arcs)
 
 
 def fresh_label(base: str, taken: Iterable[str]) -> str:
@@ -341,28 +295,20 @@ def cartesian_product(g: Multigraph, h: Multigraph) -> Multigraph:
     The first factor's index varies fastest, so iterated products of two-vertex
     graphs enumerate bit tuples with coordinate 1 first.
     """
-    gn, hn = g.n, h.n
-    vertices = [
-        f"({g.vertices[i]},{h.vertices[j]})" for j in range(hn) for i in range(gn)
+    gn = g.n
+    vertices = [f"({u},{v})" for v in h.vertices for u in g.vertices]
+    g_edges = [(g.index(u), g.index(v), m) for u, v, m in g.edges()]
+    h_edges = [(h.index(u), h.index(v), m) for u, v, m in h.edges()]
+    edges = [
+        (vertices[j * gn + i], vertices[j * gn + i2], m)
+        for j in range(h.n)
+        for i, i2, m in g_edges
+    ] + [
+        (vertices[j * gn + i], vertices[j2 * gn + i], m)
+        for j, j2, m in h_edges
+        for i in range(gn)
     ]
-    size = gn * hn
-    mult = [[0] * size for _ in range(size)]
-    for j in range(hn):
-        base = j * gn
-        for i in range(gn):
-            row_g = g.mult_row(i)
-            a = base + i
-            for i2 in range(gn):
-                if row_g[i2]:
-                    mult[a][base + i2] = row_g[i2]
-    for i in range(gn):
-        for j in range(hn):
-            row_h = h.mult_row(j)
-            a = j * gn + i
-            for j2 in range(hn):
-                if row_h[j2]:
-                    mult[a][j2 * gn + i] = row_h[j2]
-    return Multigraph(vertices, mult)
+    return Multigraph(vertices, edges)
 
 
 def hypercube_label(x: int, d: int) -> str:
@@ -379,14 +325,7 @@ def hypercube(d: int) -> Multigraph:
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    size = 1 << d
-    vertices = [hypercube_label(x, d) for x in range(size)]
-    mult = [[0] * size for _ in range(size)]
-    for x in range(size):
-        for i in range(d):
-            y = x ^ (1 << i)
-            mult[x][y] = 1
-    return Multigraph(vertices, mult)
+    return subcube(d, (1,) * d)
 
 
 def mask_int(mask: Sequence[int]) -> int:
@@ -404,17 +343,14 @@ def subcube(d: int, mask: Sequence[int]) -> Multigraph:
     if len(mask) != d:
         raise ValueError(f"mask length {len(mask)} != {d}")
     m = mask_int(mask)
-    members = [x for x in range(1 << d) if x & ~m == 0]
-    vertices = [hypercube_label(x, d) for x in members]
-    pos = {x: i for i, x in enumerate(members)}
-    size = len(members)
-    mult = [[0] * size for _ in range(size)]
-    for x in members:
-        for i in range(d):
-            if m >> i & 1:
-                y = x ^ (1 << i)
-                mult[pos[x]][pos[y]] = 1
-    return Multigraph(vertices, mult)
+    labels = {x: hypercube_label(x, d) for x in range(1 << d) if x & ~m == 0}
+    edges = [
+        (label, labels[x | 1 << i], 1)
+        for x, label in labels.items()
+        for i in range(d)
+        if (m & ~x) >> i & 1
+    ]
+    return Multigraph(labels.values(), edges)
 
 
 def thick_pair(r: int, labels: tuple[str, str] = ("v1", "v2")) -> Multigraph:
@@ -446,16 +382,11 @@ def to_sink_digraph(g: Multigraph, sink: str) -> SinkedGraph:
     """Replace non-sink edges by opposite arc pairs and sink edges by arcs into the sink."""
     if not g.is_connected():
         raise DisconnectedGraph("graph must be connected")
-    sink_i = g.index(sink)
     arcs = []
     for u, v, m in g.edges():
-        iu, iv = g.index(u), g.index(v)
-        if iu == sink_i:
-            arcs.append((v, u, m))
-        elif iv == sink_i:
+        if u != sink:
             arcs.append((u, v, m))
-        else:
-            arcs.append((u, v, m))
+        if v != sink:
             arcs.append((v, u, m))
     return SinkedGraph(build_digraph(g.vertices, arcs), sink)
 
@@ -463,45 +394,26 @@ def to_sink_digraph(g: Multigraph, sink: str) -> SinkedGraph:
 def contract(g: Multigraph, group: Iterable[str], new_label: str | None = None) -> Multigraph:
     """Merge a set of vertices into one; internal edges are discarded (no loops),
     multiplicities to outside vertices accumulate."""
-    members = [v for v in g.vertices if v in set(group)]
     requested = set(group)
     unknown = requested - set(g.vertices)
     if unknown:
         raise UnknownVertex(sorted(unknown)[0])
+    members = [v for v in g.vertices if v in requested]
     if not members:
         raise EmptyContractionSet("contraction set is empty")
     if new_label is None:
         new_label = members[0] if len(members) == 1 else "+".join(members)
-    member_idx = {g.index(v) for v in members}
-    first = min(member_idx)
 
-    order: list[str] = []
-    for i, v in enumerate(g.vertices):
-        if i == first:
-            order.append(new_label)
-        elif i not in member_idx:
-            order.append(v)
-    size = len(order)
-    keep = [i for i in range(g.n) if i not in member_idx]
-    new_pos: dict[int, int] = {}
-    pos = 0
-    for i in range(g.n):
-        if i == first:
-            merged_pos = pos
-            pos += 1
-        elif i not in member_idx:
-            new_pos[i] = pos
-            pos += 1
+    def merged(v: str) -> str:
+        return new_label if v in requested else v
 
-    mult = [[0] * size for _ in range(size)]
-    for i in keep:
-        row = g.mult_row(i)
-        for j in keep:
-            mult[new_pos[i]][new_pos[j]] = row[j]
-        to_merged = sum(row[k] for k in member_idx)
-        mult[new_pos[i]][merged_pos] = to_merged
-        mult[merged_pos][new_pos[i]] = to_merged
-    return Multigraph(order, mult)
+    order = [merged(v) for v in g.vertices if v == members[0] or v not in requested]
+    edges = [
+        (merged(u), merged(v), m)
+        for u, v, m in g.edges()
+        if u not in requested or v not in requested
+    ]
+    return Multigraph(order, edges)
 
 
 def cycle_graph(n: int) -> Multigraph:

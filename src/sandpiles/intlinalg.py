@@ -115,12 +115,12 @@ def laplacian(g: Union[AnyGraph, SinkedGraph]) -> IntMatrix:
     if isinstance(g, SinkedGraph):
         g = g.graph
     n = g.n
-    rows = []
-    for i in range(n):
-        mrow = g.mult_row(i)
-        deg = sum(mrow)
-        rows.append([deg if i == j else -mrow[j] for j in range(n)])
-    return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, m in g.row(i):
+            row[i] += m
+            row[j] = -m
+    return IntMatrix.from_rows(rows)
 
 
 def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
@@ -133,7 +133,7 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
         rows[i][i] = out[i]
         for j, m in adj[i]:
             rows[i][j] -= m
-    return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
+    return IntMatrix.from_rows(rows)
 
 
 # -- determinant (Bareiss, fraction-free) --------------------------------------
@@ -428,7 +428,7 @@ def invariant_factors(a: IntMatrix) -> GroupStructure:
         raise _infinite_cokernel(a)
     structure = group_structure_from_diagonal(cokernel_diagonal(a, abs(det)))
     if structure.order != abs(det):
-        raise AssertionError("invariant factors do not multiply to |det|")
+        raise ValidationFailed("invariant factors do not multiply to |det|")
     return structure
 
 

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .dynamics import Chips, RecurrentConfig, is_recurrent_burning, sandpile_group
-from .errors import ContextMismatch
+from .errors import ContextMismatch, ValidationFailed
 from .graphs import Multigraph, SinkedGraph, cartesian_product, cone
 
 
@@ -50,12 +50,6 @@ class BoxContext:
         return tuple(a[i] + b[j] for j in range(self.h.n) for i in range(self.g.n))
 
 
-def box_config(ctx: BoxContext, a: Sequence[int], b: Sequence[int]) -> Chips:
-    """(a box b) at (u, v) is a_u + b_v; stable when both are stable, recurrent
-    when both are recurrent."""
-    return ctx.box(a, b)
-
-
 def _as_values(c: RecurrentConfig | Sequence[int]) -> tuple[int, ...]:
     return c.values if isinstance(c, RecurrentConfig) else tuple(c)
 
@@ -67,8 +61,9 @@ def embed_factor(
     configuration with the identity of the other factor's cone.
 
     For 1-cones the box of recurrents is recurrent outright; for n > 1 the
-    box can be unstable, so the class representative is taken instead (see
-    embed_factor_reduced).
+    box can be unstable, so the class representative is taken instead.  That
+    is not canonical for n > 1: congruent inputs with different vectors may
+    box to different vectors before reduction.
     """
     values = _as_values(a)
     if factor == "g":
@@ -87,26 +82,7 @@ def embed_factor(
     if ctx.n == 1:
         ok, order = is_recurrent_burning(ctx.cone_product, vec)
         if not ok:
-            raise AssertionError("box of recurrents failed the burning test")
+            raise ValidationFailed("box of recurrents failed the burning test")
         return RecurrentConfig(ctx.cone_product, vec, "burning", order)
     return sandpile_group(ctx.cone_product).representative(vec)
 
-
-def embed_factor_reduced(
-    ctx: BoxContext, a: RecurrentConfig | Sequence[int], factor: str = "g"
-) -> RecurrentConfig:
-    """The n-cone variant: class representative of the (possibly unstable) box
-    vector.  Agrees with embed_factor when n = 1.  Not canonical for n > 1:
-    congruent inputs with different vectors may box to different vectors
-    before reduction.
-    """
-    values = _as_values(a)
-    if factor == "g":
-        other_identity = sandpile_group(ctx.cone_h).identity.values
-        vec = ctx.box(values, other_identity)
-    elif factor == "h":
-        other_identity = sandpile_group(ctx.cone_g).identity.values
-        vec = ctx.box(other_identity, values)
-    else:
-        raise ValueError("factor must be 'g' or 'h'")
-    return sandpile_group(ctx.cone_product).representative(vec)

@@ -78,6 +78,26 @@ def membership_by_rational_solve(a: IntMatrix, v: list[int]) -> bool:
     return all(x.denominator == 1 for x in sol)
 
 
+def kronecker_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """A (x) I + I (x) B with A's index fastest: row j*|A| + i pairs i of A with j of B.
+
+    This is the Laplacian of a cartesian product from the factors' Laplacians,
+    entry by entry, without building the product graph.
+    """
+    n, m = a.rows, b.rows
+    return IntMatrix.from_rows(
+        [
+            [
+                (a.entries[i][i2] if j == j2 else 0) + (b.entries[j][j2] if i == i2 else 0)
+                for j2 in range(m)
+                for i2 in range(n)
+            ]
+            for j in range(m)
+            for i in range(n)
+        ]
+    )
+
+
 def spanning_tree_count(g: Multigraph) -> int:
     """Brute-force count: parallel edges are distinct edges."""
     unit_edges = []

@@ -269,6 +269,13 @@ class TestRepresentative:
         with pytest.raises(ValidationFailed):
             group.representative((3, -2, 0, 1, 4))
 
+    def test_exhausted_sink_firing_is_caught(self, monkeypatch):
+        from sandpiles import dynamics
+
+        monkeypatch.setattr(dynamics, "_REPRESENTATIVE_CAP", 0)
+        with pytest.raises(ValidationFailed):
+            SandpileGroup(cone(cycle_graph(5))).representative((0, 0, 0, 0, 0))
+
 
 class TestElementOrder:
     def test_identity_order_one(self):

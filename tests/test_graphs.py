@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig_contraction_source, random_connected_multigraph
+from oracles import kronecker_sum
+from sandpiles.dynamics import is_recurrent_burning, stabilize
 from sandpiles.errors import (
     DisconnectedGraph,
     EmptyContractionSet,
@@ -31,7 +34,7 @@ from sandpiles.graphs import (
     thick_pair,
     to_sink_digraph,
 )
-from sandpiles.intlinalg import reduced_laplacian
+from sandpiles.intlinalg import laplacian, reduced_laplacian
 
 
 class TestBuildMultigraph:
@@ -68,6 +71,54 @@ def test_handshake_lemma(data):
     g = random_connected_multigraph(rng, data.draw(st.integers(2, 6)), max_mult=3)
     degree_sum = sum(g.degree(v) for v in g.vertices)
     assert degree_sum == 2 * sum(m for _, _, m in g.edges())
+
+
+class TestSparseCore:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_product_laplacian_is_kronecker_sum(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g = random_connected_multigraph(rng, data.draw(st.integers(1, 5)), max_mult=3)
+        h = random_connected_multigraph(rng, data.draw(st.integers(1, 5)), max_mult=3)
+        assert laplacian(cartesian_product(g, h)) == kronecker_sum(laplacian(g), laplacian(h))
+
+    def test_cube_laplacian_is_iterated_kronecker_sum(self):
+        expected = laplacian(hypercube(0))
+        for d in range(1, 7):
+            expected = kronecker_sum(expected, laplacian(k2()))
+            assert laplacian(hypercube(d)) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_order_does_not_matter(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        labels = [f"w{i}" for i in range(rng.randint(2, 7))]
+        pairs = [(u, v, rng.randint(1, 3)) for u in labels for v in labels if u != v]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        shuffled = rng.sample(edges, len(edges))
+        for build in (build_multigraph, build_digraph):
+            a, b = build(labels, edges), build(labels, shuffled)
+            assert a == b and hash(a) == hash(b)
+        a, b = build_multigraph(labels, edges), build_multigraph(labels, shuffled)
+        assert a.edges() == b.edges()
+        a, b = build_digraph(labels, edges), build_digraph(labels, shuffled)
+        assert a.arcs() == b.arcs()
+
+    def test_hundred_by_hundred_grid_cone(self):
+        start = time.perf_counter()
+        labels = [f"p{i}" for i in range(100)]
+        path = build_multigraph(labels, [(labels[i], labels[i + 1], 1) for i in range(99)])
+        g = cone(cartesian_product(path, path))
+        assert len(g.graph.edges()) == 29_800
+        chips = [2 * (d - 1) for d in g.out_degrees]
+        stable, firings = stabilize(g, chips)
+        assert all(0 <= x < d for x, d in zip(stable, g.out_degrees))
+        adj = g.adjacency()
+        for i, x in enumerate(chips):
+            inflow = sum(m * firings[j] for j, m in adj[i])
+            assert stable[i] == x - g.out_degrees[i] * firings[i] + inflow
+        assert is_recurrent_burning(g, stable)[0]
+        assert time.perf_counter() - start < 60
 
 
 class TestCone:

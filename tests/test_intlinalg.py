@@ -13,7 +13,7 @@ from oracles import (
     membership_by_rational_solve,
     spanning_tree_count,
 )
-from sandpiles.errors import InfiniteCokernel
+from sandpiles.errors import InfiniteCokernel, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
     build_multigraph,
@@ -183,6 +183,13 @@ class TestInvariantFactors:
         structure = invariant_factors(IntMatrix.from_rows([[1, 0], [4, 1]]))
         assert structure.invariant_factors == ()
         assert structure.order == 1
+
+    def test_wrong_diagonal_is_caught(self, monkeypatch):
+        from sandpiles import intlinalg
+
+        monkeypatch.setattr(intlinalg, "cokernel_diagonal", lambda a, modulus: (1, 1, 1, 5))
+        with pytest.raises(ValidationFailed):
+            invariant_factors(reduced_laplacian(cone(hypercube(2))))
 
     @given(square_matrices)
     @settings(max_examples=80, deadline=None)

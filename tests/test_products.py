@@ -10,10 +10,10 @@ from sandpiles.dynamics import (
     is_recurrent_burning,
     sandpile_group,
 )
-from sandpiles.errors import ContextMismatch
+from sandpiles.errors import ContextMismatch, ValidationFailed
 from sandpiles.graphs import build_multigraph, cone, cycle_graph, hypercube, k2
 from sandpiles.intlinalg import reduced_laplacian
-from sandpiles.products import BoxContext, box_config, embed_factor, embed_factor_reduced
+from sandpiles.products import BoxContext, embed_factor
 
 
 def k3():
@@ -23,25 +23,25 @@ def k3():
 class TestBoxConfig:
     def test_pentagon_times_edge(self):
         ctx = BoxContext(cycle_graph(5), k2())
-        assert box_config(ctx, (2, 1, 5, 4, 3), (1, 2)) == (3, 2, 6, 5, 4, 4, 3, 7, 6, 5)
+        assert ctx.box((2, 1, 5, 4, 3), (1, 2)) == (3, 2, 6, 5, 4, 4, 3, 7, 6, 5)
 
     def test_edge_times_edge(self):
         # with the first factor varying fastest, the constant factor selects
         # which coordinate the result stripes along
         ctx = BoxContext(k2(), k2())
-        assert box_config(ctx, (1, 0), (1, 1)) == (2, 1, 2, 1)
-        assert box_config(ctx, (1, 1), (1, 0)) == (2, 2, 1, 1)
+        assert ctx.box((1, 0), (1, 1)) == (2, 1, 2, 1)
+        assert ctx.box((1, 1), (1, 0)) == (2, 2, 1, 1)
         for vec in ((2, 1, 2, 1), (2, 2, 1, 1)):
             assert is_recurrent_burning(ctx.cone_product, vec)[0]
 
     def test_zero(self):
         ctx = BoxContext(k2(), k2())
-        assert box_config(ctx, (0, 0), (0, 0)) == (0, 0, 0, 0)
+        assert ctx.box((0, 0), (0, 0)) == (0, 0, 0, 0)
 
     def test_length_mismatch(self):
         ctx = BoxContext(k2(), k2())
         with pytest.raises(ContextMismatch):
-            box_config(ctx, (1,), (1, 0))
+            ctx.box((1,), (1, 0))
 
     def test_box_of_stable_is_stable(self):
         rng = random.Random(19)
@@ -51,7 +51,7 @@ class TestBoxConfig:
             ctx = BoxContext(g, h)
             a = tuple(rng.randrange(ctx.cone_g.out_degrees[i]) for i in range(g.n))
             b = tuple(rng.randrange(ctx.cone_h.out_degrees[j]) for j in range(h.n))
-            vec = box_config(ctx, a, b)
+            vec = ctx.box(a, b)
             assert all(
                 x < d for x, d in zip(vec, ctx.cone_product.out_degrees)
             )
@@ -62,7 +62,7 @@ class TestBoxConfig:
         recs_h = sorted(sandpile_group(ctx.cone_h).recurrents())
         for a in recs_g:
             for b in recs_h:
-                vec = box_config(ctx, a, b)
+                vec = ctx.box(a, b)
                 assert is_recurrent_burning(ctx.cone_product, vec)[0]
 
     def test_interleaved_burning_schedule_certifies_box(self):
@@ -75,7 +75,7 @@ class TestBoxConfig:
         b = (1, 0)
         _, order_a = is_recurrent_burning(ctx.cone_g, a)
         _, order_b = is_recurrent_burning(ctx.cone_h, b)
-        vec = box_config(ctx, a, b)
+        vec = ctx.box(a, b)
         work = [x + s for x, s in zip(vec, prod.sink_mult)]
         for v_h in order_b:
             j = ctx.cone_h.nonsink_index(v_h)
@@ -118,6 +118,14 @@ class TestEmbedFactor:
             assert lhs == rhs
         assert len(set(images.values())) == len(recs)
 
+    def test_failed_burning_test_is_caught(self, monkeypatch):
+        from sandpiles import products
+
+        ctx = BoxContext(k3(), k2())
+        monkeypatch.setattr(products, "is_recurrent_burning", lambda g, c: (False, None))
+        with pytest.raises(ValidationFailed):
+            embed_factor(ctx, sandpile_group(ctx.cone_g).identity, "g")
+
     def test_injective_on_pentagon(self):
         ctx = BoxContext(cycle_graph(5), k2())
         recs = sorted(sandpile_group(ctx.cone_g).recurrents())
@@ -126,6 +134,8 @@ class TestEmbedFactor:
 
 
 class TestEmbedFactorReduced:
+    """n-cones, where embed_factor reduces the box to its class representative."""
+
     def test_unstable_box_of_identities(self):
         ctx = BoxContext(k2(), k2(), n=3)
         e = sandpile_group(ctx.cone_g).identity
@@ -133,13 +143,8 @@ class TestEmbedFactorReduced:
         raw = ctx.box(e.values, sandpile_group(ctx.cone_h).identity.values)
         assert raw == (6, 6, 6, 6)
         assert any(x >= d for x, d in zip(raw, ctx.cone_product.out_degrees))
-        reduced = embed_factor_reduced(ctx, e, "g")
+        reduced = embed_factor(ctx, e, "g")
         assert reduced.values == sandpile_group(ctx.cone_product).identity.values == (3, 3, 3, 3)
-
-    def test_agrees_with_plain_embed_at_n_one(self):
-        ctx = BoxContext(k2(), k2())
-        for a in sorted(sandpile_group(ctx.cone_g).recurrents()):
-            assert embed_factor_reduced(ctx, a, "g").values == embed_factor(ctx, a, "g").values
 
     def test_cyclic_generator_lands_in_stripe_classes(self):
         from sandpiles.cubes import cone_stripe_subgroup
@@ -147,7 +152,7 @@ class TestEmbedFactorReduced:
         ctx = BoxContext(k2(), k2(), n=3)
         g_side = sandpile_group(ctx.cone_g)
         assert g_side.element_order((3, 0)) == 5
-        landed = embed_factor_reduced(ctx, (3, 0), "g")
+        landed = embed_factor(ctx, (3, 0), "g")
         sub = cone_stripe_subgroup(2, 3, (1, 0))
         assert landed.values in sub.elements
 
@@ -156,7 +161,7 @@ class TestEmbedFactorReduced:
         g_side = sandpile_group(ctx.cone_g)
         prod = sandpile_group(ctx.cone_product)
         recs = sorted(g_side.recurrents())
-        images = {a: embed_factor_reduced(ctx, a, "g").values for a in recs}
+        images = {a: embed_factor(ctx, a, "g").values for a in recs}
         rng = random.Random(3)
         for _ in range(60):
             a, b = rng.choice(recs), rng.choice(recs)
