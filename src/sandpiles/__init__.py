@@ -1,8 +1,8 @@
 """Sandpile (critical) groups of multigraphs and digraphs.
 
-Exact cokernel computations, chip-firing dynamics with Dhar's burning test,
-uniform-homomorphism group injections, box products of configurations, and
-the explicit generator theory for cones of hypercubes.
+Exact cokernel computations, chip-firing dynamics with Dhar's and Speer's
+burning tests, uniform-homomorphism group injections, box products of
+configurations, and the explicit generator theory for cones of hypercubes.
 """
 
 from .graphs import (

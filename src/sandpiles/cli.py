@@ -71,7 +71,7 @@ def cmd_stabilize(args, fmt: str) -> int:
 
 def cmd_identity(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
-    rc = sandpile_group(graph, args.max_orbit).identity
+    rc = sandpile_group(graph).identity
     _emit({"identity": config_to_list(rc.values), "certificate": rc.certificate}, fmt)
     return EXIT_OK
 
@@ -89,7 +89,7 @@ def cmd_recurrents(args, fmt: str) -> int:
 
 def cmd_add(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
-    group = sandpile_group(graph, args.max_orbit)
+    group = sandpile_group(graph)
     c1, c2 = load_config(args.config1), load_config(args.config2)
     for c in (c1, c2):
         if not group.is_recurrent(c):
@@ -103,7 +103,7 @@ def cmd_add(args, fmt: str) -> int:
 
 def cmd_representative(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
-    rc = sandpile_group(graph, args.max_orbit).representative(load_config(args.config))
+    rc = sandpile_group(graph).representative(load_config(args.config))
     _emit(
         {"representative": config_to_list(rc.values), "certificate": rc.certificate},
         fmt,
@@ -151,9 +151,7 @@ def cmd_product(args, fmt: str) -> int:
     vec = ctx.box(a, b)
     payload = {"box": config_to_list(vec), "vertices": list(ctx.product.vertices)}
     if args.certify:
-        group = sandpile_group(ctx.cone_product)
-        recurrent = group.is_recurrent(vec) if not ctx.cone_product.directed else None
-        payload["recurrent"] = recurrent
+        payload["recurrent"] = sandpile_group(ctx.cone_product).is_recurrent(vec)
     _emit(payload, fmt)
     return EXIT_OK
 
@@ -203,15 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, orbit=True):
+    def common(p):
         p.add_argument("--sink", default=None, help="override/declare the sink label")
-        if orbit:
-            p.add_argument("--max-orbit", type=int, default=DEFAULT_ORBIT_GUARD,
-                           help="guard on enumerated recurrent sets")
 
     p = sub.add_parser("group", help="invariant factors, elementary divisors, order")
     p.add_argument("graph")
-    common(p, orbit=False)
+    common(p)
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("stabilize", help="topple a configuration to its stabilization")
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--allow-negative", action="store_true",
                    help="accept chip vectors with negative entries")
-    common(p, orbit=False)
+    common(p)
     p.set_defaults(fn=cmd_stabilize)
 
     p = sub.add_parser("identity", help="the group identity configuration")
@@ -230,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrents", help="enumerate the recurrent set")
     p.add_argument("graph")
     common(p)
+    p.add_argument("--max-orbit", type=int, default=DEFAULT_ORBIT_GUARD,
+                   help="guard on enumerated recurrent sets")
     p.set_defaults(fn=cmd_recurrents)
 
     p = sub.add_parser("add", help="group law: stabilized sum of two recurrents")

@@ -3,7 +3,9 @@
 Configurations are plain tuples of ints indexed by a sinked graph's
 nonsink_order.  Stabilization accepts negative entries (only vertices at or
 above their out-degree topple), which is what lets class representatives of
-arbitrary chip vectors be computed by repeated sink firing.
+arbitrary chip vectors be computed by repeatedly adding a burning
+configuration.  One burning test (Dhar's on undirected graphs, Speer's on
+digraphs) decides recurrence on both kinds of graph.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from typing import Iterable, Sequence
 from .errors import (
     GraphMismatch,
     NoGlobalSink,
-    NotUndirected,
     OrbitTooLarge,
     SingularReducedLaplacian,
-    UnsupportedForDigraph,
     ValidationFailed,
 )
 from .graphs import SinkedGraph
@@ -42,7 +42,12 @@ _REPRESENTATIVE_CAP = 10**6
 
 @dataclass(frozen=True)
 class RecurrentConfig:
-    """A configuration certified recurrent, with the certificate that proved it."""
+    """A configuration certified recurrent, with the certificate that proved it.
+
+    A "burning" certificate carries its burning order: the non-sink vertices
+    in toppling order, v repeated sigma_v times (once each on undirected
+    graphs).
+    """
 
     graph: SinkedGraph
     values: Chips
@@ -125,45 +130,75 @@ def is_stable(graph: SinkedGraph, values: Sequence[int]) -> bool:
     return all(0 <= x < d for x, d in zip(values, graph.out_degrees))
 
 
-def _burning_order_indices(graph: SinkedGraph, values: Sequence[int]) -> list[int] | None:
-    """Greedy burning pass; complete because firing only adds chips elsewhere."""
+def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
+    """Speer's burning script sigma and burning configuration beta = L^T sigma.
+
+    sigma is the least vector with sigma >= 1 and beta >= 0 (Speer 1993; see
+    also Holroyd et al. 2008).  By least action it is 1 + f, where f fires the
+    stabilization of (indeg_v - 1), indeg_v counting arcs into v from non-sink
+    vertices.  For an undirected graph that vector is already stable, so the
+    script is all ones and beta is the sink multiplicity (Dhar's test).
+    """
+    n = graph.n_nonsink
+    if not graph.directed:
+        return (1,) * n, graph.sink_mult
+    adj = graph.adjacency()
+    indeg = [0] * n
+    for row in adj:
+        for j, m in row:
+            indeg[j] += m
+    _, f = stabilize(graph, [d - 1 for d in indeg])
+    sigma = tuple(1 + k for k in f)
+    beta = [d * s for d, s in zip(graph.out_degrees, sigma)]
+    for i, row in enumerate(adj):
+        for j, m in row:
+            beta[j] -= m * sigma[i]
+    return sigma, tuple(beta)
+
+
+def _burning_order_indices(
+    graph: SinkedGraph, values: Sequence[int], sigma: Chips, beta: Chips
+) -> list[int] | None:
+    """Greedy burning pass over values + beta: each sweep fires every ready
+    vertex once, v at most sigma_v times in all.  Complete because firing only
+    adds chips elsewhere."""
     out = graph.out_degrees
     adj = graph.adjacency()
     n = len(out)
-    work = [values[i] + graph.sink_mult[i] for i in range(n)]
-    burned = [False] * n
+    work = [values[i] + beta[i] for i in range(n)]
+    left = list(sigma)
+    total = sum(sigma)
     order: list[int] = []
     progress = True
-    while progress and len(order) < n:
+    while progress and len(order) < total:
         progress = False
         for i in range(n):
-            if not burned[i] and work[i] >= out[i]:
-                burned[i] = True
+            if left[i] and work[i] >= out[i]:
+                left[i] -= 1
                 order.append(i)
                 work[i] -= out[i]
                 for j, m in adj[i]:
                     work[j] += m
                 progress = True
-    return order if len(order) == n else None
+    return order if len(order) == total else None
 
 
 def is_recurrent_burning(
     graph: SinkedGraph, values: Sequence[int]
 ) -> tuple[bool, tuple[str, ...] | None]:
-    """Burning test: add one chip per sink edge; recurrent iff every vertex
-    topples exactly once and the configuration returns to itself.
+    """Burning test: add the burning configuration beta; recurrent iff every
+    vertex v topples exactly sigma_v times and the configuration returns to
+    itself.
 
-    Valid for undirected graphs only; digraph recurrence goes through the
-    orbit oracle.
+    Dhar's test (sigma = 1, beta = sink multiplicities) on undirected graphs,
+    Speer's on digraphs.  The burning order lists v once per toppling.
     """
-    if graph.directed:
-        raise NotUndirected("the burning test applies to undirected graphs only")
     c = _check_vector(graph, values)
     if any(x < 0 for x in c):
         raise ValueError("configurations are nonnegative")
     if not is_stable(graph, c):
         return False, None
-    order = _burning_order_indices(graph, c)
+    order = _burning_order_indices(graph, c, *burning_script(graph))
     if order is None:
         return False, None
     return True, tuple(graph.nonsink_order[i] for i in order)
@@ -173,9 +208,11 @@ class SandpileGroup:
     """The sandpile group of a sinked graph, with cached exact machinery.
 
     The structure comes from the Smith diagonal of the reduced Laplacian L
-    modulo |det L|; membership witnesses, class keys and element orders come
-    from one cached LatticeSolver, i.e. det * (L^T)^-1.  The recurrent set is
-    enumerated lazily and only on demand (guarded by orbit_guard).
+    modulo |det L|; membership witnesses and element orders come from one
+    cached LatticeSolver, i.e. det * (L^T)^-1.  Recurrence, representatives
+    and the group law use the burning test of burning_script, on graphs and
+    digraphs alike.  Only recurrents() enumerates the recurrent set (guarded
+    by orbit_guard).
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -187,7 +224,6 @@ class SandpileGroup:
         self._solver: LatticeSolver | None = None
         self._identity: RecurrentConfig | None = None
         self._recurrents: frozenset[Chips] | None = None
-        self._class_index: dict[tuple[int, ...], Chips] | None = None
 
     # -- algebra ---------------------------------------------------------
 
@@ -243,28 +279,13 @@ class SandpileGroup:
         y = _check_vector(self.graph, y)
         return self.in_image([a - b for a, b in zip(x, y)]) is not None
 
-    def class_key(self, x: Sequence[int]) -> tuple[int, ...]:
-        return self.solver.class_coordinates(_check_vector(self.graph, x))
-
     # -- dynamics ----------------------------------------------------------
 
     def stabilize(self, values: Sequence[int]) -> tuple[Chips, Chips]:
         return stabilize(self.graph, values)
 
     def is_recurrent(self, values: Sequence[int]) -> bool:
-        if self.graph.directed:
-            return tuple(values) in self.recurrents()
         return is_recurrent_burning(self.graph, values)[0]
-
-    def _certify(self, values: Chips, kind: str) -> RecurrentConfig:
-        if self.graph.directed:
-            if self._recurrents is not None and values not in self._recurrents:
-                raise ValueError(f"{values} is not recurrent")
-            return RecurrentConfig(self.graph, values, kind)
-        ok, order = is_recurrent_burning(self.graph, values)
-        if not ok:
-            raise ValueError(f"{values} is not recurrent")
-        return RecurrentConfig(self.graph, values, "burning", order)
 
     def recurrents(self) -> frozenset[Chips]:
         """The recurrent set: closure of the maximal stable configuration
@@ -293,52 +314,37 @@ class SandpileGroup:
             self._recurrents = frozenset(seen)
         return self._recurrents
 
-    def _class_lookup(self, x: Sequence[int]) -> Chips:
-        if self._class_index is None:
-            size = self.order
-            if size > self.orbit_guard:
-                raise UnsupportedForDigraph(
-                    f"digraph representative needs the orbit; {size} elements exceed the guard"
-                )
-            self._class_index = {self.class_key(c): c for c in self.recurrents()}
-        return self._class_index[self.class_key(x)]
-
     def representative(self, x: Sequence[int]) -> RecurrentConfig:
         """The unique recurrent configuration congruent to x modulo Im L^T.
 
-        Undirected graphs: repeatedly fire the sink (add the sink-adjacency
-        vector b and stabilize) — b = L·1 lies in the lattice, so the class
-        never changes — until the burning test passes.  Digraphs: look the
-        class up in the guarded orbit.
+        Repeatedly add the burning configuration beta and stabilize until the
+        burning test passes.  beta = L^T sigma lies in the lattice, so the
+        class never changes.
         """
         x = _check_vector(self.graph, x)
         self.order  # raises SingularReducedLaplacian when there is no group
-        if self.graph.directed:
-            values = self._class_lookup(x)
-            rc = RecurrentConfig(self.graph, values, "orbit")
-        else:
-            _require_global_sink(self.graph)
-            b = self.graph.sink_mult
-            c = list(x)
-            # Jump-start: lift negative coordinates that the sink feeds directly.
-            k0 = 0
-            for xi, bi in zip(x, b):
-                if xi < 0 and bi > 0:
-                    k0 = max(k0, (-xi + bi - 1) // bi)
-            if k0:
-                c = [xi + k0 * bi for xi, bi in zip(c, b)]
-            for _ in range(_REPRESENTATIVE_CAP):
-                stable, _ = stabilize(self.graph, c)
-                if all(v >= 0 for v in stable) and _burning_order_indices(self.graph, stable):
-                    values = stable
+        sigma, beta = burning_script(self.graph)
+        c = list(x)
+        # Jump-start: lift negative coordinates that beta feeds directly.
+        k0 = 0
+        for xi, bi in zip(x, beta):
+            if xi < 0 and bi > 0:
+                k0 = max(k0, (-xi + bi - 1) // bi)
+        if k0:
+            c = [xi + k0 * bi for xi, bi in zip(c, beta)]
+        for _ in range(_REPRESENTATIVE_CAP):
+            stable, _ = stabilize(self.graph, c)
+            if all(v >= 0 for v in stable):
+                order = _burning_order_indices(self.graph, stable, sigma, beta)
+                if order is not None:
                     break
-                c = [v + bi for v, bi in zip(stable, b)]
-            else:
-                raise ValidationFailed("sink firing failed to reach a recurrent configuration")
-            rc = self._certify(values, "sink-firing")
-        if self.in_image([a - b for a, b in zip(rc.values, x)]) is None:
-            raise ValidationFailed(f"representative {rc.values} is not congruent to {tuple(x)}")
-        return rc
+            c = [v + bi for v, bi in zip(stable, beta)]
+        else:
+            raise ValidationFailed("adding beta failed to reach a recurrent configuration")
+        if self.in_image([a - b for a, b in zip(stable, x)]) is None:
+            raise ValidationFailed(f"representative {stable} is not congruent to {tuple(x)}")
+        names = tuple(self.graph.nonsink_order[i] for i in order)
+        return RecurrentConfig(self.graph, stable, "burning", names)
 
     @property
     def identity(self) -> RecurrentConfig:
@@ -354,10 +360,10 @@ class SandpileGroup:
         if c1.graph != self.graph or c2.graph != self.graph:
             raise GraphMismatch("configurations belong to a different graph")
         values = self.add_values(c1.values, c2.values)
-        if self.graph.directed:
-            # Closure of the recurrent set under adding-and-stabilizing.
-            return RecurrentConfig(self.graph, values, "closure")
-        return self._certify(values, "burning")
+        ok, order = is_recurrent_burning(self.graph, values)
+        if not ok:
+            raise ValueError(f"{values} is not recurrent")
+        return RecurrentConfig(self.graph, values, "burning", order)
 
     def element_order(self, c: RecurrentConfig | Sequence[int]) -> int:
         """Least k with the k-fold sum of c equal to the identity.

@@ -59,10 +59,6 @@ class GraphMismatch(SandpileError):
     pass
 
 
-class UnsupportedForDigraph(SandpileError):
-    pass
-
-
 # -- homomorphisms -----------------------------------------------------------
 
 class NotSurjective(SandpileError):

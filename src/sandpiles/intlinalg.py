@@ -4,9 +4,9 @@ lattice membership.
 Two eliminations with bounded coefficients answer every question about the
 lattice Im L^T of a nonsingular L.  Fraction-free (Bareiss) elimination gives
 det L and, run Gauss-Jordan style over [L^T | I], the det * (L^T)^-1 behind
-witnesses, class orders and class keys; elimination modulo |det| gives the
-Smith diagonal.  The Smith normal form with transforms serves only the `snf`
-command and the free rank of singular input.
+witnesses and class orders; elimination modulo |det| gives the Smith
+diagonal.  The Smith normal form with transforms serves only the `snf` command
+and the free rank of singular input.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -450,7 +450,7 @@ def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:
 
 class LatticeSolver:
     """Decides membership in the lattice Im A^T of a nonsingular square A,
-    produces witnesses, and names cokernel classes.
+    produces witnesses, and gives the orders of cokernel classes.
 
     Built from one fraction-free Gauss-Jordan pass over [A^T | I], which
     leaves X = delta * (A^T)^-1 with |delta| = |det A|.  Each query is then
@@ -487,12 +487,6 @@ class LatticeSolver:
         if self.b.mul_vector(y) != tuple(v):
             raise ValidationFailed("lattice witness does not solve A^T y = v")
         return y
-
-    def class_coordinates(self, x: Sequence[int]) -> tuple[int, ...]:
-        """A key for the class of x in the cokernel: equal for two vectors
-        exactly when they are congruent modulo Im A^T."""
-        modulus = abs(self._delta)
-        return tuple(z % modulus for z in self._scaled_inverse(x))
 
     def class_order(self, x: Sequence[int]) -> int:
         """Order of the class of x in the cokernel."""

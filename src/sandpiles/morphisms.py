@@ -134,6 +134,9 @@ def validate_hom(
     unknown = subset_v - set(tgt_vertices)
     if unknown:
         raise UnknownVertex(f"subset vertex {sorted(unknown)[0]!r} not in target")
+    # Clauses visit the subset in target vertex order, so witnesses are
+    # deterministic.
+    subset_order = [x for x in tgt_vertices if x in subset_v]
 
     fibers = {x: vmap.fiber(x) for x in tgt_vertices}
     surjective = all(fibers[x] for x in tgt_vertices)
@@ -142,14 +145,14 @@ def validate_hom(
         raise NotSurjective(f"fiber over {empty!r} is empty")
 
     # fiber-size: all fibers over the subset share one cardinality (the degree).
-    sizes = {len(fibers[x]) for x in subset_v if fibers[x]}
+    sizes = {len(fibers[x]) for x in subset_order if fibers[x]}
     degree: int | None
     if directed:
         degree = sizes.pop() if len(sizes) == 1 else None
     else:
         if len(sizes) > 1:
-            small = min(subset_v, key=lambda x: len(fibers[x]))
-            big = max(subset_v, key=lambda x: len(fibers[x]))
+            small = min(subset_order, key=lambda x: len(fibers[x]))
+            big = max(subset_order, key=lambda x: len(fibers[x]))
             raise ClauseViolation("fiber-size", (small, len(fibers[small]), big, len(fibers[big])))
         degree = sizes.pop() if sizes else 0
 
@@ -178,7 +181,7 @@ def validate_hom(
     # stability: fibers over the subset are independent sets (uniform kind only;
     # the directed clause at y = x covers its own fibers).
     if kind == "uniform":
-        for x in subset_v:
+        for x in subset_order:
             members = fibers[x]
             for u in members:
                 if _edges_within(vmap.source, u, members, directed=False):
@@ -190,7 +193,7 @@ def validate_hom(
 
     # degree-count: every u in a subset fiber sees exactly m_{x,y} edges (arcs)
     # inside each fiber S_y.
-    for x in sorted(subset_v, key=tgt_vertices.index):
+    for x in subset_order:
         for u in fibers[x]:
             for y in tgt_vertices:
                 if y == x and kind != "directed":
@@ -240,13 +243,20 @@ def _sinked(g: GraphLike, which: str) -> SinkedGraph:
     return g
 
 
-def _check_pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
+def _check_sinked_surjection(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
+    """The checks every pullback needs: both graphs carry a sink, the map is
+    surjective, and the sink fiber is exactly the source sink."""
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")
     if not hom.surjective:
         raise PreconditionViolated("homomorphism is not surjective")
     if hom.vertex_map.fiber(tgt.sink) != (src.sink,):
         raise PreconditionViolated("sink fiber must be exactly the source sink")
+    return src, tgt
+
+
+def _check_pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
+    src, tgt = _check_sinked_surjection(hom)
     if tgt.sink in hom.subset:
         raise PreconditionViolated("target sink must lie outside the subset")
     complement = [x for x in tgt.graph.vertices if x not in hom.subset]
@@ -302,12 +312,7 @@ def pullback_chips(hom: UniformHom, x: Sequence[int]) -> Chips:
     """Directed pullback: plain coordinate copy (no degree factor)."""
     if hom.kind != "directed":
         raise PreconditionViolated("pullback_chips needs a directed homomorphism")
-    src = _sinked(hom.source, "source")
-    tgt = _sinked(hom.target, "target")
-    if not hom.surjective:
-        raise PreconditionViolated("homomorphism is not surjective")
-    if hom.vertex_map.fiber(tgt.sink) != (src.sink,):
-        raise PreconditionViolated("sink fiber must be exactly the source sink")
+    src, tgt = _check_sinked_surjection(hom)
     if len(x) != tgt.n_nonsink:
         raise PreconditionViolated("vector length does not match target")
     return tuple(x[tgt.nonsink_index(hom(v))] for v in src.nonsink_order)

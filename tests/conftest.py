@@ -9,7 +9,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sandpiles.graphs import Multigraph, SinkedGraph, build_multigraph, cone, cycle_graph, k2
+from sandpiles.errors import NoGlobalSink
+from sandpiles.graphs import (
+    Multigraph,
+    SinkedGraph,
+    build_digraph,
+    build_multigraph,
+    cone,
+    cycle_graph,
+    k2,
+)
 
 
 @pytest.fixture
@@ -93,3 +102,20 @@ def random_connected_multigraph(
 def random_sinked_graph(rng: random.Random, n_vertices: int, max_mult: int = 2) -> SinkedGraph:
     g = random_connected_multigraph(rng, n_vertices, max_mult)
     return SinkedGraph(g, rng.choice(g.vertices))
+
+
+def random_sinked_digraph(rng: random.Random, n_nonsink: int, max_mult: int = 2) -> SinkedGraph:
+    """Random arcs of multiplicity 0..max_mult between non-sink vertices and
+    into the sink "s", redrawn until "s" is a global sink."""
+    labels = [f"w{i}" for i in range(n_nonsink)]
+    while True:
+        arcs = [
+            (u, v, m)
+            for u in labels
+            for v in labels + ["s"]
+            if u != v and (m := rng.randint(0, max_mult))
+        ]
+        try:
+            return SinkedGraph(build_digraph(labels + ["s"], arcs), "s")
+        except NoGlobalSink:
+            continue

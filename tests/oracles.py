@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from sandpiles.graphs import Multigraph
+from sandpiles.graphs import Multigraph, SinkedGraph
 from sandpiles.intlinalg import IntMatrix
 
 
@@ -127,6 +127,26 @@ def spanning_tree_count(g: Multigraph) -> int:
         if acyclic:
             count += 1
     return count
+
+
+def burning_script_by_fixed_point(g: SinkedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Speer's script as the least fixed point of
+    sigma_v = max(1, ceil(sum_u m(u->v) sigma_u / out_v)), iterated up from all
+    ones, with beta_v = out_v sigma_v - sum_u m(u->v) sigma_u."""
+    vs = g.nonsink_order
+    out = g.out_degrees
+    into = [[g.arc_multiplicity(u, v) for u in vs] for v in vs]
+    sigma = [1] * len(vs)
+    while True:
+        nxt = [
+            max(1, -(-sum(m * s for m, s in zip(into[v], sigma)) // out[v]))
+            for v in range(len(vs))
+        ]
+        if nxt == sigma:
+            break
+        sigma = nxt
+    beta = [out[v] * sigma[v] - sum(m * s for m, s in zip(into[v], sigma)) for v in range(len(vs))]
+    return tuple(sigma), tuple(beta)
 
 
 def all_stable_configs(out_degrees):

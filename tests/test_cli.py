@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sandpiles
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
 from sandpiles.graphs import build_multigraph, cone, cycle_graph, hypercube, k2, thick_k2_cone
@@ -30,6 +35,25 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else dumps(payload))
     return path
+
+
+def c5_onto_c3_with_unequal_fibers(tmp_path):
+    """check-hom arguments for a map C5 -> C3 whose fibers over the subset
+    have sizes 1, 2, 2: the fiber-size clause fails."""
+    src = tmp_path / "c5.json"
+    tgt = tmp_path / "c3.json"
+    save_graph(cycle_graph(5), src)
+    save_graph(cycle_graph(3), tgt)
+    hom = write(
+        tmp_path,
+        "hom.json",
+        {
+            "map": {"v1": "v1", "v2": "v2", "v4": "v2", "v3": "v3", "v5": "v3"},
+            "subset_V": ["v1", "v2", "v3"],
+            "kind": "uniform",
+        },
+    )
+    return [str(src), str(tgt), str(hom)]
 
 
 class TestGraphFiles:
@@ -204,23 +228,24 @@ class TestCliCommands:
         assert payload["injection"]["passed"] and payload["injection"]["image_order"] == 8
 
     def test_check_hom_fail_exits_two(self, tmp_path, capsys):
-        src = tmp_path / "c5.json"
-        tgt = tmp_path / "c3.json"
-        save_graph(cycle_graph(5), src)
-        save_graph(cycle_graph(3), tgt)
-        hom = write(
-            tmp_path,
-            "hom.json",
-            {
-                "map": {"v1": "v1", "v2": "v2", "v4": "v2", "v3": "v3", "v5": "v3"},
-                "subset_V": ["v1", "v2", "v3"],
-                "kind": "uniform",
-            },
-        )
-        assert main(["check-hom", str(src), str(tgt), str(hom)]) == 2
+        assert main(["check-hom", *c5_onto_c3_with_unequal_fibers(tmp_path)]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert not payload["valid"]
         assert payload["clause"]
+
+    def test_check_hom_witness_ignores_hash_seed(self, tmp_path):
+        # String hashing changes with PYTHONHASHSEED; the witness must not.
+        argv = [sys.executable, "-m", "sandpiles", "check-hom",
+                *c5_onto_c3_with_unequal_fibers(tmp_path)]
+        src_dir = str(Path(sandpiles.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src_dir)
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["witness"] == ["v1", 1, "v2", 2]
 
     def test_check_hom_identity_passes(self, tmp_path, capsys):
         path = tmp_path / "t.json"

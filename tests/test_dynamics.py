@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contracted_square, random_sinked_graph
+from conftest import contracted_square, random_sinked_digraph, random_sinked_graph
+from oracles import burning_script_by_fixed_point
 from sandpiles.dynamics import (
     RecurrentConfig,
     SandpileGroup,
     add_recurrent,
+    burning_script,
     congruent,
     element_order,
     identity,
@@ -24,7 +26,6 @@ from sandpiles.dynamics import (
 from sandpiles.errors import (
     GraphMismatch,
     NoGlobalSink,
-    NotUndirected,
     OrbitTooLarge,
     SingularReducedLaplacian,
     ValidationFailed,
@@ -38,6 +39,7 @@ from sandpiles.graphs import (
     hypercube,
     k2,
     thick_k2_cone,
+    to_sink_digraph,
 )
 
 
@@ -118,13 +120,75 @@ class TestBurning:
         n = g.n_nonsink
         assert tuple(sum(lap.entries[i][j] for i in range(n)) for j in range(n)) == g.sink_mult
 
-    def test_digraph_rejected(self):
-        with pytest.raises(NotUndirected):
-            is_recurrent_burning(thick_k2_cone(2, 3), (0, 0))
-
     def test_unstable_is_not_recurrent(self):
         g = cone(k2())
         assert is_recurrent_burning(g, (5, 0)) == (False, None)
+
+
+class TestSpeerBurning:
+    """One burning test for digraphs and undirected graphs, checked against
+    the orbit enumeration of recurrents() and a fixed-point script oracle."""
+
+    def test_script_matches_fixed_point_oracle(self):
+        rng = random.Random(5)
+        graphs = [random_sinked_digraph(rng, rng.randint(1, 6), 3) for _ in range(60)]
+        graphs += [thick_k2_cone(r, t) for r in range(1, 8) for t in range(1, 8)]
+        for g in graphs:
+            sigma, beta = burning_script(g)
+            assert (sigma, beta) == burning_script_by_fixed_point(g)
+            assert reduced_laplacian(g).transpose().mul_vector(sigma) == beta
+
+    def test_undirected_general_route_gives_closed_form(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            g = random_sinked_graph(rng, rng.randint(2, 6), 3)
+            general = burning_script(to_sink_digraph(g.graph, g.sink))
+            assert general == burning_script(g) == ((1,) * g.n_nonsink, g.sink_mult)
+
+    def test_group_law_agrees_with_orbit_on_random_digraphs(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_sinked_digraph(rng, rng.randint(1, 4))
+            group = SandpileGroup(g)
+            orbit = group.recurrents()
+            for c in itertools.product(*(range(d) for d in g.out_degrees)):
+                assert group.is_recurrent(c) == (c in orbit)
+            recs = sorted(orbit)
+            for _ in range(3):
+                x = tuple(rng.randint(-9, 9) for _ in range(g.n_nonsink))
+                rc = group.representative(x)
+                assert rc.values in orbit and group.congruent(rc.values, x)
+                a = RecurrentConfig(g, recs[rng.randrange(len(recs))], "input")
+                assert group.add(a, rc).values == group.add_values(a.values, rc.values)
+            assert all(group.add_values(group.identity.values, c) == c for c in recs)
+
+    def test_digraph_certificate_replays_to_itself(self):
+        g = thick_k2_cone(2, 7)
+        ok, order = is_recurrent_burning(g, (2, 7))
+        assert ok and sorted(order) == ["v1"] * 3 + ["v2"]
+        lap = reduced_laplacian(g)
+        work = [x + b for x, b in zip((2, 7), burning_script(g)[1])]
+        for v in order:
+            i = g.nonsink_index(v)
+            assert work[i] >= g.out_degrees[i]
+            work = [w - delta for w, delta in zip(work, lap.entries[i])]
+        assert tuple(work) == (2, 7)
+
+    def test_digraph_negative_entries_refused(self):
+        with pytest.raises(ValueError):
+            SandpileGroup(thick_k2_cone(2, 3)).is_recurrent((-1, 3))
+
+    def test_digraph_beyond_orbit_guard(self):
+        g = thick_k2_cone(1450, 1549)
+        group = SandpileGroup(g, orbit_guard=10)
+        e = group.identity
+        assert e.certificate == "burning"
+        rc = group.representative((5, -3))
+        assert group.is_recurrent(rc.values) and group.congruent(rc.values, (5, -3))
+        assert group.add(e, rc).values == rc.values
+        assert not group.is_recurrent((0, 0))
+        with pytest.raises(OrbitTooLarge):
+            group.recurrents()
 
 
 class TestOrbit:
@@ -176,6 +240,10 @@ class TestIdentity:
         e = group.identity
         for c in group.recurrents():
             assert group.add_values(e.values, c) == c
+
+    def test_sink_only_graph_has_empty_identity(self):
+        g = SinkedGraph(build_multigraph(["s"], []), "s")
+        assert identity(g).values == ()
 
     def test_digraph_identity_is_neutral(self):
         g = thick_k2_cone(2, 3)
@@ -258,7 +326,6 @@ class TestRepresentative:
         for query in (
             lambda: group.congruent((0, 0), (1, 0)),
             lambda: group.in_image((0, 0)),
-            lambda: group.class_key((0, 0)),
         ):
             with pytest.raises(SingularReducedLaplacian):
                 query()

@@ -280,23 +280,6 @@ class TestLatticeSolverOracles:
             membership_by_rational_solve(a, [j * v for v in x]) for j in range(1, k)
         )
 
-    @given(
-        square_matrices,
-        st.lists(st.integers(-6, 6), min_size=6, max_size=6),
-        st.lists(st.integers(-6, 6), min_size=6, max_size=6),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_class_keys_agree_exactly_on_congruence(self, a, x, y):
-        if not _small_det(a):
-            return
-        x, y = x[: a.rows], y[: a.rows]
-        solver = LatticeSolver(a)
-        same_key = solver.class_coordinates(x) == solver.class_coordinates(y)
-        assert same_key == membership_by_rational_solve(a, [p - q for p, q in zip(x, y)])
-        assert solver.class_coordinates(x) == solver.class_coordinates(
-            [p + q for p, q in zip(x, a.transpose().mul_vector(y))]
-        )
-
     @given(square_matrices, st.data())
     @settings(max_examples=120, deadline=None)
     def test_cokernel_diagonal_of_stacks(self, a, data):

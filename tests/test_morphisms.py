@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -330,30 +331,56 @@ class TestWeakHoms:
         assert report.passed
 
 
+def star_collapse_hom() -> UniformHom:
+    """The directed collapse of the cone of the 3-leaf star onto thick_k2_cone(3, 1)."""
+    star = build_multigraph(
+        ["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)]
+    )
+    return bipartite_collapse_hom(star, (["c"], ["l1", "l2", "l3"]))
+
+
+def _remapped(hom: UniformHom, source=None, target=None, **changes) -> UniformHom:
+    vmap = hom.vertex_map
+    mapping = {**vmap.mapping, **changes}
+    return dataclasses.replace(
+        hom, vertex_map=VertexMap(source or vmap.source, target or vmap.target, mapping)
+    )
+
+
 class TestDirectedHoms:
     def test_pullback_chips_of_zero(self):
-        star = build_multigraph(
-            ["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)]
-        )
-        hom = bipartite_collapse_hom(star, (["c"], ["l1", "l2", "l3"]))
+        hom = star_collapse_hom()
         assert hom.kind == "directed"
         assert pullback_chips(hom, (0, 0)) == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda h: dataclasses.replace(h, kind="uniform"), "needs a directed homomorphism"),
+            (lambda h: _remapped(h, source=h.source.graph), "source graph carries no sink"),
+            (lambda h: _remapped(h, target=h.target.graph), "target graph carries no sink"),
+            (lambda h: dataclasses.replace(h, surjective=False), "not surjective"),
+            (lambda h: _remapped(h, l1="s"), "sink fiber must be exactly the source sink"),
+        ],
+        ids=["kind", "unsinked-source", "unsinked-target", "not-surjective", "sink-fiber"],
+    )
+    def test_pullback_chips_refusals(self, perturb, message):
+        with pytest.raises(PreconditionViolated, match=message):
+            pullback_chips(perturb(star_collapse_hom()), (0, 0))
+
+    def test_pullback_chips_refuses_wrong_length(self):
+        with pytest.raises(PreconditionViolated, match="vector length"):
+            pullback_chips(star_collapse_hom(), (0, 0, 0))
+
     def test_columns_pull_into_source_lattice(self):
-        star = build_multigraph(
-            ["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)]
-        )
-        hom = bipartite_collapse_hom(star, (["c"], ["l1", "l2", "l3"]))
+        hom = star_collapse_hom()
         g_src = sandpile_group(hom.source)
         lap_t = sandpile_group(hom.target).reduced_laplacian.transpose()
         for row in lap_t.entries:
             assert g_src.in_image(pullback_chips(hom, row)) is not None
 
     def test_directed_injection_reports(self):
-        star = build_multigraph(
-            ["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)]
-        )
-        hom = bipartite_collapse_hom(star, (["c"], ["l1", "l2", "l3"]))
+        hom = star_collapse_hom()
         report = verify_group_injection(hom)
         assert report.passed and report.image_order == 5
         assert sandpile_group(hom.source).order % 5 == 0
