@@ -28,7 +28,6 @@ from .intlinalg import (
     IntMatrix,
     LatticeSolver,
     _factorize,
-    determinant,
     invariant_factors,
     reduced_laplacian,
 )
@@ -38,6 +37,8 @@ Chips = tuple[int, ...]
 
 DEFAULT_ORBIT_GUARD = 10**6
 _REPRESENTATIVE_CAP = 10**6
+# Groups kept by sandpile_group; each may hold an n x n factorization.
+_GROUP_CACHE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,9 @@ class SandpileGroup:
     """The sandpile group of a sinked graph, with cached exact machinery.
 
     The structure comes from the Smith diagonal of the reduced Laplacian L
-    modulo |det L|; membership witnesses and element orders come from one
-    cached LatticeSolver, i.e. det * (L^T)^-1.  Recurrence, representatives
+    modulo |det L|; the determinant, membership witnesses and element orders
+    come from one cached LatticeSolver, a fraction-free LU of L^T that each
+    query replays on its vector.  Recurrence, representatives
     and the group law use the burning test of burning_script, on graphs and
     digraphs alike.  Only recurrents() enumerates the recurrent set (guarded
     by orbit_guard).
@@ -235,8 +237,12 @@ class SandpileGroup:
 
     @property
     def determinant(self) -> int:
+        """det L, read from the solver's factorization; 0 when L is singular."""
         if self._det is None:
-            self._det = determinant(self.reduced_laplacian)
+            try:
+                self._det = self.solver.determinant
+            except SingularReducedLaplacian:
+                self._det = 0
         return self._det
 
     @property
@@ -394,6 +400,8 @@ def sandpile_group(graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD) -
     if group is None or group.orbit_guard < orbit_guard:
         group = SandpileGroup(graph, orbit_guard)
         _group_cache[graph] = group
+        while len(_group_cache) > _GROUP_CACHE_CAP:
+            del _group_cache[next(iter(_group_cache))]
     return group
 
 

@@ -2,8 +2,8 @@
 lattice membership.
 
 Two eliminations with bounded coefficients answer every question about the
-lattice Im L^T of a nonsingular L.  Fraction-free (Bareiss) elimination gives
-det L and, run Gauss-Jordan style over [L^T | I], the det * (L^T)^-1 behind
+lattice Im L^T of a nonsingular L.  One fraction-free (Bareiss) LU of L^T
+gives det L, and replaying it on a vector v gives det * (L^T)^-1 v, behind
 witnesses and class orders; elimination modulo |det| gives the Smith
 diagonal.  The Smith normal form with transforms serves only the `snf` command
 and the free rank of singular input.
@@ -136,49 +136,80 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-# -- determinant (Bareiss, fraction-free) --------------------------------------
+# -- determinant and LU (Bareiss, fraction-free) --------------------------------
 
 
-def _bareiss(m: list[list[int]], n: int, clear_above: bool = False) -> tuple[int, int]:
-    """Fraction-free elimination on the leading n x n block of m, in place.
+def _bareiss(m: list[list[int]]) -> tuple[int, int, list[int]]:
+    """Fraction-free LU of the square matrix m, in place (Bareiss 1968).
 
-    Returns (sign, last pivot); their product is the block's determinant, and
-    the pivot is 0 when the block is singular (elimination stops there).
-    Every division is exact (Bareiss 1968), so entries stay minors of the
-    input.  With clear_above the rows above each pivot are eliminated too
-    (Gauss-Jordan): the block B becomes pivot * I, left implicit, and every
-    trailing column c becomes pivot * B^-1 c.
+    Returns (sign, last pivot, swaps); sign * pivot is det m, and the pivot
+    is 0 when m is singular (elimination stops there).  Every division is
+    exact, so entries stay minors of the input.  On return the upper
+    triangle holds U, whose diagonal is the pivot sequence p_0, ..., p_{n-1};
+    below the diagonal m[i][k] keeps the multiplier of step k, as in
+    Nakos-Turner-Williams 1997; swaps[k] is the row exchanged with row k
+    before step k.  _lu_solve replays the steps on a vector.
     """
-    width = len(m[0]) if n else 0
+    n = len(m)
     sign = 1
     prev = 1
+    swaps: list[int] = []
     for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return sign, 0
+        i = k
+        while i < n and m[i][k] == 0:
+            i += 1
+        if i == n:
+            return sign, 0, swaps
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        swaps.append(i)
         pivot = m[k][k]
         mk = m[k]
-        for i in range(0 if clear_above else k + 1, n):
-            if i == k:
-                continue
+        for i in range(k + 1, n):
             mi = m[i]
             f = mi[k]
-            for j in range(k + 1, width):
+            for j in range(k + 1, n):
                 mi[j] = (mi[j] * pivot - f * mk[j]) // prev
-            mi[k] = 0
         prev = pivot
-    return sign, prev
+    return sign, prev, swaps
+
+
+def _lu_solve(lu: list[list[int]], swaps: Sequence[int], v: Sequence[int]) -> list[int]:
+    """delta * B^-1 v for the matrix B that _bareiss factored into lu, where
+    delta is its last pivot; every division is exact."""
+    w = list(v)
+    for k, i in enumerate(swaps):
+        w[k], w[i] = w[i], w[k]
+    n = len(w)
+    # Forward: the Bareiss steps on w as an extra column,
+    # w_i = (w_i p_k - L_ik w_k) / p_{k-1}, row by row.
+    for i in range(1, n):
+        row = lu[i]
+        wi = w[i]
+        prev = 1
+        for k in range(i):
+            pivot = lu[k][k]
+            wi = (wi * pivot - row[k] * w[k]) // prev
+            prev = pivot
+        w[i] = wi
+    # Back substitution scaled by delta:
+    # x_i = (delta w_i - sum_{j>i} U_ij x_j) / U_ii.
+    delta = lu[n - 1][n - 1] if n else 1
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        acc = delta * w[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * x[j]
+        x[i] = acc // row[i]
+    return x
 
 
 def determinant(a: IntMatrix) -> int:
     if not a.is_square():
         raise ValueError("determinant needs a square matrix")
-    sign, pivot = _bareiss([list(row) for row in a.entries], a.rows)
+    sign, pivot, _ = _bareiss([list(row) for row in a.entries])
     return sign * pivot
 
 
@@ -352,12 +383,13 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
                         clean = False
             if not clean:
                 continue
+            # Column t is now zero below the pivot (and above it, from
+            # earlier steps), so the column operations change row t only.
+            mt = m[t]
             for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // pivot
-                    for row in m:
-                        row[j] = _balanced(row[j] - q * row[t], modulus)
-                    if m[t][j]:
+                if mt[j]:
+                    mt[j] = _balanced(mt[j] % pivot, modulus)
+                    if mt[j]:
                         clean = False
             if clean:
                 break
@@ -390,9 +422,67 @@ def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
     return (1,) * (len(orders) - len(chain)) + tuple(chain)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; group orders here are desk-scale."""
-    factors: dict[int, int] = {}
+# Miller-Rabin on the first 13 prime bases decides primality of every
+# n below this bound (Sorenson-Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for n > 1.  False proves n composite; True
+    proves n prime when n < _MR_BOUND."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent 1980), deterministic:
+    the polynomials x^2 + c are tried for c = 1, 2, ...; each candidate is a
+    gcd with n, so the divisor is exact."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batched product overshot: step back one value at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _trial_division(n: int, factors: dict[int, int]) -> None:
     d = 2
     while d * d <= n:
         while n % d == 0:
@@ -401,7 +491,34 @@ def _factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
-    return factors
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e}, primes ascending.
+
+    Miller-Rabin separates primes from composites and Pollard-Brent rho
+    splits the composites.  A probable prime at or above _MR_BOUND, where
+    Miller-Rabin proves nothing, falls back to trial division, so every
+    reported prime is proven.
+    """
+    factors: dict[int, int] = {}
+    if n <= 1:
+        return factors
+    for p in _MR_BASES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if not _strong_probable_prime(m):
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+        elif m < _MR_BOUND:
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            _trial_division(m, factors)
+    return dict(sorted(factors.items()))
 
 
 def group_structure_from_diagonal(diag: Sequence[int]) -> GroupStructure:
@@ -452,10 +569,11 @@ class LatticeSolver:
     """Decides membership in the lattice Im A^T of a nonsingular square A,
     produces witnesses, and gives the orders of cokernel classes.
 
-    Built from one fraction-free Gauss-Jordan pass over [A^T | I], which
-    leaves X = delta * (A^T)^-1 with |delta| = |det A|.  Each query is then
-    one product X v: v lies in the lattice exactly when delta divides every
-    entry of X v, and the quotient is the (unique) witness.
+    Built from one fraction-free LU of A^T (the _bareiss loop), whose last
+    pivot delta satisfies |delta| = |det A|.  Each query replays the
+    elimination on v and back-substitutes, which gives w = delta * (A^T)^-1 v
+    exactly: v lies in the lattice exactly when delta divides every entry of
+    w, and the quotient is the (unique) witness.
     """
 
     def __init__(self, a: IntMatrix):
@@ -463,20 +581,16 @@ class LatticeSolver:
             raise ValueError("lattice solving needs a square matrix")
         self.a = a
         self.b = a.transpose()
-        n = a.rows
-        m = [
-            list(row) + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(self.b.entries)
-        ]
-        _, self._delta = _bareiss(m, n, clear_above=True)
+        self._lu = [list(row) for row in self.b.entries]
+        sign, self._delta, self._swaps = _bareiss(self._lu)
         if self._delta == 0:
             raise _infinite_cokernel(a)
-        self._x = [row[n:] for row in m]
+        self.determinant = sign * self._delta
 
     def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.b.rows:
             raise ValueError("dimension mismatch")
-        return [sum(p * q for p, q in zip(row, v)) for row in self._x]
+        return _lu_solve(self._lu, self._swaps, v)
 
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Integer y with A^T y = v, or None if v is outside the lattice."""

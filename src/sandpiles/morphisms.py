@@ -478,9 +478,11 @@ def _verify_injection_sampled(hom, g_src, g_tgt, limits, rng) -> InjectionReport
         if lhs.values != rhs:
             return InjectionReport(False, "sampled", None, checked, None, witness=(a.values, b.values))
         checked += 1
+    # Each element is a burning-certified recurrent, the unique one in its
+    # class, so distinct classes are exactly distinct values.
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            distinct_src = not g_tgt.congruent(elements[i].values, elements[j].values)
+            distinct_src = elements[i].values != elements[j].values
             distinct_img = images[i].values != images[j].values
             if distinct_src and not distinct_img:
                 return InjectionReport(

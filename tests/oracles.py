@@ -151,3 +151,17 @@ def burning_script_by_fixed_point(g: SinkedGraph) -> tuple[tuple[int, ...], tupl
 
 def all_stable_configs(out_degrees):
     return itertools.product(*(range(d) for d in out_degrees))
+
+
+def factor_by_trial_division(n: int) -> dict[int, int]:
+    """Prime factorization by dividing out every d with d * d <= n."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors

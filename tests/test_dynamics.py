@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import contracted_square, random_sinked_digraph, random_sinked_graph
-from oracles import burning_script_by_fixed_point
+from oracles import burning_script_by_fixed_point, det_by_permutation_expansion
+import sandpiles.intlinalg as intlinalg
 from sandpiles.dynamics import (
     RecurrentConfig,
     SandpileGroup,
@@ -30,7 +31,7 @@ from sandpiles.errors import (
     SingularReducedLaplacian,
     ValidationFailed,
 )
-from sandpiles.intlinalg import reduced_laplacian
+from sandpiles.intlinalg import IntMatrix, reduced_laplacian
 from sandpiles.graphs import (
     SinkedGraph,
     build_multigraph,
@@ -365,6 +366,63 @@ class TestElementOrder:
         group = sandpile_group(g)
         for c in group.recurrents():
             assert group.order % group.element_order(c) == 0
+
+
+class TestOneFactorization:
+    def test_determinant_against_permutation_expansion(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            for g in (random_sinked_graph(rng, rng.randint(2, 6)),
+                      random_sinked_digraph(rng, rng.randint(1, 5))):
+                group = SandpileGroup(g)
+                assert group.determinant == det_by_permutation_expansion(
+                    reduced_laplacian(g)
+                )
+
+    def test_determinant_sign_survives_row_swaps(self, monkeypatch):
+        # Reduced Laplacians never need a row swap; this matrix does, and
+        # its determinant is negative.
+        group = SandpileGroup(cone(k2()))
+        a = IntMatrix.from_rows([[0, 2, 1], [1, 0, 0], [0, 1, 3]])
+        monkeypatch.setattr(group, "_reduced", a)
+        assert group.determinant == det_by_permutation_expansion(a) == -5
+
+    def test_singular_determinant_is_zero(self):
+        g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])
+        group = SandpileGroup(SinkedGraph(g, "a"))
+        assert group.determinant == 0
+        with pytest.raises(SingularReducedLaplacian):
+            group.order
+
+    @pytest.mark.parametrize("query", ["identity", "element_order"])
+    def test_cold_query_factors_once(self, monkeypatch, query):
+        calls = []
+        bareiss = intlinalg._bareiss
+
+        def counted(m):
+            calls.append(len(m))
+            return bareiss(m)
+
+        monkeypatch.setattr(intlinalg, "_bareiss", counted)
+        group = SandpileGroup(cone(hypercube(3)))
+        if query == "identity":
+            group.identity
+        else:
+            group.element_order(group.representative((1, 0, 0, 0, 0, 0, 0, 0)))
+        assert calls == [8]
+
+
+def test_group_cache_evicts_oldest(monkeypatch):
+    from sandpiles import dynamics
+
+    monkeypatch.setattr(dynamics, "_group_cache", {})
+    monkeypatch.setattr(dynamics, "_GROUP_CACHE_CAP", 2)
+    graphs = [cone(cycle_graph(k)) for k in (3, 4, 5)]
+    groups = [sandpile_group(g) for g in graphs]
+    assert list(dynamics._group_cache) == graphs[1:]
+    assert sandpile_group(graphs[2]) is groups[2]
+    assert sandpile_group(graphs[0]) is not groups[0]
+    assert list(dynamics._group_cache) == [graphs[2], graphs[0]]
 
 
 class TestCongruent:

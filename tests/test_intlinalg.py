@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import contracted_square, random_connected_multigraph, random_sinked_graph
 from oracles import (
     det_by_permutation_expansion,
+    factor_by_trial_division,
     membership_by_rational_solve,
     spanning_tree_count,
 )
+import sandpiles.intlinalg as intlinalg
 from sandpiles.errors import InfiniteCokernel, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
@@ -27,6 +29,7 @@ from sandpiles.graphs import (
 from sandpiles.intlinalg import (
     IntMatrix,
     LatticeSolver,
+    _factorize,
     cokernel_diagonal,
     determinant,
     invariant_factors,
@@ -46,6 +49,16 @@ matrices = st.integers(1, 8).flatmap(
         )
     )
 ).map(IntMatrix.from_rows)
+
+# Mostly zeros, with a zero leading entry: the factorization of A^T must
+# swap rows before its first step.
+sparse_square_matrices = st.integers(2, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3, 5]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(lambda rows: IntMatrix.from_rows([[0] + rows[0][1:]] + rows[1:]))
 
 square_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
@@ -293,6 +306,72 @@ class TestLatticeSolverOracles:
         stack = IntMatrix.from_rows([list(r) for r in a.entries] + extra)
         expected = smith_normal_form(stack).diagonal()
         assert cokernel_diagonal(stack, abs(determinant(a))) == expected
+
+
+class TestFractionFreeLU:
+    @given(sparse_square_matrices, st.lists(st.integers(-6, 6), min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_pivoting_solver_against_rational_oracle(self, a, x):
+        if not _small_det(a):
+            return
+        x = x[: a.rows]
+        solver = LatticeSolver(a)
+        assert solver.determinant == det_by_permutation_expansion(a)
+        got = solver.solve(x)
+        assert (got is not None) == membership_by_rational_solve(a, x)
+        if got is not None:
+            assert a.transpose().mul_vector(got) == tuple(x)
+        k = solver.class_order(x)
+        assert membership_by_rational_solve(a, [k * v for v in x])
+        assert not any(
+            membership_by_rational_solve(a, [j * v for v in x]) for j in range(1, k)
+        )
+
+    def test_singular_after_swaps(self):
+        a = IntMatrix.from_rows([[0, 1, 2], [1, 0, 1], [1, 1, 3]])
+        assert determinant(a) == 0
+        with pytest.raises(InfiniteCokernel):
+            LatticeSolver(a)
+
+
+class TestFactorize:
+    def test_small_against_trial_division(self):
+        for n in range(1, 3000):
+            assert _factorize(n) == factor_by_trial_division(n)
+
+    @given(st.integers(1, 10**12))
+    @settings(max_examples=40, deadline=None)
+    def test_against_trial_division(self, n):
+        assert _factorize(n) == factor_by_trial_division(n)
+
+    def test_large_against_trial_division(self):
+        rng = random.Random(12)
+        for _ in range(15):
+            n = rng.randint(10**11, 10**12)
+            assert _factorize(n) == factor_by_trial_division(n)
+
+    def test_strong_pseudoprimes(self):
+        # The least strong pseudoprimes to the first 4, 9 and 12 prime bases.
+        assert _factorize(3215031751) == {151: 1, 751: 1, 28351: 1}
+        assert _factorize(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+        assert _factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    def test_products_of_32_bit_primes(self):
+        primes = (2147483647, 4294967279, 4294967291)
+        for p in primes:
+            assert factor_by_trial_division(p) == {p: 1}
+        assert _factorize(primes[1] * primes[2]) == {primes[1]: 1, primes[2]: 1}
+        assert _factorize(primes[0] ** 2 * primes[2]) == {primes[0]: 2, primes[2]: 1}
+        # Above the Miller-Rabin bound, composites are still split by rho.
+        assert _factorize(primes[0] ** 3) == {primes[0]: 3}
+
+    def test_probable_prime_above_bound_is_proven(self, monkeypatch):
+        # A Miller-Rabin that passes every input stands in for a strong
+        # pseudoprime above the bound: trial division must still factor it.
+        monkeypatch.setattr(intlinalg, "_MR_BOUND", 1000)
+        monkeypatch.setattr(intlinalg, "_strong_probable_prime", lambda n: True)
+        for n in (10007, 1009 * 1013, 43**3, 2 * 3 * 10007):
+            assert _factorize(n) == factor_by_trial_division(n)
 
 
 def test_group_structure_serialization():

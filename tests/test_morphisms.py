@@ -7,7 +7,8 @@ import random
 import pytest
 
 from conftest import contracted_square, random_connected_multigraph, thick_triangle_target
-from sandpiles.dynamics import RecurrentConfig, sandpile_group, stabilize
+import sandpiles.morphisms as morphisms
+from sandpiles.dynamics import RecurrentConfig, SandpileGroup, sandpile_group, stabilize
 from sandpiles.errors import (
     ClauseViolation,
     NotBiregular,
@@ -292,6 +293,21 @@ class TestInjectionVerification:
         hom = contraction_hom()
         report = verify_group_injection(hom, VerifyLimits(enumerate_bound=10))
         assert report.passed and report.mode == "sampled"
+
+    def test_sampled_mode_catches_collapsed_classes(self, monkeypatch):
+        # The trivial map (everything to the source identity) is a group
+        # homomorphism, so only the distinctness check can reject it, and
+        # it must decide distinctness from recurrent values alone.
+        hom = contraction_hom()
+        source_identity = sandpile_group(hom.source).identity
+        monkeypatch.setattr(morphisms, "induced_map", lambda h, c: source_identity)
+        monkeypatch.setattr(SandpileGroup, "congruent", None)
+        report = verify_group_injection(hom, VerifyLimits(enumerate_bound=10))
+        assert not report.passed and report.mode == "sampled"
+        a, b = report.witness
+        assert a != b
+        g_tgt = sandpile_group(hom.target)
+        assert g_tgt.is_recurrent(a) and g_tgt.is_recurrent(b)
 
 
 class TestWeakHoms:
