@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hypercube", help="cube-cone verification reports")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--max-d", type=int, default=6, help="guard on the cube dimension")
+    p.add_argument("--max-d", type=int, default=8, help="guard on the cube dimension")
     p.add_argument("--verify", required=True,
                    choices=("structure", "decomposition", "even-counterexample",
                             "if-count", "all"))

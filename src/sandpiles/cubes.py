@@ -289,7 +289,7 @@ def structure_formula_factors(d: int, k: int) -> list[int]:
     return [2 * i + 2 * k + 1 for i in range(d + 1) for _ in range(comb(d, i))]
 
 
-def verify_structure(d: int, k: int = 0, max_d: int = 6) -> StructureReport:
+def verify_structure(d: int, k: int = 0, max_d: int = 8) -> StructureReport:
     """Compare the computed elementary divisors of the (2k+1)-cone of the
     d-cube with the closed-form direct sum."""
     if not 1 <= d <= max_d:
@@ -376,7 +376,7 @@ def decomposition_rows(d: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def verify_decomposition(d: int, element_level: bool | None = None, max_d: int = 6) -> DecompositionReport:
+def verify_decomposition(d: int, element_level: bool | None = None, max_d: int = 8) -> DecompositionReport:
     """Check that topplings plus stripe generators span the full integer lattice
     (Smith diagonal all ones) and, at small d, that summing one element from
     each stripe subgroup produces only distinct recurrents."""
@@ -385,8 +385,10 @@ def verify_decomposition(d: int, element_level: bool | None = None, max_d: int =
     if element_level is None:
         element_level = d <= 3
     group = sandpile_group(cube_cone(d))
-    # The rows include L, whose row lattice contains |det L| * Z^(2^d).
-    diag = cokernel_diagonal(decomposition_rows(d), group.order)
+    # The rows include L, whose row lattice contains e * Z^(2^d) for the
+    # exponent e of K(cone(Q_d)), its largest invariant factor.
+    exponent = max(group.structure.invariant_factors, default=1)
+    diag = cokernel_diagonal(decomposition_rows(d), exponent)
     lattice_ok = len(diag) == 1 << d and all(x == 1 for x in diag)
 
     distinct = expected = None

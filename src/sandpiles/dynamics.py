@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     GraphMismatch,
+    InfiniteCokernel,
     NoGlobalSink,
     OrbitTooLarge,
     SingularReducedLaplacian,
@@ -31,7 +32,6 @@ from .intlinalg import (
     invariant_factors,
     reduced_laplacian,
 )
-from .errors import InfiniteCokernel
 
 Chips = tuple[int, ...]
 
@@ -208,13 +208,14 @@ def is_recurrent_burning(
 class SandpileGroup:
     """The sandpile group of a sinked graph, with cached exact machinery.
 
-    The structure comes from the Smith diagonal of the reduced Laplacian L
-    modulo |det L|; the determinant, membership witnesses and element orders
-    come from one cached LatticeSolver, a fraction-free LU of L^T that each
-    query replays on its vector.  Recurrence, representatives
-    and the group law use the burning test of burning_script, on graphs and
-    digraphs alike.  Only recurrents() enumerates the recurrent set (guarded
-    by orbit_guard).
+    Everything algebraic comes from one cached LatticeSolver, an exact LU of
+    L^T that each query replays on its vector: the determinant, membership
+    witnesses, element orders and, for the structure, |det L| and the group
+    exponent, modulo which the Smith diagonal of L is taken.  A singular L
+    is factored once and refused on every later query.  Recurrence,
+    representatives and the group law use the burning test of
+    burning_script, on graphs and digraphs alike.  Only recurrents()
+    enumerates the recurrent set (guarded by orbit_guard).
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -224,6 +225,7 @@ class SandpileGroup:
         self._det: int | None = None
         self._structure: GroupStructure | None = None
         self._solver: LatticeSolver | None = None
+        self._singular: InfiniteCokernel | None = None
         self._identity: RecurrentConfig | None = None
         self._recurrents: frozenset[Chips] | None = None
 
@@ -257,23 +259,21 @@ class SandpileGroup:
     @property
     def structure(self) -> GroupStructure:
         if self._structure is None:
-            try:
-                self._structure = invariant_factors(self.reduced_laplacian)
-            except InfiniteCokernel as exc:
-                raise SingularReducedLaplacian(
-                    "reduced Laplacian is singular (no global sink / disconnected)"
-                ) from exc
+            self._structure = invariant_factors(self.solver)
         return self._structure
 
     @property
     def solver(self) -> LatticeSolver:
-        if self._solver is None:
+        """The LU of L^T, built once; a singular L is factored once too."""
+        if self._solver is None and self._singular is None:
             try:
                 self._solver = LatticeSolver(self.reduced_laplacian)
             except InfiniteCokernel as exc:
-                raise SingularReducedLaplacian(
-                    "reduced Laplacian is singular (no global sink / disconnected)"
-                ) from exc
+                self._singular = exc
+        if self._singular is not None:
+            raise SingularReducedLaplacian(
+                "reduced Laplacian is singular (no global sink / disconnected)"
+            ) from self._singular
         return self._solver
 
     def in_image(self, v: Sequence[int]) -> tuple[int, ...] | None:

@@ -2,11 +2,14 @@
 lattice membership.
 
 Two eliminations with bounded coefficients answer every question about the
-lattice Im L^T of a nonsingular L.  One fraction-free (Bareiss) LU of L^T
-gives det L, and replaying it on a vector v gives det * (L^T)^-1 v, behind
-witnesses and class orders; elimination modulo |det| gives the Smith
-diagonal.  The Smith normal form with transforms serves only the `snf` command
-and the free rank of singular input.
+lattice Im L^T of a nonsingular L.  One exact two-phase LU of L^T (unit
+pivots first, then Bareiss on the dense core that remains) gives det L, and
+replaying it on a vector v gives delta * (L^T)^-1 v with |delta| = |det L|,
+behind witnesses and class orders.  Elimination modulo a multiple of the
+group exponent gives the Smith diagonal; the exponent comes from the class
+orders of two fixed vectors and is certified by the product of the diagonal.
+The Smith normal form with transforms serves only the `snf` command and the
+free rank of singular input.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -16,7 +19,7 @@ to a few hundred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence, Union
 
 from .errors import InfiniteCokernel, ValidationFailed
@@ -52,10 +55,8 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix(self.cols, self.rows, columns)
 
     def mul(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -136,12 +137,13 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-# -- determinant and LU (Bareiss, fraction-free) --------------------------------
+# -- determinant and LU (unit pivots, then Bareiss) -------------------------------
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int, list[int]]:
     """Fraction-free LU of the square matrix m, in place (Bareiss 1968).
 
+    Phase 2 of _LU: it factors the dense core left after the unit pivots.
     Returns (sign, last pivot, swaps); sign * pivot is det m, and the pivot
     is 0 when m is singular (elimination stops there).  Every division is
     exact, so entries stay minors of the input.  On return the upper
@@ -206,11 +208,148 @@ def _lu_solve(lu: list[list[int]], swaps: Sequence[int], v: Sequence[int]) -> li
     return x
 
 
+# Matrices with fewer rows skip the unit-pivot phase of _LU: below about
+# a dozen rows its bookkeeping costs more than the Bareiss steps it saves.
+_UNIT_PHASE_MIN = 12
+
+
+def _permutation_sign(p: Sequence[int]) -> int:
+    """Sign of the permutation i -> p[i], from the parity of its cycles."""
+    sign = 1
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if not seen[start]:
+            j = start
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+    return sign
+
+
+def _eliminate_unit_pivots(rows: list[list[int]]) -> list[tuple[int, int, int, list, list]]:
+    """Phase 1 of _LU, in place on the dense rows; returns its steps.
+
+    Each step is (row r, column c, pivot p = +-1, [(row i, f)] for the
+    updates row_i -= f * row_r, the other nonzeros of row r).  A sweep visits
+    the rows not yet pivoted in order and pivots each on its entry equal to
+    +-1 whose column has the fewest nonzeros left (the first such on ties),
+    which keeps fill-in down; sweeps repeat while one finds a pivot.
+    """
+    n = len(rows)
+    # count[j]: nonzeros of column j in the rows not yet pivoted.
+    count = [n - col.count(0) for col in zip(*rows)]
+    active = list(range(n))
+    steps = []
+    progress = True
+    while progress:
+        progress = False
+        for r in list(active):
+            row = rows[r]
+            if 1 not in row and -1 not in row:
+                continue
+            c = -1
+            for j, x in enumerate(row):
+                if (x == 1 or x == -1) and (c < 0 or count[j] < count[c]):
+                    c = j
+            progress = True
+            active.remove(r)
+            p = row[c]
+            urow = [(j, x) for j, x in enumerate(row) if x and j != c]
+            for j, _ in urow:
+                count[j] -= 1
+            count[c] = 0
+            elim = []
+            for i in active:
+                ri = rows[i]
+                f = ri[c]
+                if f:
+                    f *= p
+                    ri[c] = 0
+                    elim.append((i, f))
+                    for j, x in urow:
+                        y = ri[j]
+                        z = y - f * x
+                        ri[j] = z
+                        if not y:
+                            count[j] += 1
+                        elif not z:
+                            count[j] -= 1
+            steps.append((r, c, p, elim, urow))
+    return steps
+
+
+class _LU:
+    """Two-phase exact LU of a square integer matrix B.
+
+    Phase 1 (_eliminate_unit_pivots) eliminates pivots equal to +-1, in the
+    manner of Dumas-Saunders-Villard 2001: each row operation touches only
+    the pivot row's nonzeros and needs no division, so entries stay small and
+    det B is unchanged up to the pivot signs.  It runs from _UNIT_PHASE_MIN
+    rows up.
+    Phase 2 runs _bareiss on what is left, the dense core C, so that
+    |det B| = |det C| = |delta| with delta the core's last pivot (1 for an
+    empty core, 0 when B is singular).
+    """
+
+    __slots__ = ("steps", "core_rows", "core_cols", "core", "core_swaps",
+                 "delta", "determinant")
+
+    def __init__(self, m: Sequence[Sequence[int]]):
+        n = len(m)
+        rows = [list(r) for r in m]
+        self.steps = _eliminate_unit_pivots(rows) if n >= _UNIT_PHASE_MIN else []
+        sign = 1
+        if self.steps:
+            pivot_rows = {s[0] for s in self.steps}
+            pivot_cols = {s[1] for s in self.steps}
+            self.core_rows = [i for i in range(n) if i not in pivot_rows]
+            self.core_cols = [j for j in range(n) if j not in pivot_cols]
+            self.core = [[rows[i][j] for j in self.core_cols] for i in self.core_rows]
+            # B permuted to (pivot rows, core rows) x (pivot columns, core
+            # columns) is block upper triangular with the unit pivots on the
+            # diagonal of its first block.
+            for s in self.steps:
+                sign *= s[2]
+            sign *= _permutation_sign([s[0] for s in self.steps] + self.core_rows)
+            sign *= _permutation_sign([s[1] for s in self.steps] + self.core_cols)
+        else:
+            self.core_rows = self.core_cols = list(range(n))
+            self.core = rows
+        core_sign, self.delta, self.core_swaps = _bareiss(self.core)
+        self.determinant = sign * core_sign * self.delta
+
+    def solve(self, v: Sequence[int]) -> list[int]:
+        """delta * B^-1 v; exact, and needs delta != 0."""
+        if not self.steps:
+            return _lu_solve(self.core, self.core_swaps, v)
+        w = list(v)
+        for r, _, _, elim, _ in self.steps:
+            wr = w[r]
+            if wr:
+                for i, f in elim:
+                    w[i] -= f * wr
+        delta = self.delta
+        x = [0] * len(w)
+        core_x = _lu_solve(self.core, self.core_swaps, [w[i] for i in self.core_rows])
+        for j, xj in zip(self.core_cols, core_x):
+            x[j] = xj
+        # Unit pivots, last first: p x_c = delta w_r - sum U_rj x_j.
+        for r, c, p, _, urow in reversed(self.steps):
+            acc = delta * w[r]
+            for j, u in urow:
+                acc -= u * x[j]
+            x[c] = acc * p
+        return x
+
+
 def determinant(a: IntMatrix) -> int:
     if not a.is_square():
         raise ValueError("determinant needs a square matrix")
-    sign, pivot, _ = _bareiss([list(row) for row in a.entries])
-    return sign * pivot
+    return _LU(a.entries).determinant
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -351,15 +490,17 @@ def _balanced(x: int, modulus: int) -> int:
 def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
     """Elimination diagonal with every entry kept reduced modulo the modulus.
 
-    Valid whenever the row lattice of a already contains modulus * Z^cols, as
-    it does for a nonsingular square matrix with |det| = modulus, or for any
-    stack of rows that includes one: shifting an entry by the modulus is then
-    a row operation against those implicit rows.  The true cyclic orders are
-    gcd(g_i, modulus).
+    Shifting an entry by the modulus is a row operation against implicit rows
+    modulus * e_j, so this eliminates a stacked on modulus * I: the cyclic
+    orders gcd(g_i, modulus) present coker(a) / modulus coker(a).  That is
+    coker(a) itself whenever the row lattice of a already contains
+    modulus * Z^cols, i.e. when the modulus is a multiple of the exponent of
+    coker(a), as |det| is for a nonsingular square matrix, or for any stack
+    of rows that includes one.
     """
     rows, cols = a.rows, a.cols
     m = [[_balanced(x, modulus) for x in row] for row in a.entries]
-
+    half = modulus // 2
     for t in range(min(rows, cols)):
         while True:
             pos = _find_pivot(m, t, rows, cols)
@@ -371,26 +512,35 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
             if j0 != t:
                 for row in m:
                     row[t], row[j0] = row[j0], row[t]
-            pivot = m[t][t]
+            mt = m[t]
+            pivot = mt[t]
+            # Row operations touch only the pivot row's nonzero columns.  A
+            # unit pivot leaves no remainder, so one pass clears column t and
+            # the column step below then zeroes the rest of row t.
+            nz = [(j, mt[j]) for j in range(t + 1, cols) if mt[j]]
             clean = True
             for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // pivot
-                    mi, mt = m[i], m[t]
-                    for j in range(t, cols):
-                        mi[j] = _balanced(mi[j] - q * mt[j], modulus)
-                    if mi[t]:
+                mi = m[i]
+                f = mi[t]
+                if f:
+                    q = f // pivot
+                    r = (f - q * pivot) % modulus
+                    if r > half:
+                        r -= modulus
+                    mi[t] = r
+                    if r:
                         clean = False
+                    for j, x in nz:
+                        r = (mi[j] - q * x) % modulus
+                        mi[j] = r - modulus if r > half else r
             if not clean:
                 continue
             # Column t is now zero below the pivot (and above it, from
             # earlier steps), so the column operations change row t only.
-            mt = m[t]
-            for j in range(t + 1, cols):
+            for j, x in nz:
+                mt[j] = _balanced(x % pivot, modulus)
                 if mt[j]:
-                    mt[j] = _balanced(mt[j] % pivot, modulus)
-                    if mt[j]:
-                        clean = False
+                    clean = False
             if clean:
                 break
     return [m[i][i] for i in range(min(rows, cols))]
@@ -531,22 +681,51 @@ def _infinite_cokernel(a: IntMatrix) -> InfiniteCokernel:
     return InfiniteCokernel(a.rows - rank)
 
 
-def invariant_factors(a: IntMatrix) -> GroupStructure:
-    """Cokernel structure of a square nonsingular integer matrix.
+def _probe_vectors(n: int) -> list[list[int]]:
+    """Two fixed vectors with entries in [-8, 8], from a linear congruential
+    sequence."""
+    x = 1
+    probes = []
+    for _ in range(2):
+        v = []
+        for _ in range(n):
+            x = (1103515245 * x + 12345) % 2**31
+            v.append(x % 17 - 8)
+        probes.append(v)
+    return probes
 
-    The diagonal is computed with entries reduced modulo |det|, which keeps
-    coefficient growth flat at any dimension this package meets; the chain is
-    then recovered through gcd(., det) and gcd/lcm normalization.
+
+def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
+    """Cokernel structure of a square nonsingular integer matrix, or of the
+    matrix a LatticeSolver was built from (its LU is then reused).
+
+    |det| comes from the solver's LU.  The Smith diagonal of the matrix
+    itself is taken modulo m, the lcm of the class orders of two fixed
+    vectors (Eberly-Giesbrecht-Villard 2000), which divides the exponent of
+    the cokernel G; when m is close to |det| (m^2 > |det|), |det| is used.
+    Elimination modulo m yields G/mG, so the product of the diagonal equals
+    |det| exactly when m is a multiple of the exponent.  If it falls short by
+    r, m * r is one (its p-adic valuation is mu + sum (a_i - mu)^+ >= max
+    a_i for each prime p), and one more pass with it must give |det|.
     """
-    if not a.is_square():
+    if isinstance(a, LatticeSolver):
+        solver = a
+    elif not a.is_square():
         raise ValueError("invariant factors need a square matrix")
-    det = determinant(a)
-    if det == 0:
-        raise _infinite_cokernel(a)
-    structure = group_structure_from_diagonal(cokernel_diagonal(a, abs(det)))
-    if structure.order != abs(det):
+    else:
+        solver = LatticeSolver(a)
+    order = abs(solver.determinant)
+    modulus = lcm(*(solver.class_order(x) for x in _probe_vectors(solver.a.rows)))
+    if modulus * modulus > order:
+        modulus = order
+    diag = cokernel_diagonal(solver.a, modulus)
+    found = prod(diag)
+    if found != order and order % found == 0:
+        diag = cokernel_diagonal(solver.a, modulus * (order // found))
+        found = prod(diag)
+    if found != order:
         raise ValidationFailed("invariant factors do not multiply to |det|")
-    return structure
+    return group_structure_from_diagonal(diag)
 
 
 def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:
@@ -569,11 +748,12 @@ class LatticeSolver:
     """Decides membership in the lattice Im A^T of a nonsingular square A,
     produces witnesses, and gives the orders of cokernel classes.
 
-    Built from one fraction-free LU of A^T (the _bareiss loop), whose last
-    pivot delta satisfies |delta| = |det A|.  Each query replays the
-    elimination on v and back-substitutes, which gives w = delta * (A^T)^-1 v
-    exactly: v lies in the lattice exactly when delta divides every entry of
-    w, and the quotient is the (unique) witness.
+    Built from one two-phase LU of A^T (_LU: unit pivots, then _bareiss on
+    the core), whose core's last pivot delta satisfies |delta| = |det A|.
+    Each query replays both phases on v and back-substitutes, which gives
+    w = delta * (A^T)^-1 v exactly: v lies in the lattice exactly when delta
+    divides every entry of w, and the quotient is the (unique) witness.
+    invariant_factors reuses the solver for the group structure.
     """
 
     def __init__(self, a: IntMatrix):
@@ -581,16 +761,16 @@ class LatticeSolver:
             raise ValueError("lattice solving needs a square matrix")
         self.a = a
         self.b = a.transpose()
-        self._lu = [list(row) for row in self.b.entries]
-        sign, self._delta, self._swaps = _bareiss(self._lu)
+        self._lu = _LU(self.b.entries)
+        self._delta = self._lu.delta
         if self._delta == 0:
             raise _infinite_cokernel(a)
-        self.determinant = sign * self._delta
+        self.determinant = self._lu.determinant
 
     def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.b.rows:
             raise ValueError("dimension mismatch")
-        return _lu_solve(self._lu, self._swaps, v)
+        return self._lu.solve(v)
 
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Integer y with A^T y = v, or None if v is outside the lattice."""

@@ -297,7 +297,7 @@ class TestCliCommands:
         assert payload["passed"] and len(payload["reports"]) == 4
 
     def test_hypercube_all_at_max_d(self, capsys):
-        assert main(["hypercube", "--d", "6", "--verify", "all"]) == 0
+        assert main(["hypercube", "--d", "8", "--verify", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
 
     def test_hypercube_guard(self, capsys):

@@ -199,9 +199,9 @@ class TestIdentityPattern:
         assert group.identity.values == (k_max * n,) * (1 << d)
 
     def test_group_law_at_max_d(self):
-        group = sandpile_group(cube_cone(6))
+        group = sandpile_group(cube_cone(8))
         assert group.element_order(group.identity) == 1
-        x = [(-1) ** i * (3 * i % 17) for i in range(64)]
+        x = [(-1) ** i * (3 * i % 17) for i in range(256)]
         assert group.congruent(group.representative(x).values, x)
 
 

@@ -368,6 +368,22 @@ class TestElementOrder:
             assert group.order % group.element_order(c) == 0
 
 
+@pytest.fixture
+def factorizations(monkeypatch) -> list[int]:
+    """Sizes of the matrices factored by intlinalg's LU, in call order."""
+    calls = []
+
+    class Counted(intlinalg._LU):
+        __slots__ = ()
+
+        def __init__(self, m):
+            calls.append(len(m))
+            super().__init__(m)
+
+    monkeypatch.setattr(intlinalg, "_LU", Counted)
+    return calls
+
+
 class TestOneFactorization:
     def test_determinant_against_permutation_expansion(self):
         rng = random.Random(23)
@@ -394,22 +410,30 @@ class TestOneFactorization:
         with pytest.raises(SingularReducedLaplacian):
             group.order
 
-    @pytest.mark.parametrize("query", ["identity", "element_order"])
-    def test_cold_query_factors_once(self, monkeypatch, query):
-        calls = []
-        bareiss = intlinalg._bareiss
-
-        def counted(m):
-            calls.append(len(m))
-            return bareiss(m)
-
-        monkeypatch.setattr(intlinalg, "_bareiss", counted)
+    @pytest.mark.parametrize(
+        "query", ["identity", "element_order", "structure", "structure then identity"]
+    )
+    def test_cold_query_factors_once(self, factorizations, query):
         group = SandpileGroup(cone(hypercube(3)))
         if query == "identity":
             group.identity
-        else:
+        elif query == "element_order":
             group.element_order(group.representative((1, 0, 0, 0, 0, 0, 0, 0)))
-        assert calls == [8]
+        else:
+            assert group.structure.invariant_factors == (15, 15, 105)
+            if query == "structure then identity":
+                group.identity
+        assert factorizations == [8]
+
+    def test_singular_laplacian_is_factored_once(self, factorizations):
+        g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])
+        group = SandpileGroup(SinkedGraph(g, "a"))
+        for _ in range(3):
+            with pytest.raises(SingularReducedLaplacian):
+                group.congruent((0, 0), (1, 0))
+        with pytest.raises(SingularReducedLaplacian):
+            group.structure
+        assert factorizations == [2]
 
 
 def test_group_cache_evicts_oldest(monkeypatch):

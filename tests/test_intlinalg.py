@@ -60,6 +60,42 @@ sparse_square_matrices = st.integers(2, 6).flatmap(
     )
 ).map(lambda rows: IntMatrix.from_rows([[0] + rows[0][1:]] + rows[1:]))
 
+# Mostly +-1: the unit-pivot phase of the LU eliminates most rows.
+unit_rich_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 1, -1, 1, -1, 2, -3]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(IntMatrix.from_rows)
+
+# No entry is +-1: the dense core is the whole matrix.
+unit_free_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 2, -2, 3, -3, 4, 5, -7]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(IntMatrix.from_rows)
+
+
+@st.composite
+def permuted_unit_triangular(draw) -> IntMatrix:
+    """P U Q with U upper triangular, +-1 on its diagonal: the core is empty."""
+    n = draw(st.integers(1, 6))
+    rows = [
+        [
+            draw(st.sampled_from([1, -1])) if j == i else
+            draw(st.integers(-4, 4)) if j > i else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    return IntMatrix.from_rows([[rows[p[i]][q[j]] for j in range(n)] for i in range(n)])
+
+
 square_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -204,6 +240,55 @@ class TestInvariantFactors:
         with pytest.raises(ValidationFailed):
             invariant_factors(reduced_laplacian(cone(hypercube(2))))
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_exponent_modulus_gives_the_det_modulus_diagonal(self, d):
+        a = reduced_laplacian(cone(hypercube(d)))
+        solver = LatticeSolver(a)
+        exponent = invariant_factors(solver).invariant_factors[-1]
+        assert cokernel_diagonal(a, exponent) == cokernel_diagonal(a, abs(solver.determinant))
+
+    def test_exponent_modulus_on_random_graphs(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            a = reduced_laplacian(random_sinked_graph(rng, rng.randint(2, 14), max_mult=3))
+            if determinant(a) == 0:
+                continue
+            structure = invariant_factors(a)
+            exponent = structure.invariant_factors[-1] if structure.invariant_factors else 1
+            assert cokernel_diagonal(a, exponent) == cokernel_diagonal(a, structure.order)
+
+    def test_short_modulus_is_rescued(self, monkeypatch):
+        a = reduced_laplacian(cone(hypercube(3)))
+        expected = invariant_factors(a)
+        moduli = []
+        diagonal = intlinalg.cokernel_diagonal
+
+        def recorded(b, modulus):
+            moduli.append(modulus)
+            return diagonal(b, modulus)
+
+        monkeypatch.setattr(intlinalg, "cokernel_diagonal", recorded)
+        # 3 divides the exponent 105 but is no multiple of it: G/3G = Z_3^3
+        # falls short of |det| = 23625 by 875, and 3 * 875 is a multiple.
+        monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: 3)
+        assert invariant_factors(a) == expected
+        assert moduli == [3, 3 * 875]
+
+    def test_corrupted_rescue_is_caught(self, monkeypatch):
+        a = reduced_laplacian(cone(hypercube(3)))
+        diagonal = intlinalg.cokernel_diagonal
+        first = []
+
+        def repeat_first(b, modulus):
+            if not first:
+                first.append(diagonal(b, modulus))
+            return first[0]
+
+        monkeypatch.setattr(intlinalg, "cokernel_diagonal", repeat_first)
+        monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: 3)
+        with pytest.raises(ValidationFailed):
+            invariant_factors(a)
+
     @given(square_matrices)
     @settings(max_examples=80, deadline=None)
     def test_matches_transform_snf(self, a):
@@ -326,6 +411,38 @@ class TestFractionFreeLU:
         assert not any(
             membership_by_rational_solve(a, [j * v for v in x]) for j in range(1, k)
         )
+
+    @pytest.mark.parametrize("kind", ["unit-rich", "unit-free", "empty core"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_phases_against_oracles(self, kind, data):
+        strategy = {"unit-rich": unit_rich_matrices, "unit-free": unit_free_matrices,
+                    "empty core": permuted_unit_triangular()}[kind]
+        a = data.draw(strategy)
+        x = data.draw(st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows))
+        det = det_by_permutation_expansion(a)
+        with pytest.MonkeyPatch.context() as mp:
+            # These matrices are small enough to skip the unit-pivot phase.
+            mp.setattr(intlinalg, "_UNIT_PHASE_MIN", 1)
+            assert determinant(a) == det
+            if det == 0:
+                with pytest.raises(InfiniteCokernel):
+                    LatticeSolver(a)
+                return
+            solver = LatticeSolver(a)
+        assert solver.determinant == det
+        if kind == "unit-free":
+            assert not solver._lu.steps
+        if kind == "empty core":
+            assert not solver._lu.core_rows
+        got = solver.solve(x)
+        assert (got is not None) == membership_by_rational_solve(a, x)
+        if got is not None:
+            assert a.transpose().mul_vector(got) == tuple(x)
+        k = solver.class_order(x)
+        assert membership_by_rational_solve(a, [k * v for v in x])
+        for p in factor_by_trial_division(k):
+            assert not membership_by_rational_solve(a, [k // p * v for v in x])
 
     def test_singular_after_swaps(self):
         a = IntMatrix.from_rows([[0, 1, 2], [1, 0, 1], [1, 1, 3]])
