@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("hom")
     p.add_argument("--verify-injection", action="store_true",
-                   help="also verify the induced group injection")
+                   help="also prove the induced group injection")
     p.set_defaults(fn=cmd_check_hom)
 
     p = sub.add_parser("product", help="box product of two cone configurations")

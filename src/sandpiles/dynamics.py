@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,7 +29,6 @@ from .intlinalg import (
     GroupStructure,
     IntMatrix,
     LatticeSolver,
-    _factorize,
     invariant_factors,
     reduced_laplacian,
 )
@@ -375,19 +375,22 @@ class SandpileGroup:
         """Least k with the k-fold sum of c equal to the identity.
 
         Computed as the order of the class of c - e in Z^n / Im L^T, then
-        certified through the lattice: k(c-e) lies in Im L^T and (k/p)(c-e)
-        does not, for every prime p dividing k.
+        certified by one solve: the witness y with L^T y = k(c-e) exists,
+        and gcd(k, y_1, ..., y_n) = 1.  The rational solution is unique, so
+        a common factor g would give (k/g)(c-e) = L^T (y/g) with y/g
+        integral, and without one no proper divisor of k annihilates.
         """
         values = c.values if isinstance(c, RecurrentConfig) else tuple(c)
         values = _check_vector(self.graph, values)
         e = self.identity.values
         diff = [a - b for a, b in zip(values, e)]
         k = self.solver.class_order(diff)
-        if self.in_image([k * d for d in diff]) is None:
+        y = self.in_image([k * d for d in diff])
+        if y is None:
             raise ValidationFailed(f"{k} times {values} minus the identity is not in Im L^T")
-        for p in _factorize(k):
-            if self.in_image([(k // p) * d for d in diff]) is not None:
-                raise ValidationFailed(f"order {k} is not minimal: {k // p} already annihilates")
+        g = gcd(k, *y)
+        if g != 1:
+            raise ValidationFailed(f"order {k} is not minimal: {k // g} already annihilates")
         return k
 
 

@@ -44,29 +44,9 @@ class IntMatrix:
         ncols = len(entries[0]) if entries else 0
         return IntMatrix(len(entries), ncols, entries)
 
-    @staticmethod
-    def identity(n: int) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def transpose(self) -> IntMatrix:
         columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return IntMatrix(self.cols, self.rows, columns)
-
-    def mul(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose().entries
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, rows)
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -791,9 +771,3 @@ def lattice_membership(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None
     """Witness y with A^T y = v over the integers, or None (a normal outcome)."""
     return LatticeSolver(a).solve(v)
 
-
-# -- small helpers used across the package ---------------------------------------
-
-
-def matrix_is_unimodular(a: IntMatrix) -> bool:
-    return a.is_square() and abs(determinant(a)) == 1

@@ -4,18 +4,23 @@ they induce.
 A validated homomorphism is the only way to obtain a UniformHom: every
 theorem hypothesis is enforced by the validator, so the induced maps never
 have to re-check them.
+
+verify_group_injection proves the paper's main theorem for one
+homomorphism: the pullback maps the target's relations into the source
+lattice, and the index of the source lattice in the lattice it spans
+together with the pulled-back unit vectors equals the order of the target
+group, so the induced map is injective.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 from typing import Mapping, Sequence
 
 from .dynamics import (
     Chips,
     RecurrentConfig,
-    SandpileGroup,
     is_recurrent_burning,
     sandpile_group,
 )
@@ -28,6 +33,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graphs import Digraph, Multigraph, SinkedGraph, cone, thick_k2_cone
+from .intlinalg import IntMatrix, cokernel_diagonal
 
 GraphLike = Multigraph | Digraph | SinkedGraph
 
@@ -332,164 +338,79 @@ def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
 
 
 @dataclass(frozen=True)
-class VerifyLimits:
-    """Bounds for injection verification; enumeration below, sampling above."""
-
-    enumerate_bound: int = 10**4
-    pair_bound: int = 20000
-    sample_pairs: int = 100
-    seed: int = 7
-
-
-@dataclass(frozen=True)
 class InjectionReport:
     passed: bool
-    mode: str
     image_order: int | None
-    checked_pairs: int
     recurrent_images: bool | None
     witness: tuple | None = None
     note: str = ""
+    # The one route: every report is a lattice-index proof.
+    mode = "lattice"
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
             "mode": self.mode,
             "image_order": self.image_order,
-            "checked_pairs": self.checked_pairs,
             "recurrent_images": self.recurrent_images,
             "witness": list(self.witness) if self.witness else None,
             "note": self.note,
         }
 
 
-def _sample_chip_vectors(n: int, count: int, rng: random.Random) -> list[tuple[int, ...]]:
-    return [tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(count)]
+def verify_group_injection(hom: UniformHom) -> InjectionReport:
+    """Prove that the induced map K(target) -> K(source) is an injective group
+    homomorphism, by one lattice index.
 
-
-def verify_group_injection(
-    hom: UniformHom, limits: VerifyLimits = VerifyLimits()
-) -> InjectionReport:
-    """Check that the induced map is an injective group homomorphism.
-
-    For uniform/weak homs with an enumerable source group: image recurrence
-    (uniform kind), the homomorphism law on pairs, and pairwise-distinct
-    images.  Directed homs are verified at the lattice level: membership is
-    preserved and reflected, and the image has |SP(target)| distinct classes.
+    Let P be the pullback (pullback_config, or pullback_chips for the
+    directed kind).  P is linear, so it is a well-defined homomorphism on
+    classes once it sends every relation of the target into the source
+    lattice: for the directed kind P(L_tgt e_j) = L_src P(e_j) exactly, for
+    the uniform and weak kinds P(L_tgt e_j) has a witness in Im L_src^T.
+    Its image is then generated by the classes of P(e_1), ..., P(e_n) and has
+    order |K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, one cokernel
+    diagonal modulo the source exponent; the map is injective exactly when
+    that order is |K(target)|.  For the uniform kind the pullbacks of the
+    recurrent representatives of the target's unit vectors, which generate
+    K(target), must also pass the burning test.
     """
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")
     g_src = sandpile_group(src)
     g_tgt = sandpile_group(tgt)
-    rng = random.Random(limits.seed)
-
-    if hom.kind in ("uniform", "weak"):
-        order_src = g_src.order
-        order_tgt = g_tgt.order
-        if order_src > limits.enumerate_bound or order_tgt > limits.enumerate_bound:
-            return _verify_injection_sampled(hom, g_src, g_tgt, limits, rng)
-        recs = sorted(g_tgt.recurrents())
-        images: dict[Chips, Chips] = {}
-        recurrent_ok = True
-        for c in recs:
-            rc = RecurrentConfig(tgt, c, "orbit")
-            img = induced_map(hom, rc)
-            if hom.kind == "uniform" and not g_src.is_recurrent(img.values):
-                return InjectionReport(False, "enumerated", None, 0, False, witness=(c,))
-            images[c] = img.values
-        if len(set(images.values())) != len(images):
-            seen: dict[Chips, Chips] = {}
-            for c, img in images.items():
-                if img in seen:
-                    return InjectionReport(
-                        False, "enumerated", None, 0, recurrent_ok, witness=(seen[img], c)
-                    )
-                seen[img] = c
-        pairs = [(a, b) for a in recs for b in recs]
-        if len(pairs) > limits.pair_bound:
-            pairs = [
-                (recs[rng.randrange(len(recs))], recs[rng.randrange(len(recs))])
-                for _ in range(limits.sample_pairs)
-            ]
-        for a, b in pairs:
-            lhs = induced_map(hom, RecurrentConfig(tgt, g_tgt.add_values(a, b), "orbit"))
-            rhs = g_src.add_values(images[a], images[b])
-            if lhs.values != rhs:
-                return InjectionReport(
-                    False, "enumerated", None, len(pairs), recurrent_ok, witness=(a, b)
-                )
-        return InjectionReport(
-            True, "enumerated", len(images), len(pairs), recurrent_ok,
-            note=f"image is a subgroup of order {len(images)} inside order {order_src}",
-        )
-
-    # Directed kind, verified at the cokernel level.  The coordinate pullback
-    # intertwines the untransposed reduced Laplacians (L_src f(z) = f(L_tgt z)),
-    # so membership lives in the column lattices of L; those agree with Im L^T
-    # exactly when the graph is undirected.  Intertwining on the basis plus
-    # nonsingularity plus coordinate-surjectivity already force injectivity;
-    # the sampled equivalence below is a belt-and-braces re-check.
-    from .intlinalg import LatticeSolver
-
-    g_tgt.order, g_src.order  # both nonsingular
-    l_tgt = g_tgt.reduced_laplacian
+    directed = hom.kind == "directed"
+    pull = pullback_chips if directed else pullback_config
     l_src = g_src.reduced_laplacian
-    col_tgt = LatticeSolver(l_tgt.transpose())
-    col_src = LatticeSolver(l_src.transpose())
     n = tgt.n_nonsink
-    for j in range(n):
-        column = tuple(l_tgt.entries[i][j] for i in range(n))
-        fiber_indicator = pullback_chips(hom, tuple(1 if i == j else 0 for i in range(n)))
-        lhs = pullback_chips(hom, column)
-        rhs = l_src.mul_vector(fiber_indicator)
-        if lhs != rhs:
-            return InjectionReport(False, "lattice", None, 0, None, witness=(column,))
-    checked = 0
-    for x in _sample_chip_vectors(n, limits.sample_pairs, rng):
-        in_tgt = col_tgt.solve(x) is not None
-        in_src = col_src.solve(pullback_chips(hom, x)) is not None
-        if in_tgt != in_src:
-            return InjectionReport(False, "lattice", None, checked, None, witness=(x,))
-        checked += 1
-    return InjectionReport(
-        True, "lattice", g_tgt.order, checked, None,
-        note="cokernel-level verification; image order is the full target group",
-    )
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [pull(hom, u) for u in units]
 
+    # Columns of L are its rows on the undirected graphs that the uniform
+    # and weak kinds require, so one column lattice serves every kind.
+    for column, image in zip(g_tgt.reduced_laplacian.transpose().entries, images):
+        relation = pull(hom, column)
+        if directed:
+            held = relation == l_src.mul_vector(image)
+        else:
+            held = g_src.in_image(relation) is not None
+        if not held:
+            return InjectionReport(False, None, None, witness=(column,))
 
-def _verify_injection_sampled(hom, g_src, g_tgt, limits, rng) -> InjectionReport:
-    tgt = g_tgt.graph
-    n = tgt.n_nonsink
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    seeds = basis + _sample_chip_vectors(n, limits.sample_pairs, rng)
-    elements = [g_tgt.representative(x) for x in seeds]
-    images = [induced_map(hom, c) for c in elements]
-    for c, img in zip(elements, images):
-        if hom.kind == "uniform" and not g_src.is_recurrent(img.values):
-            return InjectionReport(False, "sampled", None, 0, False, witness=(c.values,))
-    checked = 0
-    for _ in range(limits.sample_pairs):
-        a = elements[rng.randrange(len(elements))]
-        b = elements[rng.randrange(len(elements))]
-        lhs = induced_map(hom, g_tgt.add(a, b))
-        rhs = g_src.add_values(
-            images[elements.index(a)].values, images[elements.index(b)].values
-        )
-        if lhs.values != rhs:
-            return InjectionReport(False, "sampled", None, checked, None, witness=(a.values, b.values))
-        checked += 1
-    # Each element is a burning-certified recurrent, the unique one in its
-    # class, so distinct classes are exactly distinct values.
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            distinct_src = elements[i].values != elements[j].values
-            distinct_img = images[i].values != images[j].values
-            if distinct_src and not distinct_img:
-                return InjectionReport(
-                    False, "sampled", None, checked, None,
-                    witness=(elements[i].values, elements[j].values),
-                )
-    return InjectionReport(True, "sampled", None, checked, None, note="sampled verification")
+    # exponent * Z^n lies in the column lattice of L_src, so it is a valid
+    # modulus for the stack, as in cubes.verify_decomposition.
+    exponent = max(g_src.structure.invariant_factors, default=1)
+    stacked = IntMatrix.from_rows(l_src.transpose().entries + tuple(images))
+    image_order = g_src.order // prod(cokernel_diagonal(stacked, exponent))
+    note = f"image is a subgroup of order {image_order} inside order {g_src.order}"
+
+    recurrent_images = None
+    if hom.kind == "uniform":
+        for u in units:
+            rep = g_tgt.representative(u).values
+            if not g_src.is_recurrent(pullback_config(hom, rep)):
+                return InjectionReport(False, image_order, False, witness=(rep,), note=note)
+        recurrent_images = True
+    return InjectionReport(image_order == g_tgt.order, image_order, recurrent_images, note=note)
 
 
 # -- the bipartite collapse of biregular graphs ----------------------------------

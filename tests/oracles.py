@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
+from sandpiles.dynamics import sandpile_group
 from sandpiles.graphs import Multigraph, SinkedGraph
-from sandpiles.intlinalg import IntMatrix
+from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
+from sandpiles.morphisms import UniformHom, pullback_chips, pullback_config
 
 
 def det_by_permutation_expansion(a: IntMatrix) -> int:
@@ -36,6 +39,16 @@ def det_by_permutation_expansion(a: IntMatrix) -> int:
                 break
         total += sign * prod
     return total
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a @ b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    return IntMatrix.from_rows(
+        [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols)]
+         for i in range(a.rows)]
+    )
 
 
 def rational_solve(a: IntMatrix, v: list[int]) -> list[Fraction] | None:
@@ -165,3 +178,37 @@ def factor_by_trial_division(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def _pullback(hom: UniformHom):
+    return pullback_chips if hom.kind == "directed" else pullback_config
+
+
+def image_order_by_smith_form(hom: UniformHom) -> int:
+    """|K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, both from the full
+    Smith normal form with transforms instead of a modular diagonal."""
+    lap = reduced_laplacian(hom.source)
+    n = hom.target.n_nonsink
+    images = [_pullback(hom)(hom, [int(i == j) for i in range(n)]) for j in range(n)]
+    stacked = IntMatrix.from_rows(list(lap.transpose().entries) + images)
+    return prod(smith_normal_form(lap).diagonal()) // prod(smith_normal_form(stacked).diagonal())
+
+
+def image_order_by_enumeration(hom: UniformHom) -> int:
+    """The number of distinct source classes among the pullbacks of a cover
+    of the target's classes; meant for target groups of at most 10^4 elements.
+
+    The cover is the recurrent set of an undirected target.  A digraph's
+    recurrents represent Z^n / Im L^T, while the directed pullback acts on
+    Z^n / Im L, so a digraph target is covered by the box [0, |K|)^n
+    instead, since |K| Z^n lies in Im L.  Source classes are told apart by
+    their recurrent representatives, which needs an undirected source.
+    """
+    g_src = sandpile_group(hom.source)
+    g_tgt = sandpile_group(hom.target)
+    if hom.target.directed:
+        cover = itertools.product(range(g_tgt.order), repeat=hom.target.n_nonsink)
+    else:
+        cover = g_tgt.recurrents()
+    pull = _pullback(hom)
+    return len({g_src.representative(pull(hom, c)).values for c in cover})

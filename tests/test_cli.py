@@ -225,7 +225,9 @@ class TestCliCommands:
         assert main(["check-hom", str(src), str(tgt), str(hom), "--verify-injection"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid"] and payload["degree"] == 2
-        assert payload["injection"]["passed"] and payload["injection"]["image_order"] == 8
+        injection = payload["injection"]
+        assert injection["passed"] and injection["image_order"] == 8
+        assert injection["mode"] == "lattice" and "checked_pairs" not in injection
 
     def test_check_hom_fail_exits_two(self, tmp_path, capsys):
         assert main(["check-hom", *c5_onto_c3_with_unequal_fibers(tmp_path)]) == 2

@@ -361,6 +361,14 @@ class TestElementOrder:
         with pytest.raises(ValidationFailed):
             group.element_order((1, 2, 2, 3))
 
+    def test_doubled_order_fails_the_gcd_check(self, monkeypatch):
+        # The witness for 96 (c - e) is genuine, but all its entries are even.
+        group = SandpileGroup(contracted_square())
+        order = group.solver.class_order
+        monkeypatch.setattr(group.solver, "class_order", lambda x: 2 * order(x))
+        with pytest.raises(ValidationFailed, match="order 96 is not minimal: 48"):
+            group.element_order((1, 2, 2, 3))
+
     def test_orders_divide_group_order(self):
         g = cone(hypercube(2))
         group = sandpile_group(g)

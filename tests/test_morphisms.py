@@ -7,8 +7,10 @@ import random
 import pytest
 
 from conftest import contracted_square, random_connected_multigraph, thick_triangle_target
+from oracles import image_order_by_enumeration, image_order_by_smith_form
 import sandpiles.morphisms as morphisms
-from sandpiles.dynamics import RecurrentConfig, SandpileGroup, sandpile_group, stabilize
+from sandpiles.cubes import all_masks, parity_collapse_hom
+from sandpiles.dynamics import RecurrentConfig, sandpile_group, stabilize
 from sandpiles.errors import (
     ClauseViolation,
     NotBiregular,
@@ -29,7 +31,6 @@ from sandpiles.graphs import (
 from sandpiles.morphisms import (
     UniformHom,
     VertexMap,
-    VerifyLimits,
     bipartite_collapse_hom,
     induced_map,
     is_full_homomorphism,
@@ -83,6 +84,18 @@ def blowup_hom(rng: random.Random, h_vertices: int = 3, degree: int = 2):
             VertexMap(g, h, mapping), list(h.nonsink_order), "uniform",
             require_surjective=True,
         )
+
+
+def projection_hom() -> UniformHom:
+    """The weak projection of cone(C3 x K2) onto cone(C3)."""
+    g, h = cycle_graph(3), k2()
+    prod = cone(cartesian_product(g, h))
+    base = cone(g)
+    mapping = {f"({u},{v})": u for u in g.vertices for v in h.vertices}
+    mapping[prod.sink] = base.sink
+    return validate_hom(
+        VertexMap(prod, base, mapping), g.vertices, "weak", require_surjective=True
+    )
 
 
 class TestValidation:
@@ -265,6 +278,35 @@ class TestPullback:
             pullback_config(hom, (0, 0, 0, 0))  # no sinks anywhere
 
 
+def blowup_draw(i: int) -> UniformHom:
+    """The i-th blowup_hom drawn from random.Random(8)."""
+    rng = random.Random(8)
+    for _ in range(i):
+        blowup_hom(rng)
+    return blowup_hom(rng)
+
+
+def complete_bipartite_collapse(a: int, b: int) -> UniformHom:
+    left = [f"a{i}" for i in range(a)]
+    right = [f"b{j}" for j in range(b)]
+    edges = [(x, y, 1) for x in left for y in right]
+    return bipartite_collapse_hom(build_multigraph(left + right, edges), (left, right))
+
+
+# Every surjective hom here induces an injection; star_collapse_hom is
+# defined further down, so each entry is a factory.
+INJECTIONS = [
+    ("contraction", contraction_hom),
+    ("weak-projection", projection_hom),
+    ("star-collapse", lambda: star_collapse_hom()),
+    *[(f"blowup-{i}", lambda i=i: blowup_draw(i)) for i in range(6)],
+    *[(f"k{a}-{b}", lambda a=a, b=b: complete_bipartite_collapse(a, b))
+      for a, b in ((2, 2), (3, 3), (2, 3), (2, 4), (3, 4))],
+    *[(f"parity-{''.join(map(str, mask))}", lambda d=d, mask=mask: parity_collapse_hom(d, mask))
+      for d in range(1, 5) for mask in all_masks(d) if any(mask)],
+]
+
+
 class TestInjectionVerification:
     def test_contraction_injection(self):
         report = verify_group_injection(contraction_hom())
@@ -289,47 +331,101 @@ class TestInjectionVerification:
             assert report.passed
             assert sandpile_group(hom.source).order % report.image_order == 0
 
-    def test_sampled_mode_on_large_group(self):
-        hom = contraction_hom()
-        report = verify_group_injection(hom, VerifyLimits(enumerate_bound=10))
-        assert report.passed and report.mode == "sampled"
+    @pytest.mark.parametrize("make", [make for _, make in INJECTIONS],
+                             ids=[name for name, _ in INJECTIONS])
+    def test_image_order_against_oracles(self, make):
+        hom = make()
+        report = verify_group_injection(hom)
+        assert report.to_dict()["mode"] == "lattice"
+        assert report.image_order == image_order_by_smith_form(hom)
+        assert report.image_order == image_order_by_enumeration(hom)
+        assert report.passed and report.image_order == sandpile_group(hom.target).order
+        assert report.recurrent_images is (True if hom.kind == "uniform" else None)
 
-    def test_sampled_mode_catches_collapsed_classes(self, monkeypatch):
-        # The trivial map (everything to the source identity) is a group
-        # homomorphism, so only the distinctness check can reject it, and
-        # it must decide distinctness from recurrent values alone.
+    @pytest.mark.parametrize(
+        "make, pullback, factor, image_order",
+        [
+            (projection_hom, "pullback_config", 2, 4),  # K(target) = Z4 + Z4
+            (lambda: star_collapse_hom(), "pullback_chips", 5, 1),  # K(target) = Z5
+        ],
+        ids=["weak", "directed"],
+    )
+    def test_collapsing_pullback_is_refused(self, monkeypatch, make, pullback, factor, image_order):
+        hom = make()
+        original = getattr(morphisms, pullback)
+        monkeypatch.setattr(
+            morphisms, pullback, lambda h, x: tuple(factor * v for v in original(h, x))
+        )
+        report = verify_group_injection(hom)
+        assert not report.passed and report.image_order == image_order
+        assert image_order < sandpile_group(hom.target).order
+
+    @pytest.mark.parametrize(
+        "make, pullback",
+        [(contraction_hom, "pullback_config"),
+         (lambda: star_collapse_hom(), "pullback_chips")],
+        ids=["uniform", "directed"],
+    )
+    def test_pullback_off_the_lattice_is_refused(self, monkeypatch, make, pullback):
+        hom = make()
+        original = getattr(morphisms, pullback)
+
+        def shifted(h, x):
+            y = list(original(h, x))
+            y[0] += x[0]
+            return tuple(y)
+
+        monkeypatch.setattr(morphisms, pullback, shifted)
+        report = verify_group_injection(hom)
+        assert not report.passed and report.image_order is None
+        (relation,) = report.witness
+        assert relation in sandpile_group(hom.target).reduced_laplacian.transpose().entries
+        assert sandpile_group(hom.source).in_image(shifted(hom, relation)) is None
+
+    def test_directed_pullback_must_intertwine(self, monkeypatch):
+        # Adding x_0 times a source toppling keeps every relation in the
+        # lattice, but the directed kind needs P(L_tgt e_j) = L_src P(e_j).
+        hom = star_collapse_hom()
+        toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
+        original = morphisms.pullback_chips
+        monkeypatch.setattr(
+            morphisms, "pullback_chips",
+            lambda h, x: tuple(a + x[0] * b for a, b in zip(original(h, x), toppling)),
+        )
+        report = verify_group_injection(hom)
+        assert not report.passed and report.image_order is None
+        assert report.witness == (sandpile_group(hom.target).reduced_laplacian.transpose().entries[0],)
+
+    def test_non_recurrent_pullback_is_refused(self, monkeypatch):
+        # Adding a fixed toppling keeps every class, so only the burning test
+        # of the images can refuse this map.
         hom = contraction_hom()
-        source_identity = sandpile_group(hom.source).identity
-        monkeypatch.setattr(morphisms, "induced_map", lambda h, c: source_identity)
-        monkeypatch.setattr(SandpileGroup, "congruent", None)
-        report = verify_group_injection(hom, VerifyLimits(enumerate_bound=10))
-        assert not report.passed and report.mode == "sampled"
-        a, b = report.witness
-        assert a != b
-        g_tgt = sandpile_group(hom.target)
-        assert g_tgt.is_recurrent(a) and g_tgt.is_recurrent(b)
+        toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
+        original = morphisms.pullback_config
+        monkeypatch.setattr(
+            morphisms, "pullback_config",
+            lambda h, x: tuple(a + b for a, b in zip(original(h, x), toppling)),
+        )
+        report = verify_group_injection(hom)
+        assert not report.passed
+        assert report.image_order == 8 and report.recurrent_images is False
+        assert sandpile_group(hom.target).is_recurrent(report.witness[0])
+
+    def test_full_parity_collapse_at_d7(self):
+        report = verify_group_injection(parity_collapse_hom(7, (1,) * 7))
+        assert report.passed and report.image_order == 15
 
 
 class TestWeakHoms:
-    def projection_hom(self):
-        g, h = cycle_graph(3), k2()
-        prod = cone(cartesian_product(g, h))
-        base = cone(g)
-        mapping = {f"({u},{v})": u for u in g.vertices for v in h.vertices}
-        mapping[prod.sink] = base.sink
-        return validate_hom(
-            VertexMap(prod, base, mapping), g.vertices, "weak", require_surjective=True
-        )
-
     def test_projection_is_weak_not_uniform(self):
-        hom = self.projection_hom()
+        hom = projection_hom()
         assert hom.kind == "weak" and hom.degree == 2
         with pytest.raises(ClauseViolation) as err:
             validate_hom(hom.vertex_map, hom.subset, "uniform")
         assert err.value.clause == "stability"
 
     def test_weak_pullback_needs_representative(self):
-        hom = self.projection_hom()
+        hom = projection_hom()
         tgt_group = sandpile_group(hom.target)
         src_group = sandpile_group(hom.source)
         moved = 0
@@ -343,7 +439,7 @@ class TestWeakHoms:
         assert moved > 0  # raw pullbacks are not all recurrent
 
     def test_weak_induced_map_is_injective_homomorphism(self):
-        report = verify_group_injection(self.projection_hom())
+        report = verify_group_injection(projection_hom())
         assert report.passed
 
 
