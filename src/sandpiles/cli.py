@@ -92,7 +92,7 @@ def cmd_add(args, fmt: str) -> int:
     group = sandpile_group(graph)
     c1, c2 = load_config(args.config1), load_config(args.config2)
     for c in (c1, c2):
-        if not group.is_recurrent(c):
+        if min(c, default=0) < 0 or not group.is_recurrent(c):
             raise FormatError(f"{list(c)} is not a recurrent configuration")
     result = group.add(
         RecurrentConfig(graph, c1, "input"), RecurrentConfig(graph, c2, "input")
@@ -151,7 +151,9 @@ def cmd_product(args, fmt: str) -> int:
     vec = ctx.box(a, b)
     payload = {"box": config_to_list(vec), "vertices": list(ctx.product.vertices)}
     if args.certify:
-        payload["recurrent"] = sandpile_group(ctx.cone_product).is_recurrent(vec)
+        payload["recurrent"] = (
+            min(vec, default=0) >= 0 and sandpile_group(ctx.cone_product).is_recurrent(vec)
+        )
     _emit(payload, fmt)
     return EXIT_OK
 

@@ -2,15 +2,15 @@
 
 Configurations are plain tuples of ints indexed by a sinked graph's
 nonsink_order.  Stabilization accepts negative entries (only vertices at or
-above their out-degree topple), which is what lets class representatives of
-arbitrary chip vectors be computed by repeatedly adding a burning
-configuration.  One burning test (Dhar's on undirected graphs, Speer's on
-digraphs) decides recurrence on both kinds of graph.
+above their out-degree topple), so the recurrent representative of any chip
+vector is one stabilization: add a lattice vector that lifts it above the
+maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
+burning test (Dhar's on undirected graphs, Speer's on digraphs) decides
+recurrence on both kinds of graph.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
@@ -36,7 +36,7 @@ from .intlinalg import (
 Chips = tuple[int, ...]
 
 DEFAULT_ORBIT_GUARD = 10**6
-_REPRESENTATIVE_CAP = 10**6
+_SINGULAR = "reduced Laplacian is singular (no global sink / disconnected)"
 # Groups kept by sandpile_group; each may hold an n x n factorization.
 _GROUP_CACHE_CAP = 64
 
@@ -74,17 +74,12 @@ def _require_global_sink(graph: SinkedGraph) -> None:
         raise NoGlobalSink("graph is disconnected; stabilization need not terminate")
 
 
-def stabilize(
-    graph: SinkedGraph,
-    values: Sequence[int],
-    rng: random.Random | None = None,
-) -> tuple[Chips, Chips]:
+def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
     """Topple until stable; returns (stable, firings) with c - L^T f = stable.
 
-    The default schedule processes a queue in vertex order and batches
-    repeated topplings of the same vertex; passing an rng fires one random
-    unstable vertex at a time instead.  The abelian property makes the result
-    identical either way.
+    The schedule processes a queue in vertex order and batches repeated
+    topplings of the same vertex; by the abelian property every schedule
+    gives the same result.
     """
     _require_global_sink(graph)
     c = _check_vector(graph, values)
@@ -92,19 +87,6 @@ def stabilize(
     out = graph.out_degrees
     adj = graph.adjacency()
     firings = [0] * n
-
-    if rng is not None:
-        while True:
-            unstable = [i for i in range(n) if c[i] >= out[i]]
-            if not unstable:
-                break
-            i = rng.choice(unstable)
-            c[i] -= out[i]
-            firings[i] += 1
-            for j, m in adj[i]:
-                c[j] += m
-        return tuple(c), tuple(firings)
-
     queue = deque(i for i in range(n) if c[i] >= out[i])
     queued = [False] * n
     for i in queue:
@@ -131,6 +113,18 @@ def is_stable(graph: SinkedGraph, values: Sequence[int]) -> bool:
     return all(0 <= x < d for x, d in zip(values, graph.out_degrees))
 
 
+def _fire(graph: SinkedGraph, y: Sequence[int]) -> list[int]:
+    """L^T y, the chips that firing each vertex v y_v times removes from v
+    (net of what it receives), by one pass over the arcs."""
+    moved = [d * k for d, k in zip(graph.out_degrees, y)]
+    for i, row in enumerate(graph.adjacency()):
+        k = y[i]
+        if k:
+            for j, m in row:
+                moved[j] -= m * k
+    return moved
+
+
 def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     """Speer's burning script sigma and burning configuration beta = L^T sigma.
 
@@ -143,18 +137,13 @@ def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     n = graph.n_nonsink
     if not graph.directed:
         return (1,) * n, graph.sink_mult
-    adj = graph.adjacency()
     indeg = [0] * n
-    for row in adj:
+    for row in graph.adjacency():
         for j, m in row:
             indeg[j] += m
     _, f = stabilize(graph, [d - 1 for d in indeg])
     sigma = tuple(1 + k for k in f)
-    beta = [d * s for d, s in zip(graph.out_degrees, sigma)]
-    for i, row in enumerate(adj):
-        for j, m in row:
-            beta[j] -= m * sigma[i]
-    return sigma, tuple(beta)
+    return sigma, tuple(_fire(graph, sigma))
 
 
 def _burning_order_indices(
@@ -184,6 +173,20 @@ def _burning_order_indices(
     return order if len(order) == total else None
 
 
+def _burning_order(
+    graph: SinkedGraph, values: Sequence[int], script: tuple[Chips, Chips]
+) -> tuple[str, ...] | None:
+    """The burning order of values under script = (sigma, beta), or None
+    when values is not recurrent."""
+    c = _check_vector(graph, values)
+    if any(x < 0 for x in c):
+        raise ValueError("configurations are nonnegative")
+    if not is_stable(graph, c):
+        return None
+    order = _burning_order_indices(graph, c, *script)
+    return None if order is None else tuple(graph.nonsink_order[i] for i in order)
+
+
 def is_recurrent_burning(
     graph: SinkedGraph, values: Sequence[int]
 ) -> tuple[bool, tuple[str, ...] | None]:
@@ -194,28 +197,23 @@ def is_recurrent_burning(
     Dhar's test (sigma = 1, beta = sink multiplicities) on undirected graphs,
     Speer's on digraphs.  The burning order lists v once per toppling.
     """
-    c = _check_vector(graph, values)
-    if any(x < 0 for x in c):
-        raise ValueError("configurations are nonnegative")
-    if not is_stable(graph, c):
-        return False, None
-    order = _burning_order_indices(graph, c, *burning_script(graph))
-    if order is None:
-        return False, None
-    return True, tuple(graph.nonsink_order[i] for i in order)
+    order = _burning_order(graph, values, burning_script(graph))
+    return order is not None, order
 
 
 class SandpileGroup:
     """The sandpile group of a sinked graph, with cached exact machinery.
 
-    Everything algebraic comes from one cached LatticeSolver, an exact LU of
-    L^T that each query replays on its vector: the determinant, membership
-    witnesses, element orders and, for the structure, |det L| and the group
-    exponent, modulo which the Smith diagonal of L is taken.  A singular L
-    is factored once and refused on every later query.  Recurrence,
-    representatives and the group law use the burning test of
-    burning_script, on graphs and digraphs alike.  Only recurrents()
-    enumerates the recurrent set (guarded by orbit_guard).
+    The group law needs no linear algebra: representatives, the identity
+    and add come from stabilization, certified by a sparse product with L^T
+    and by the burning test with the script the group computes once, on
+    graphs and digraphs alike.  Lattice queries come from one cached
+    LatticeSolver, an exact LU of L^T that each query replays on its vector:
+    the determinant, congruence and membership witnesses, element orders
+    and, for the structure, |det L| and the group exponent, modulo which the
+    Smith diagonal of L is taken.  A singular L is factored once and refused
+    on every later query.  Only recurrents() enumerates the recurrent set
+    (guarded by orbit_guard).
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -227,6 +225,8 @@ class SandpileGroup:
         self._solver: LatticeSolver | None = None
         self._singular: InfiniteCokernel | None = None
         self._identity: RecurrentConfig | None = None
+        self._script: tuple[Chips, Chips] | None = None
+        self._lift: tuple[Chips, Chips] | None = None
         self._recurrents: frozenset[Chips] | None = None
 
     # -- algebra ---------------------------------------------------------
@@ -251,9 +251,7 @@ class SandpileGroup:
     def order(self) -> int:
         det = self.determinant
         if det == 0:
-            raise SingularReducedLaplacian(
-                "reduced Laplacian is singular (no global sink / disconnected)"
-            )
+            raise SingularReducedLaplacian(_SINGULAR)
         return abs(det)
 
     @property
@@ -271,9 +269,7 @@ class SandpileGroup:
             except InfiniteCokernel as exc:
                 self._singular = exc
         if self._singular is not None:
-            raise SingularReducedLaplacian(
-                "reduced Laplacian is singular (no global sink / disconnected)"
-            ) from self._singular
+            raise SingularReducedLaplacian(_SINGULAR) from self._singular
         return self._solver
 
     def in_image(self, v: Sequence[int]) -> tuple[int, ...] | None:
@@ -290,8 +286,14 @@ class SandpileGroup:
     def stabilize(self, values: Sequence[int]) -> tuple[Chips, Chips]:
         return stabilize(self.graph, values)
 
+    def _burn(self, values: Sequence[int]) -> tuple[str, ...] | None:
+        """The burning order of values, or None; the script is computed once."""
+        if self._script is None:
+            self._script = burning_script(self.graph)
+        return _burning_order(self.graph, values, self._script)
+
     def is_recurrent(self, values: Sequence[int]) -> bool:
-        return is_recurrent_burning(self.graph, values)[0]
+        return self._burn(values) is not None
 
     def recurrents(self) -> frozenset[Chips]:
         """The recurrent set: closure of the maximal stable configuration
@@ -323,34 +325,32 @@ class SandpileGroup:
     def representative(self, x: Sequence[int]) -> RecurrentConfig:
         """The unique recurrent configuration congruent to x modulo Im L^T.
 
-        Repeatedly add the burning configuration beta and stabilize until the
-        burning test passes.  beta = L^T sigma lies in the lattice, so the
-        class never changes.
+        After Le Borgne and Rossin (2002): every configuration at or above
+        the maximal stable one, m = out - 1, stabilizes to a recurrent one.
+        Once per group, stabilizing a = 2m + 1 fires f_b and leaves
+        b = a - stab(a) = L^T f_b >= m + 1.  The representative is
+        stab(x + k b), firing f, for the least k >= 0 with x + k b >= m.  It
+        is certified congruent by one sparse product, result - x =
+        L^T (k f_b - f), and recurrent by the burning test.
         """
         x = _check_vector(self.graph, x)
-        self.order  # raises SingularReducedLaplacian when there is no group
-        sigma, beta = burning_script(self.graph)
-        c = list(x)
-        # Jump-start: lift negative coordinates that beta feeds directly.
-        k0 = 0
-        for xi, bi in zip(x, beta):
-            if xi < 0 and bi > 0:
-                k0 = max(k0, (-xi + bi - 1) // bi)
-        if k0:
-            c = [xi + k0 * bi for xi, bi in zip(c, beta)]
-        for _ in range(_REPRESENTATIVE_CAP):
-            stable, _ = stabilize(self.graph, c)
-            if all(v >= 0 for v in stable):
-                order = _burning_order_indices(self.graph, stable, sigma, beta)
-                if order is not None:
-                    break
-            c = [v + bi for v, bi in zip(stable, beta)]
-        else:
-            raise ValidationFailed("adding beta failed to reach a recurrent configuration")
-        if self.in_image([a - b for a, b in zip(stable, x)]) is None:
-            raise ValidationFailed(f"representative {stable} is not congruent to {tuple(x)}")
-        names = tuple(self.graph.nonsink_order[i] for i in order)
-        return RecurrentConfig(self.graph, stable, "burning", names)
+        if self._lift is None:
+            if not self.graph.connected:
+                raise SingularReducedLaplacian(_SINGULAR)
+            a = [2 * d - 1 for d in self.graph.out_degrees]
+            stable, f_b = stabilize(self.graph, a)
+            self._lift = tuple(p - q for p, q in zip(a, stable)), f_b
+        b, f_b = self._lift
+        # k = max(0, ceil((m_i - x_i) / b_i)) over the coordinates i.
+        k = max([0] + [-((xi + 1 - d) // bi) for xi, bi, d in zip(x, b, self.graph.out_degrees)])
+        stable, f = stabilize(self.graph, [xi + k * bi for xi, bi in zip(x, b)])
+        y = [k * p - q for p, q in zip(f_b, f)]
+        if _fire(self.graph, y) != [s - xi for s, xi in zip(stable, x)]:
+            raise ValidationFailed(f"firing vector does not carry {tuple(x)} to {stable}")
+        order = self._burn(stable)
+        if order is None:
+            raise ValidationFailed(f"representative {stable} failed the burning test")
+        return RecurrentConfig(self.graph, stable, "burning", order)
 
     @property
     def identity(self) -> RecurrentConfig:
@@ -366,8 +366,8 @@ class SandpileGroup:
         if c1.graph != self.graph or c2.graph != self.graph:
             raise GraphMismatch("configurations belong to a different graph")
         values = self.add_values(c1.values, c2.values)
-        ok, order = is_recurrent_burning(self.graph, values)
-        if not ok:
+        order = self._burn(values)
+        if order is None:
             raise ValueError(f"{values} is not recurrent")
         return RecurrentConfig(self.graph, values, "burning", order)
 

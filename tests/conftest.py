@@ -15,6 +15,7 @@ from sandpiles.graphs import (
     SinkedGraph,
     build_digraph,
     build_multigraph,
+    cartesian_product,
     cone,
     cycle_graph,
     k2,
@@ -119,3 +120,27 @@ def random_sinked_digraph(rng: random.Random, n_nonsink: int, max_mult: int = 2)
             return SinkedGraph(build_digraph(labels + ["s"], arcs), "s")
         except NoGlobalSink:
             continue
+
+
+def grid_cone(k: int) -> SinkedGraph:
+    """Cone of the k x k grid graph."""
+    labels = [f"p{i}" for i in range(k)]
+    path = build_multigraph(labels, [(labels[i], labels[i + 1], 1) for i in range(k - 1)])
+    return cone(cartesian_product(path, path))
+
+
+def wired_grid(k: int) -> SinkedGraph:
+    """k x k grid whose boundary is wired to the sink "s", so every vertex has
+    degree 4."""
+    labels = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                edges.append((f"r{i}c{j}", f"r{i + 1}c{j}", 1))
+            if j + 1 < k:
+                edges.append((f"r{i}c{j}", f"r{i}c{j + 1}", 1))
+            wires = (i == 0) + (i == k - 1) + (j == 0) + (j == k - 1)
+            if wires:
+                edges.append((f"r{i}c{j}", "s", wires))
+    return SinkedGraph(build_multigraph(labels + ["s"], edges), "s")

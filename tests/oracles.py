@@ -3,12 +3,13 @@
 Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
 elimination, spanning trees by subset enumeration, group counts by brute
-force.
+force, stabilization by a random toppling schedule.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import prod
 
@@ -160,6 +161,21 @@ def burning_script_by_fixed_point(g: SinkedGraph) -> tuple[tuple[int, ...], tupl
         sigma = nxt
     beta = [out[v] * sigma[v] - sum(m * s for m, s in zip(into[v], sigma)) for v in range(len(vs))]
     return tuple(sigma), tuple(beta)
+
+
+def stabilize_by_random_schedule(
+    g: SinkedGraph, values, rng: random.Random
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Stabilization firing one random unstable vertex at a time, each
+    toppling subtracting its row of the dense reduced Laplacian."""
+    rows = reduced_laplacian(g).entries
+    c = list(values)
+    firings = [0] * len(c)
+    while unstable := [i for i, d in enumerate(g.out_degrees) if c[i] >= d]:
+        i = rng.choice(unstable)
+        c = [x - t for x, t in zip(c, rows[i])]
+        firings[i] += 1
+    return tuple(c), tuple(firings)
 
 
 def all_stable_configs(out_degrees):

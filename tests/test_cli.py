@@ -201,6 +201,15 @@ class TestCliCommands:
         c1 = write(tmp_path, "c1.json", "[0, 0]")
         assert main(["add", str(path), str(c1), str(c1)]) == 1
 
+    def test_add_rejects_negative(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        save_graph(cone(k2()), path)
+        neg = write(tmp_path, "neg.json", "[-1, 1]")
+        ok = write(tmp_path, "ok.json", "[1, 0]")
+        assert main(["add", str(path), str(neg), str(ok)]) == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "not a recurrent configuration" in err
+
     def test_representative(self, square_cone, tmp_path, capsys):
         conf = write(tmp_path, "c.json", "[0, 0, 0, 0]")
         assert main(["representative", str(square_cone), str(conf)]) == 0
@@ -286,6 +295,18 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["box"] == [2, 1, 2, 1]
         assert payload["recurrent"] is True
+
+    def test_product_certify_negative(self, tmp_path, capsys):
+        g = tmp_path / "c4.json"
+        h = tmp_path / "k2.json"
+        save_graph(cycle_graph(4), g)
+        save_graph(k2(), h)
+        a = write(tmp_path, "a.json", "[-3, 1, 1, 1]")
+        b = write(tmp_path, "b.json", "[1, 1]")
+        assert main(["product", str(g), str(h), str(a), str(b), "--certify"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert min(payload["box"]) < 0
+        assert payload["recurrent"] is False
 
     def test_hypercube_structure(self, capsys):
         assert main(["hypercube", "--d", "2", "--k", "1", "--verify", "structure"]) == 0

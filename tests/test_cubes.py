@@ -345,7 +345,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_lattice_fills_out(self, d):
-        report = verify_decomposition(d, element_level=(d <= 2))
+        report = verify_decomposition(d)
         assert report.passed
         assert all(x == 1 for x in report.lattice_diagonal)
 

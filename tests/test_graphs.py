@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fig_contraction_source, random_connected_multigraph
+from conftest import fig_contraction_source, grid_cone, random_connected_multigraph
 from oracles import kronecker_sum
 from sandpiles.dynamics import is_recurrent_burning, stabilize
 from sandpiles.errors import (
@@ -106,9 +106,7 @@ class TestSparseCore:
 
     def test_hundred_by_hundred_grid_cone(self):
         start = time.perf_counter()
-        labels = [f"p{i}" for i in range(100)]
-        path = build_multigraph(labels, [(labels[i], labels[i + 1], 1) for i in range(99)])
-        g = cone(cartesian_product(path, path))
+        g = grid_cone(100)
         assert len(g.graph.edges()) == 29_800
         chips = [2 * (d - 1) for d in g.out_degrees]
         stable, firings = stabilize(g, chips)
