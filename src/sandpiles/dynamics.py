@@ -74,20 +74,17 @@ def _require_global_sink(graph: SinkedGraph) -> None:
         raise NoGlobalSink("graph is disconnected; stabilization need not terminate")
 
 
-def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
-    """Topple until stable; returns (stable, firings) with c - L^T f = stable.
+def _topple(c: list[int], out: Sequence[int], adj, start: Iterable[int]) -> list[int]:
+    """Topple c in place until stable, seeding the queue with the unstable
+    vertices of start; returns the firing vector.
 
-    The schedule processes a queue in vertex order and batches repeated
-    topplings of the same vertex; by the abelian property every schedule
-    gives the same result.
+    The schedule processes a FIFO queue and batches repeated topplings of
+    the same vertex; by the abelian property every schedule gives the same
+    result.  Vertices outside start must already be stable.
     """
-    _require_global_sink(graph)
-    c = _check_vector(graph, values)
     n = len(c)
-    out = graph.out_degrees
-    adj = graph.adjacency()
     firings = [0] * n
-    queue = deque(i for i in range(n) if c[i] >= out[i])
+    queue = deque(i for i in start if c[i] >= out[i])
     queued = [False] * n
     for i in queue:
         queued[i] = True
@@ -106,6 +103,14 @@ def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
             if cj >= out[j] and not queued[j]:
                 queued[j] = True
                 queue.append(j)
+    return firings
+
+
+def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
+    """Topple until stable; returns (stable, firings) with c - L^T f = stable."""
+    _require_global_sink(graph)
+    c = _check_vector(graph, values)
+    firings = _topple(c, graph.out_degrees, graph.adjacency(), range(len(c)))
     return tuple(c), tuple(firings)
 
 
@@ -212,8 +217,11 @@ class SandpileGroup:
     the determinant, congruence and membership witnesses, element orders
     and, for the structure, |det L| and the group exponent, modulo which the
     Smith diagonal of L is taken.  A singular L is factored once and refused
-    on every later query.  Only recurrents() enumerates the recurrent set
-    (guarded by orbit_guard).
+    on every later query.  Only recurrents() enumerates the recurrent set,
+    through the toppling kernel stabilize uses, and certifies it by its
+    size |det L|.  Its orbit_guard refuses first on the floor
+    prod(out_v - e_v) that the identity e gives, before any factorization,
+    and only then on |det L|.
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -297,25 +305,48 @@ class SandpileGroup:
 
     def recurrents(self) -> frozenset[Chips]:
         """The recurrent set: closure of the maximal stable configuration
-        under adding one chip and stabilizing."""
+        m = out - 1 under adding one chip and stabilizing.
+
+        Recurrents form an up-set of the stable box, so the identity e alone
+        shows |K| >= prod(out_v - e_v); the guard refuses on that floor,
+        which needs no factorization, before it reads |det L|.  A chip added
+        below out_v - 1 leaves the configuration stable; any other topples
+        from that vertex alone, through the kernel stabilize uses.  The set
+        is certified by its size, |det L|, and enumeration stops as soon as
+        it finds more.
+        """
         if self._recurrents is None:
-            size = self.order
-            if size > self.orbit_guard:
-                raise OrbitTooLarge(f"recurrent set has {size} elements (guard {self.orbit_guard})")
-            _require_global_sink(self.graph)
+            guard = self.orbit_guard
             out = self.graph.out_degrees
-            start, _ = stabilize(self.graph, tuple(d - 1 for d in out))
-            seen = {start}
-            queue = deque([start])
-            n = len(out)
+            floor = 1
+            for d, e in zip(out, self.identity.values):
+                floor *= d - e
+                if floor > guard:
+                    raise OrbitTooLarge(f"recurrent set has more than {guard} elements "
+                                        "(the identity's up-set alone exceeds the guard)")
+            size = self.order
+            if size > guard:
+                raise OrbitTooLarge(f"recurrent set has a {size.bit_length()}-bit number "
+                                    f"of elements, more than {guard}")
+            adj = self.graph.adjacency()
+            m = tuple(d - 1 for d in out)
+            seen = {m}
+            queue = deque([m])
             while queue:
                 c = queue.popleft()
-                for v in range(n):
-                    bumped = list(c)
-                    bumped[v] += 1
-                    nxt, _ = stabilize(self.graph, bumped)
+                for v, cv in enumerate(c):
+                    if cv < m[v]:
+                        nxt = c[:v] + (cv + 1,) + c[v + 1:]
+                    else:
+                        w = list(c)
+                        w[v] = cv + 1
+                        _topple(w, out, adj, (v,))
+                        nxt = tuple(w)
                     if nxt not in seen:
                         seen.add(nxt)
+                        if len(seen) > size:
+                            raise ValidationFailed(
+                                f"recurrent orbit has more than {size} elements")
                         queue.append(nxt)
             if len(seen) != size:
                 raise ValidationFailed(f"recurrent orbit has {len(seen)} elements, not {size}")

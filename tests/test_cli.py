@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sandpiles
+from conftest import grid_cone
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
 from sandpiles.graphs import build_multigraph, cone, cycle_graph, hypercube, k2, thick_k2_cone
@@ -187,6 +188,13 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 3
         assert payload["recurrents"] == [[0, 1], [1, 0], [1, 1]]
+
+    def test_recurrents_refuses_the_hundred_grid_cone(self, tmp_path, capsys):
+        path = tmp_path / "grid100.json"
+        save_graph(grid_cone(100), path)
+        assert main(["recurrents", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OrbitTooLarge: ") and err.count("\n") == 1
 
     def test_add(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -16,6 +16,7 @@ from conftest import (
     wired_grid,
 )
 from oracles import (
+    all_stable_configs,
     burning_script_by_fixed_point,
     det_by_permutation_expansion,
     stabilize_by_random_schedule,
@@ -226,6 +227,65 @@ class TestOrbit:
 
         with pytest.raises(OrbitTooLarge):
             SandpileGroup(cone(hypercube(3)), orbit_guard=10).recurrents()
+
+    def test_guard_floor_is_exact_on_point_cones(self):
+        # Every stable configuration of a point cone is recurrent, so the
+        # identity's up-set is the whole group.
+        g = cone(hypercube(0), 5)
+        assert len(SandpileGroup(g, orbit_guard=5).recurrents()) == 5
+        with pytest.raises(OrbitTooLarge, match="up-set"):
+            SandpileGroup(g, orbit_guard=4).recurrents()
+
+    def test_guard_refuses_a_huge_order_without_printing_it(self):
+        # The cube cone's identity floor is 1, so the guard reads |det L|;
+        # an order past Python's 4300-digit str() limit must still refuse.
+        group = SandpileGroup(cone(hypercube(3)))
+        group._det = 10**5000
+        with pytest.raises(OrbitTooLarge, match="16610-bit"):
+            group.recurrents()
+
+    def test_cold_guard_refuses_before_factoring(self, factorizations):
+        # The identity's up-set alone exceeds the guard; |det L| of the
+        # 10^4 x 10^4 reduced Laplacian is never computed.
+        g = grid_cone(100)
+        start = time.perf_counter()
+        with pytest.raises(OrbitTooLarge, match="more than 1000000"):
+            SandpileGroup(g).recurrents()
+        assert time.perf_counter() - start < 5
+        assert factorizations == []
+
+    def test_closure_stops_past_the_determinant(self, monkeypatch):
+        # 45 recurrents against a claimed order of 5: the enumeration must
+        # refuse at the sixth, not after the queue drains.
+        monkeypatch.setattr(SandpileGroup, "determinant", property(lambda self: 5))
+        with pytest.raises(ValidationFailed, match="more than 5 elements"):
+            SandpileGroup(cone(hypercube(2))).recurrents()
+
+    def test_closure_short_of_the_determinant_is_caught(self, monkeypatch):
+        monkeypatch.setattr(SandpileGroup, "determinant", property(lambda self: 46))
+        with pytest.raises(ValidationFailed, match="45 elements, not 46"):
+            SandpileGroup(cone(hypercube(2))).recurrents()
+
+    @pytest.mark.parametrize("kind", ["graph", "digraph"])
+    def test_matches_burning_filter_on_random_graphs(self, kind):
+        rng = random.Random(41 if kind == "graph" else 43)
+        for _ in range(30):
+            if kind == "graph":
+                g = random_sinked_graph(rng, rng.randint(2, 5))
+            else:
+                g = random_sinked_digraph(rng, rng.randint(1, 4))
+            expected = {c for c in all_stable_configs(g.out_degrees)
+                        if is_recurrent_burning(g, c)[0]}
+            # A guard of exactly |K| never refuses.
+            assert SandpileGroup(g, orbit_guard=len(expected)).recurrents() == expected
+
+    @pytest.mark.parametrize("r,t", itertools.product(range(1, 8), repeat=2))
+    def test_matches_burning_filter_on_thick_pair_cones(self, r, t):
+        # Avalanches run back and forth between the two vertices.
+        g = thick_k2_cone(r, t)
+        expected = {c for c in all_stable_configs(g.out_degrees)
+                    if is_recurrent_burning(g, c)[0]}
+        assert SandpileGroup(g, orbit_guard=len(expected)).recurrents() == expected
 
     def test_burning_agrees_with_orbit_membership(self):
         rng = random.Random(17)
