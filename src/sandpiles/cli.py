@@ -168,7 +168,7 @@ def cmd_hypercube(args, fmt: str) -> int:
     if mode in ("even-counterexample", "all"):
         reports.append(cubes.verify_even_cone_counterexample())
     if mode in ("if-count", "all"):
-        reports.append(cubes.verify_invariant_factor_count(args.d))
+        reports.append(cubes.verify_invariant_factor_count(args.d, max_d=args.max_d))
     payload = {"reports": [r.to_dict() for r in reports]}
     passed = all(r.passed for r in reports)
     payload["passed"] = passed

@@ -427,7 +427,9 @@ def invariant_factor_count(d: int) -> int:
     return sum(comb(d, 1 + 3 * i) for i in range((d - 1) // 3 + 1))
 
 
-def verify_invariant_factor_count(d: int) -> InvariantFactorReport:
+def verify_invariant_factor_count(d: int, max_d: int = 8) -> InvariantFactorReport:
+    if not 1 <= d <= max_d:
+        raise OutOfRange(f"need 1 <= d <= {max_d}")
     computed = len(sandpile_group(cube_cone(d)).structure.invariant_factors)
     closed = invariant_factor_count(d)
     return InvariantFactorReport(d, closed == computed, closed, computed)

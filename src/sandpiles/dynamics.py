@@ -291,9 +291,6 @@ class SandpileGroup:
 
     # -- dynamics ----------------------------------------------------------
 
-    def stabilize(self, values: Sequence[int]) -> tuple[Chips, Chips]:
-        return stabilize(self.graph, values)
-
     def _burn(self, values: Sequence[int]) -> tuple[str, ...] | None:
         """The burning order of values, or None; the script is computed once."""
         if self._script is None:

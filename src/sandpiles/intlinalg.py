@@ -1,14 +1,16 @@
 """Exact integer linear algebra: Laplacians, determinants, cokernels and
 lattice membership.
 
-Two eliminations with bounded coefficients answer every question about the
-lattice Im L^T of a nonsingular L.  One exact two-phase LU of L^T (unit
-pivots first, then Bareiss on the dense core that remains) gives det L, and
-replaying it on a vector v gives delta * (L^T)^-1 v with |delta| = |det L|,
-behind witnesses and class orders.  Elimination modulo a multiple of the
-group exponent gives the Smith diagonal; the exponent comes from the class
-orders of two fixed vectors and is certified by the product of the diagonal.
-The Smith normal form with transforms serves only the `snf` command and the
+Two eliminations answer every question about the lattice Im L^T of a
+nonsingular L.  One exact two-phase LU of L^T (unit pivots first, then
+Bareiss on the dense core that remains) gives det L, and replaying it on a
+vector v gives delta * (L^T)^-1 v with |delta| = |det L|, behind witnesses
+and class orders.  The other is one Smith pivot-and-clear loop,
+_smith_eliminate.  Run modulo a multiple of the group exponent, it gives the
+Smith diagonal of every cokernel; the exponent comes from the class orders
+of two fixed vectors and is certified by the product of the diagonal.  Run
+over the integers on a matrix bordered by identities, it gives the Smith
+normal form with transforms of the `snf` command; without the borders, the
 free rank of singular input.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
@@ -19,6 +21,7 @@ to a few hundred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence, Union
 
@@ -74,11 +77,19 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """A finite abelian group in both standard presentations."""
+    """A finite abelian group by its invariant factors d_1 | d_2 | ..., each
+    above 1.  The order is their product.  The elementary divisors need
+    every d_i factored, so they are computed when first read."""
 
     invariant_factors: tuple[int, ...]
-    elementary_divisors: tuple[int, ...]
-    order: int
+
+    @cached_property
+    def order(self) -> int:
+        return prod(self.invariant_factors)
+
+    @cached_property
+    def elementary_divisors(self) -> tuple[int, ...]:
+        return elementary_divisors_of(self.invariant_factors)
 
     def to_dict(self) -> dict:
         return {
@@ -353,139 +364,33 @@ def _find_pivot(m, t, rows, cols):
     return best_pos
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Deterministic Smith normal form with transforms.
-
-    Pivoting picks the nonzero entry of minimal absolute value in the working
-    submatrix and reduces rows/columns modulo the pivot before eliminating,
-    which keeps coefficient growth in check on cube-cone Laplacians.
-    """
-    rows, cols = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i1, i2):
-        m[i1], m[i2] = m[i2], m[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in m:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(dst, src, q):
-        # row[dst] -= q * row[src]
-        mdst, msrc = m[dst], m[src]
-        for j in range(cols):
-            mdst[j] -= q * msrc[j]
-        udst, usrc = u[dst], u[src]
-        for j in range(rows):
-            udst[j] -= q * usrc[j]
-
-    def add_col(dst, src, q):
-        # col[dst] -= q * col[src]
-        for row in m:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pos = _find_pivot(m, t, rows, cols)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            swap_rows(t, i0)
-        if j0 != t:
-            swap_cols(t, j0)
-
-        while True:
-            # Clear column t, restarting whenever a smaller remainder shows up.
-            dirty = False
-            for i in range(rows):
-                if i == t or m[i][t] == 0:
-                    continue
-                q = m[i][t] // m[t][t]
-                add_row(i, t, q)
-                if m[i][t]:
-                    swap_rows(t, i)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(cols):
-                if j == t or m[t][j] == 0:
-                    continue
-                q = m[t][j] // m[t][t]
-                add_col(j, t, q)
-                if m[t][j]:
-                    swap_cols(t, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            break
-
-        if m[t][t] < 0:
-            for j in range(cols):
-                m[t][j] = -m[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-
-        # Divisibility: fold any non-divisible entry into the pivot's row and redo.
-        pivot = m[t][t]
-        offending = None
-        for i in range(t + 1, rows):
-            mi = m[i]
-            for j in range(t + 1, cols):
-                if mi[j] % pivot:
-                    offending = i
-                    break
-            if offending is not None:
-                break
-        if offending is not None:
-            add_row(t, offending, -1)
-            continue
-        t += 1
-
-    d = [[0] * cols for _ in range(rows)]
-    for i in range(min(rows, cols)):
-        d[i][i] = m[i][i]
-    return SmithDecomposition(
-        IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows(d) if rows else IntMatrix(0, cols, tuple()),
-        IntMatrix.from_rows(v) if cols else IntMatrix(cols, 0, tuple(() for _ in range(cols))),
-    )
-
-
 def _balanced(x: int, modulus: int) -> int:
     r = x % modulus
     return r - modulus if r > modulus // 2 else r
 
 
-def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
-    """Elimination diagonal with every entry kept reduced modulo the modulus.
+def _smith_eliminate(m: list[list[int]], rows: int, cols: int, modulus: int | None = None) -> None:
+    """Diagonalize the leading rows x cols block of the rows m, in place.
 
-    Shifting an entry by the modulus is a row operation against implicit rows
-    modulus * e_j, so this eliminates a stacked on modulus * I: the cyclic
-    orders gcd(g_i, modulus) present coker(a) / modulus coker(a).  That is
-    coker(a) itself whenever the row lattice of a already contains
-    modulus * Z^cols, i.e. when the modulus is a multiple of the exponent of
-    coker(a), as |det| is for a nonsingular square matrix, or for any stack
-    of rows that includes one.
+    Each step moves the entry of least absolute value left in the block to
+    the pivot position (_find_pivot), subtracts multiples of the pivot row
+    from the rows below it and then multiples of the pivot column from the
+    columns to its right; a nonzero remainder is smaller than the pivot and
+    becomes the next one.  Row operations act on whole rows, so columns past
+    cols record them; column operations act on every row, so rows past rows
+    record them.  On return the block is diagonal with its nonzero entries
+    first; they need be neither positive nor a divisibility chain.
+
+    Given a modulus, every entry is kept in the balanced range modulo it;
+    cokernel_diagonal says what the diagonal then presents.
     """
-    rows, cols = a.rows, a.cols
-    m = [[_balanced(x, modulus) for x in row] for row in a.entries]
-    half = modulus // 2
+    half = modulus // 2 if modulus else 0
+    extra = m[rows:]
     for t in range(min(rows, cols)):
         while True:
             pos = _find_pivot(m, t, rows, cols)
             if pos is None:
-                break
+                return
             i0, j0 = pos
             if i0 != t:
                 m[t], m[i0] = m[i0], m[t]
@@ -496,59 +401,126 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> list[int]:
             pivot = mt[t]
             # Row operations touch only the pivot row's nonzero columns.  A
             # unit pivot leaves no remainder, so one pass clears column t and
-            # the column step below then zeroes the rest of row t.
-            nz = [(j, mt[j]) for j in range(t + 1, cols) if mt[j]]
+            # the column step below then zeroes the rest of row t.  With a
+            # modulus, every remainder r has |r| < |pivot| <= modulus / 2, so
+            # it is already balanced.
+            nz = [(j, mt[j]) for j in range(t + 1, len(mt)) if mt[j]]
             clean = True
             for i in range(t + 1, rows):
                 mi = m[i]
                 f = mi[t]
                 if f:
                     q = f // pivot
-                    r = (f - q * pivot) % modulus
-                    if r > half:
-                        r -= modulus
-                    mi[t] = r
+                    r = mi[t] = f - q * pivot
                     if r:
                         clean = False
-                    for j, x in nz:
-                        r = (mi[j] - q * x) % modulus
-                        mi[j] = r - modulus if r > half else r
+                    if modulus:
+                        for j, x in nz:
+                            r = (mi[j] - q * x) % modulus
+                            mi[j] = r - modulus if r > half else r
+                    else:
+                        for j, x in nz:
+                            mi[j] -= q * x
             if not clean:
                 continue
-            # Column t is now zero below the pivot (and above it, from
-            # earlier steps), so the column operations change row t only.
+            # Column t is now zero in the block except at the pivot, so the
+            # column operations change row t and the rows past rows only.
             for j, x in nz:
-                mt[j] = _balanced(x % pivot, modulus)
-                if mt[j]:
+                if j >= cols:
+                    break
+                q = x // pivot
+                r = mt[j] = x - q * pivot
+                if r:
                     clean = False
+                for row in extra:
+                    row[j] -= q * row[t]
             if clean:
                 break
-    return [m[i][i] for i in range(min(rows, cols))]
 
 
-def _divisibility_chain(orders: Sequence[int]) -> list[int]:
-    """Normalize cyclic orders into the invariant-factor chain by gcd/lcm sweeps."""
-    chain = sorted(x for x in orders if x > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                if chain[j] % chain[i]:
-                    g = gcd(chain[i], chain[j])
-                    chain[i], chain[j] = g, chain[i] // g * chain[j]
-                    changed = True
-        if changed:
-            chain.sort()
-    return [x for x in chain if x > 1]
+def _divisibility_chain(d: list[int], u: list[list[int]] | None = None,
+                        v: list[list[int]] | None = None) -> None:
+    """Turn the positive entries d into the divisibility chain of the same
+    group, in place, by one lexicographic pass of 2x2 (gcd, lcm) steps.
+
+    The step on (a, b) = (d_i, d_j), when a does not divide b, writes
+    diag(g, ab/g) = S diag(a, b) T with g = gcd(a, b), s a + t b = g and the
+    unimodular S = [[s, t], [-b/g, a/g]], T = [[1, -tb/g], [1, sa/g]].  Once
+    i has met every j > i, d_i is the gcd of d_i, ..., d_n and divides each
+    of them, and later steps keep that, so one pass suffices.  Given the rows
+    u of U and v of V, S acts on rows i, j of U and T on columns i, j of V,
+    which keeps U A V = D.
+    """
+    n = len(d)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = d[i], d[j]
+            if b % a == 0:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            d[i], d[j] = g, ag * b
+            if u is None:
+                continue
+            s = pow(ag, -1, bg)
+            t = (1 - s * ag) // bg
+            ui, uj = u[i], u[j]
+            u[i] = [s * x + t * y for x, y in zip(ui, uj)]
+            u[j] = [ag * y - bg * x for x, y in zip(ui, uj)]
+            for row in v:
+                x, y = row[i], row[j]
+                row[i], row[j] = x + y, s * ag * y - t * bg * x
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Deterministic Smith normal form with transforms.
+
+    _smith_eliminate runs over the integers on A bordered by identities: row
+    i is row i of A followed by e_i, and the rows e_1, ..., e_cols sit below
+    A, so the appended columns end up holding U and the appended rows V,
+    with U A V diagonal.  The pivots are then made nonnegative (negating
+    rows of U) and _divisibility_chain turns the nonzero ones into a chain,
+    applying each of its steps to U and V.
+    """
+    rows, cols = a.rows, a.cols
+    m = [list(row) + [int(i == k) for k in range(rows)] for i, row in enumerate(a.entries)]
+    m += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    _smith_eliminate(m, rows, cols)
+    u = [row[cols:] for row in m[:rows]]
+    v = m[rows:]
+    pivots = [m[i][i] for i in range(min(rows, cols))]
+    for i, x in enumerate(pivots):
+        if x < 0:
+            u[i] = [-y for y in u[i]]
+    chain = [abs(x) for x in pivots if x]  # the nonzero pivots come first
+    _divisibility_chain(chain, u, v)
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(chain):
+        d[i][i] = x
+    return SmithDecomposition(
+        IntMatrix(rows, rows, tuple(map(tuple, u))),
+        IntMatrix(rows, cols, tuple(map(tuple, d))),
+        IntMatrix(cols, cols, tuple(map(tuple, v))),
+    )
 
 
 def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
     """The Smith diagonal of a, given a modulus with modulus * Z^cols inside
     the row lattice of a: the invariant-factor chain, padded with leading ones
-    to min(rows, cols) entries."""
-    orders = [gcd(g, modulus) for g in _smith_diagonal_mod(a, modulus)]
-    chain = _divisibility_chain(orders)
+    to min(rows, cols) entries.
+
+    _smith_eliminate runs modulo the modulus.  Shifting an entry by the
+    modulus is a row operation against implicit rows modulus * e_j, so the
+    cyclic orders gcd(d_i, modulus) present coker(a) / modulus coker(a).
+    That is coker(a) itself under the hypothesis, which holds when the
+    modulus is a multiple of the exponent of coker(a), as |det| is for a
+    nonsingular square matrix, or for any stack of rows that includes one.
+    """
+    m = [[_balanced(x, modulus) for x in row] for row in a.entries]
+    _smith_eliminate(m, a.rows, a.cols, modulus)
+    orders = [gcd(m[i][i], modulus) for i in range(min(a.rows, a.cols))]
+    chain = [x for x in orders if x > 1]
+    _divisibility_chain(chain)
     return (1,) * (len(orders) - len(chain)) + tuple(chain)
 
 
@@ -651,13 +623,10 @@ def _factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def group_structure_from_diagonal(diag: Sequence[int]) -> GroupStructure:
-    invariant = tuple(d for d in diag if d not in (0, 1))
-    return GroupStructure(invariant, elementary_divisors_of(invariant), prod(invariant))
-
-
 def _infinite_cokernel(a: IntMatrix) -> InfiniteCokernel:
-    rank = sum(1 for d in smith_normal_form(a).diagonal() if d)
+    m = [list(row) for row in a.entries]
+    _smith_eliminate(m, a.rows, a.cols)
+    rank = sum(1 for i in range(a.rows) if m[i][i])
     return InfiniteCokernel(a.rows - rank)
 
 
@@ -705,7 +674,7 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
         found = prod(diag)
     if found != order:
         raise ValidationFailed("invariant factors do not multiply to |det|")
-    return group_structure_from_diagonal(diag)
+    return GroupStructure(tuple(x for x in diag if x != 1))
 
 
 def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:

@@ -2,8 +2,9 @@
 
 Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
-elimination, spanning trees by subset enumeration, group counts by brute
-force, stabilization by a random toppling schedule.
+elimination, Smith diagonals by determinantal divisors, spanning trees by
+subset enumeration, group counts by brute force, stabilization by a random
+toppling schedule.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from sandpiles.dynamics import sandpile_group
 from sandpiles.graphs import Multigraph, SinkedGraph
@@ -81,6 +82,63 @@ def rational_solve(a: IntMatrix, v: list[int]) -> list[Fraction] | None:
     for i, c in enumerate(pivot_cols):
         sol[c] = rows[i][m]
     return sol
+
+
+def _echelon_by_fractions(rows) -> tuple[int, Fraction]:
+    """(rank, product of the pivots times the sign of the row swaps) of an
+    integer matrix, by Gaussian elimination over Q; for a square matrix of
+    full rank the second entry is its determinant."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    cols = len(m[0]) if m else 0
+    r = 0
+    det = Fraction(1)
+    for c in range(cols):
+        p = next((i for i in range(r, n) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        det *= m[r][c]
+        for i in range(r + 1, n):
+            f = m[i][c] / m[r][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r, det
+
+
+def det_by_fractions(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over Q."""
+    rank, det = _echelon_by_fractions(rows)
+    return int(det) if rank == len(rows) else 0
+
+
+def smith_diagonal_by_minors(a: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal d_1 | d_2 | ... of a, min(rows, cols) entries, from
+    determinantal divisors: D_k = d_1 ... d_k is the gcd of the k x k minors.
+
+    D_(k-1) divides every k x k minor, so the gcd for a given k stops as soon
+    as it reaches D_(k-1).  Past the rank (by elimination over Q) every
+    minor is 0, and so is every later d_k.
+    """
+    n = min(a.rows, a.cols)
+    rank, _ = _echelon_by_fractions(a.entries)
+    diag: list[int] = []
+    prev = 1
+    for k in range(1, rank + 1):
+        g = 0
+        for rs in itertools.combinations(range(a.rows), k):
+            for cs in itertools.combinations(range(a.cols), k):
+                g = gcd(g, det_by_fractions([[a.entries[i][j] for j in cs] for i in rs]))
+                if g == prev:
+                    break
+            if g == prev:
+                break
+        diag.append(g // prev)
+        prev = g
+    return tuple(diag) + (0,) * (n - rank)
 
 
 def membership_by_rational_solve(a: IntMatrix, v: list[int]) -> bool:

@@ -334,6 +334,11 @@ class TestCliCommands:
     def test_hypercube_guard(self, capsys):
         assert main(["hypercube", "--d", "9", "--verify", "structure"]) == 1
 
+    def test_hypercube_if_count_guard(self, capsys):
+        assert main(["hypercube", "--d", "9", "--verify", "if-count"]) == 1
+        assert capsys.readouterr().err.startswith("error: OutOfRange: ")
+        assert main(["hypercube", "--d", "3", "--max-d", "2", "--verify", "if-count"]) == 1
+
     def test_snf(self, tmp_path, capsys):
         m = write(tmp_path, "m.txt", "2 -1\n-1 2\n")
         assert main(["snf", str(m), "--transforms"]) == 0

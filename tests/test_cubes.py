@@ -373,3 +373,9 @@ class TestInvariantFactorCount:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_computed_chain(self, d):
         assert verify_invariant_factor_count(d).passed
+
+    def test_guard(self):
+        with pytest.raises(OutOfRange):
+            verify_invariant_factor_count(9)
+        with pytest.raises(OutOfRange):
+            verify_invariant_factor_count(3, max_d=2)

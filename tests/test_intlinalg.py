@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+import time
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from oracles import (
     factor_by_trial_division,
     matmul,
     membership_by_rational_solve,
+    smith_diagonal_by_minors,
     spanning_tree_count,
 )
 import sandpiles.intlinalg as intlinalg
+from sandpiles.cubes import parity_collapse_hom, verify_decomposition
+from sandpiles.dynamics import sandpile_group
 from sandpiles.errors import InfiniteCokernel, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
@@ -39,6 +43,7 @@ from sandpiles.intlinalg import (
     reduced_laplacian,
     smith_normal_form,
 )
+from sandpiles.morphisms import verify_group_injection
 
 matrices = st.integers(1, 8).flatmap(
     lambda n: st.integers(1, 8).flatmap(
@@ -49,6 +54,20 @@ matrices = st.integers(1, 8).flatmap(
         )
     )
 ).map(IntMatrix.from_rows)
+
+# Square of rank k < n: the product of n x k and k x n factors.
+singular_square_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k),
+        )
+    )
+).map(
+    lambda xy: IntMatrix.from_rows(
+        [[sum(x * y[j] for x, y in zip(row, xy[1])) for j in range(len(xy[0]))] for row in xy[0]]
+    )
+)
 
 # Mostly zeros, with a zero leading entry: the factorization of A^T must
 # swap rows before its first step.
@@ -179,6 +198,16 @@ class TestSmithNormalForm:
         a = IntMatrix.from_rows([[6, 4, 2], [2, 8, 4], [4, 2, 6]])
         assert smith_normal_form(a) == smith_normal_form(a)
 
+    @given(st.one_of(matrices, singular_square_matrices))
+    @settings(max_examples=150, deadline=None)
+    def test_against_minors_oracle(self, a):
+        expected = smith_diagonal_by_minors(a)
+        assert smith_normal_form(a).diagonal() == expected
+        if a.is_square() and 0 in expected:
+            with pytest.raises(InfiniteCokernel) as err:
+                LatticeSolver(a)
+            assert err.value.free_rank == expected.count(0)
+
 
 class TestDeterminant:
     def test_triple_cone_of_edge(self):
@@ -295,7 +324,7 @@ class TestInvariantFactors:
         if determinant(a) == 0:
             return
         fast = invariant_factors(a).invariant_factors
-        slow = tuple(d for d in smith_normal_form(a).diagonal() if d != 1)
+        slow = tuple(d for d in smith_diagonal_by_minors(a) if d != 1)
         assert fast == slow
 
     def test_sink_independence(self):
@@ -308,6 +337,38 @@ class TestInvariantFactors:
                 for sink in g.vertices
             }
             assert len(seen) == 1
+
+
+class TestElementaryDivisorsOnRead:
+    @pytest.fixture
+    def no_factoring(self, monkeypatch):
+        def refuse(n):
+            raise RuntimeError(f"factored {n}")
+
+        monkeypatch.setattr(intlinalg, "_factorize", refuse)
+
+    def test_computed_when_first_read(self):
+        structure = invariant_factors(reduced_laplacian(cone(hypercube(2))))
+        assert "elementary_divisors" not in vars(structure)
+        assert structure.elementary_divisors == (3, 3, 5)
+        assert "elementary_divisors" in vars(structure)
+
+    def test_decomposition_reads_only_the_exponent(self, no_factoring):
+        assert verify_decomposition(4).passed
+
+    def test_injection_reads_only_the_exponent(self, no_factoring):
+        report = verify_group_injection(parity_collapse_hom(3, (1, 1, 1)))
+        assert report.passed and report.image_order == 7
+
+    def test_large_random_graph(self, no_factoring):
+        # Its invariant factors have 2 and 198 bits; factoring the larger
+        # one is not needed for the chain or the order.
+        group = sandpile_group(random_sinked_graph(random.Random(4), 40))
+        start = time.perf_counter()
+        factors = group.structure.invariant_factors
+        assert time.perf_counter() - start < 5
+        assert prod(factors) == group.order
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
 
 
 class TestLatticeMembership:
@@ -389,7 +450,7 @@ class TestLatticeSolverOracles:
             )
         )
         stack = IntMatrix.from_rows([list(r) for r in a.entries] + extra)
-        expected = smith_normal_form(stack).diagonal()
+        expected = smith_diagonal_by_minors(stack)
         assert cokernel_diagonal(stack, abs(determinant(a))) == expected
 
 
