@@ -29,7 +29,6 @@ from .intlinalg import (
     determinant,
     invariant_factors,
     laplacian,
-    lattice_membership,
     reduced_laplacian,
     smith_normal_form,
 )

@@ -213,11 +213,12 @@ class SandpileGroup:
     and add come from stabilization, certified by a sparse product with L^T
     and by the burning test with the script the group computes once, on
     graphs and digraphs alike.  Lattice queries come from one cached
-    LatticeSolver, an exact LU of L^T that each query replays on its vector:
-    the determinant, congruence and membership witnesses, element orders
-    and, for the structure, |det L| and the group exponent, modulo which the
-    Smith diagonal of L is taken.  A singular L is factored once and refused
-    on every later query.  Only recurrents() enumerates the recurrent set,
+    LatticeSolver, an exact LU of L^T as one list of elimination steps that
+    each query replays on its vector: the determinant, congruence and
+    membership witnesses, element orders and, for the structure, |det L| and
+    the group exponent, modulo which the Smith diagonal of L is taken.  The
+    number of steps is the rank, so a singular L is factored once, refused
+    with its free rank, and refused again on every later query.  Only recurrents() enumerates the recurrent set,
     through the toppling kernel stabilize uses, and certifies it by its
     size |det L|.  Its orbit_guard refuses first on the floor
     prod(out_v - e_v) that the identity e gives, before any factorization,

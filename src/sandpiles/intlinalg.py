@@ -2,16 +2,17 @@
 lattice membership.
 
 Two eliminations answer every question about the lattice Im L^T of a
-nonsingular L.  One exact two-phase LU of L^T (unit pivots first, then
-Bareiss on the dense core that remains) gives det L, and replaying it on a
-vector v gives delta * (L^T)^-1 v with |delta| = |det L|, behind witnesses
-and class orders.  The other is one Smith pivot-and-clear loop,
-_smith_eliminate.  Run modulo a multiple of the group exponent, it gives the
-Smith diagonal of every cokernel; the exponent comes from the class orders
-of two fixed vectors and is certified by the product of the diagonal.  Run
-over the integers on a matrix bordered by identities, it gives the Smith
-normal form with transforms of the `snf` command; without the borders, the
-free rank of singular input.
+square L.  One is an exact LU of L^T, a single list of elimination steps
+(division-free steps on +-1 pivots, then Bareiss steps).  Its length is the
+rank, so a singular L is refused with its free rank; otherwise it gives
+det L, and replaying it on a vector v gives delta * (L^T)^-1 v with
+|delta| = |det L|, behind witnesses and class orders.  The other is one
+Smith pivot-and-clear loop, _smith_eliminate.  Run modulo a multiple of the
+group exponent, it gives the Smith diagonal of every cokernel; the exponent
+comes from the class orders of two fixed vectors and is certified by the
+product of the diagonal.  Run over the integers on a matrix bordered by
+identities, it gives the Smith normal form with transforms of the `snf`
+command.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -128,212 +129,146 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-# -- determinant and LU (unit pivots, then Bareiss) -------------------------------
+# -- determinant and LU -------------------------------------------------------
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int, list[int]]:
-    """Fraction-free LU of the square matrix m, in place (Bareiss 1968).
-
-    Phase 2 of _LU: it factors the dense core left after the unit pivots.
-    Returns (sign, last pivot, swaps); sign * pivot is det m, and the pivot
-    is 0 when m is singular (elimination stops there).  Every division is
-    exact, so entries stay minors of the input.  On return the upper
-    triangle holds U, whose diagonal is the pivot sequence p_0, ..., p_{n-1};
-    below the diagonal m[i][k] keeps the multiplier of step k, as in
-    Nakos-Turner-Williams 1997; swaps[k] is the row exchanged with row k
-    before step k.  _lu_solve replays the steps on a vector.
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    swaps: list[int] = []
-    for k in range(n):
-        i = k
-        while i < n and m[i][k] == 0:
-            i += 1
-        if i == n:
-            return sign, 0, swaps
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-        swaps.append(i)
-        pivot = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - f * mk[j]) // prev
-        prev = pivot
-    return sign, prev, swaps
-
-
-def _lu_solve(lu: list[list[int]], swaps: Sequence[int], v: Sequence[int]) -> list[int]:
-    """delta * B^-1 v for the matrix B that _bareiss factored into lu, where
-    delta is its last pivot; every division is exact."""
-    w = list(v)
-    for k, i in enumerate(swaps):
-        w[k], w[i] = w[i], w[k]
-    n = len(w)
-    # Forward: the Bareiss steps on w as an extra column,
-    # w_i = (w_i p_k - L_ik w_k) / p_{k-1}, row by row.
-    for i in range(1, n):
-        row = lu[i]
-        wi = w[i]
-        prev = 1
-        for k in range(i):
-            pivot = lu[k][k]
-            wi = (wi * pivot - row[k] * w[k]) // prev
-            prev = pivot
-        w[i] = wi
-    # Back substitution scaled by delta:
-    # x_i = (delta w_i - sum_{j>i} U_ij x_j) / U_ii.
-    delta = lu[n - 1][n - 1] if n else 1
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        acc = delta * w[i]
-        for j in range(i + 1, n):
-            acc -= row[j] * x[j]
-        x[i] = acc // row[i]
-    return x
-
-
-# Matrices with fewer rows skip the unit-pivot phase of _LU: below about
-# a dozen rows its bookkeeping costs more than the Bareiss steps it saves.
+# Matrices with fewer rows skip the unit steps of _LU: below about a dozen
+# rows their bookkeeping costs more than the Bareiss steps they save.
 _UNIT_PHASE_MIN = 12
 
 
-def _permutation_sign(p: Sequence[int]) -> int:
-    """Sign of the permutation i -> p[i], from the parity of its cycles."""
-    sign = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if not seen[start]:
-            j = start
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
-
-
-def _eliminate_unit_pivots(rows: list[list[int]]) -> list[tuple[int, int, int, list, list]]:
-    """Phase 1 of _LU, in place on the dense rows; returns its steps.
-
-    Each step is (row r, column c, pivot p = +-1, [(row i, f)] for the
-    updates row_i -= f * row_r, the other nonzeros of row r).  A sweep visits
-    the rows not yet pivoted in order and pivots each on its entry equal to
-    +-1 whose column has the fewest nonzeros left (the first such on ties),
-    which keeps fill-in down; sweeps repeat while one finds a pivot.
-    """
-    n = len(rows)
-    # count[j]: nonzeros of column j in the rows not yet pivoted.
-    count = [n - col.count(0) for col in zip(*rows)]
-    active = list(range(n))
-    steps = []
-    progress = True
-    while progress:
-        progress = False
-        for r in list(active):
-            row = rows[r]
-            if 1 not in row and -1 not in row:
-                continue
-            c = -1
-            for j, x in enumerate(row):
-                if (x == 1 or x == -1) and (c < 0 or count[j] < count[c]):
-                    c = j
-            progress = True
-            active.remove(r)
-            p = row[c]
-            urow = [(j, x) for j, x in enumerate(row) if x and j != c]
-            for j, _ in urow:
-                count[j] -= 1
-            count[c] = 0
-            elim = []
-            for i in active:
-                ri = rows[i]
-                f = ri[c]
-                if f:
-                    f *= p
-                    ri[c] = 0
-                    elim.append((i, f))
-                    for j, x in urow:
-                        y = ri[j]
-                        z = y - f * x
-                        ri[j] = z
-                        if not y:
-                            count[j] += 1
-                        elif not z:
-                            count[j] -= 1
-            steps.append((r, c, p, elim, urow))
-    return steps
-
-
 class _LU:
-    """Two-phase exact LU of a square integer matrix B.
+    """Exact LU of a square integer matrix B as one list of elimination steps.
 
-    Phase 1 (_eliminate_unit_pivots) eliminates pivots equal to +-1, in the
-    manner of Dumas-Saunders-Villard 2001: each row operation touches only
-    the pivot row's nonzeros and needs no division, so entries stay small and
-    det B is unchanged up to the pivot signs.  It runs from _UNIT_PHASE_MIN
-    rows up.
-    Phase 2 runs _bareiss on what is left, the dense core C, so that
-    |det B| = |det C| = |delta| with delta the core's last pivot (1 for an
-    empty core, 0 when B is singular).
+    Each step is (row r, column c, pivot p, unit, [(row i, f)], [(column j,
+    u)]): it pivots on B[r][c] = p, updates the listed rows i not yet
+    pivoted, each with its multiplier f, and records the nonzero entries u
+    of row r in the columns not yet pivoted, its row of U.  The steps run
+    in place on the rows of B.
+
+    Unit steps come first, from _UNIT_PHASE_MIN rows up, in the manner of
+    Dumas-Saunders-Villard 2001.  A sweep visits the rows not yet pivoted in
+    order and pivots each on its entry equal to +-1 whose column has the
+    fewest nonzeros left (the first such on ties), which keeps fill-in down;
+    sweeps repeat while one finds a pivot.  The update row_i -= f * row_r
+    touches only the pivot row's nonzeros and needs no division, so entries
+    stay small and det B is unchanged up to the pivot signs.
+
+    Bareiss steps (Bareiss 1968) then take the remaining columns in order,
+    each on the first row left with a nonzero there, and update every row
+    left by row_i = (p * row_i - f * row_r) / p', with p' the previous
+    Bareiss pivot (1 at first).  Every division is exact, since the entries
+    stay minors of B.  A column with no nonzero left is skipped, so
+    len(steps) is the rank of B.  delta, the last Bareiss pivot, satisfies
+    |delta| = |det B| (1 without Bareiss steps, 0 when B is singular).
     """
 
-    __slots__ = ("steps", "core_rows", "core_cols", "core", "core_swaps",
-                 "delta", "determinant")
+    __slots__ = ("steps", "delta", "determinant")
 
     def __init__(self, m: Sequence[Sequence[int]]):
         n = len(m)
         rows = [list(r) for r in m]
-        self.steps = _eliminate_unit_pivots(rows) if n >= _UNIT_PHASE_MIN else []
-        sign = 1
-        if self.steps:
-            pivot_rows = {s[0] for s in self.steps}
-            pivot_cols = {s[1] for s in self.steps}
-            self.core_rows = [i for i in range(n) if i not in pivot_rows]
-            self.core_cols = [j for j in range(n) if j not in pivot_cols]
-            self.core = [[rows[i][j] for j in self.core_cols] for i in self.core_rows]
-            # B permuted to (pivot rows, core rows) x (pivot columns, core
-            # columns) is block upper triangular with the unit pivots on the
-            # diagonal of its first block.
-            for s in self.steps:
-                sign *= s[2]
-            sign *= _permutation_sign([s[0] for s in self.steps] + self.core_rows)
-            sign *= _permutation_sign([s[1] for s in self.steps] + self.core_cols)
+        # The rows and columns not yet pivoted, in order.  A pivot's position
+        # among them counts the inversions it adds to the row or column
+        # order of the steps, so with one more for each unit pivot -1 the
+        # parity gives the sign of det B / delta.
+        active = list(range(n))
+        cols = list(range(n))
+        parity = 0
+        steps = []
+        if n >= _UNIT_PHASE_MIN:
+            # count[j]: nonzeros of column j in the rows not yet pivoted.
+            count = [n - col.count(0) for col in zip(*rows)]
+            progress = True
+            while progress:
+                progress = False
+                for r in list(active):
+                    row = rows[r]
+                    if 1 not in row and -1 not in row:
+                        continue
+                    c = -1
+                    for j, x in enumerate(row):
+                        if (x == 1 or x == -1) and (c < 0 or count[j] < count[c]):
+                            c = j
+                    progress = True
+                    p = row[c]
+                    parity += active.index(r) + cols.index(c) + (p < 0)
+                    active.remove(r)
+                    cols.remove(c)
+                    urow = [(j, x) for j, x in enumerate(row) if x and j != c]
+                    for j, _ in urow:
+                        count[j] -= 1
+                    count[c] = 0
+                    elim = []
+                    for i in active:
+                        ri = rows[i]
+                        f = ri[c]
+                        if f:
+                            f *= p
+                            ri[c] = 0
+                            elim.append((i, f))
+                            for j, x in urow:
+                                y = ri[j]
+                                z = y - f * x
+                                ri[j] = z
+                                if not y:
+                                    count[j] += 1
+                                elif not z:
+                                    count[j] -= 1
+                    steps.append((r, c, p, True, elim, urow))
+        # Columns are taken in order, so a Bareiss pivot adds inversions
+        # only by its row.
+        prev = 1
+        for t, c in enumerate(cols):
+            for k, r in enumerate(active):
+                if rows[r][c]:
+                    break
+            else:
+                continue
+            parity += k
+            del active[k]
+            row = rows[r]
+            p = row[c]
+            rest = cols[t + 1:]
+            elim = []
+            for i in active:
+                ri = rows[i]
+                f = ri[c]
+                elim.append((i, f))
+                for j in rest:
+                    ri[j] = (ri[j] * p - f * row[j]) // prev
+            steps.append((r, c, p, False, elim, [(j, row[j]) for j in rest if row[j]]))
+            prev = p
+        self.steps = steps
+        if len(steps) < n:
+            self.delta = self.determinant = 0
         else:
-            self.core_rows = self.core_cols = list(range(n))
-            self.core = rows
-        core_sign, self.delta, self.core_swaps = _bareiss(self.core)
-        self.determinant = sign * core_sign * self.delta
+            self.delta = prev
+            self.determinant = -prev if parity % 2 else prev
 
     def solve(self, v: Sequence[int]) -> list[int]:
-        """delta * B^-1 v; exact, and needs delta != 0."""
-        if not self.steps:
-            return _lu_solve(self.core, self.core_swaps, v)
+        """delta * B^-1 v; exact, and needs delta != 0.
+
+        The steps replay forward on w = v, then back substitution from the
+        last step gives p x_c = delta w_r - sum u x_j."""
         w = list(v)
-        for r, _, _, elim, _ in self.steps:
+        prev = 1
+        for r, _, p, unit, elim, _ in self.steps:
             wr = w[r]
-            if wr:
+            if not unit:
+                for i, f in elim:
+                    w[i] = (w[i] * p - f * wr) // prev
+                prev = p
+            elif wr:
                 for i, f in elim:
                     w[i] -= f * wr
         delta = self.delta
         x = [0] * len(w)
-        core_x = _lu_solve(self.core, self.core_swaps, [w[i] for i in self.core_rows])
-        for j, xj in zip(self.core_cols, core_x):
-            x[j] = xj
-        # Unit pivots, last first: p x_c = delta w_r - sum U_rj x_j.
-        for r, c, p, _, urow in reversed(self.steps):
+        for r, c, p, _, _, urow in reversed(self.steps):
             acc = delta * w[r]
             for j, u in urow:
                 acc -= u * x[j]
-            x[c] = acc * p
+            x[c] = acc // p
         return x
 
 
@@ -623,13 +558,6 @@ def _factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def _infinite_cokernel(a: IntMatrix) -> InfiniteCokernel:
-    m = [list(row) for row in a.entries]
-    _smith_eliminate(m, a.rows, a.cols)
-    rank = sum(1 for i in range(a.rows) if m[i][i])
-    return InfiniteCokernel(a.rows - rank)
-
-
 def _probe_vectors(n: int) -> list[list[int]]:
     """Two fixed vectors with entries in [-8, 8], from a linear congruential
     sequence."""
@@ -697,12 +625,14 @@ class LatticeSolver:
     """Decides membership in the lattice Im A^T of a nonsingular square A,
     produces witnesses, and gives the orders of cokernel classes.
 
-    Built from one two-phase LU of A^T (_LU: unit pivots, then _bareiss on
-    the core), whose core's last pivot delta satisfies |delta| = |det A|.
-    Each query replays both phases on v and back-substitutes, which gives
-    w = delta * (A^T)^-1 v exactly: v lies in the lattice exactly when delta
-    divides every entry of w, and the quotient is the (unique) witness.
-    invariant_factors reuses the solver for the group structure.
+    Built from one LU of A^T (_LU), whose last Bareiss pivot delta
+    satisfies |delta| = |det A|.  A singular A is refused with
+    InfiniteCokernel, its free rank being the number of rows less the
+    number of steps.  Each query replays the steps on v and back-substitutes,
+    which gives w = delta * (A^T)^-1 v exactly: v lies in the lattice
+    exactly when delta divides every entry of w, and the quotient is the
+    (unique) witness.  invariant_factors reuses the solver for the group
+    structure.
     """
 
     def __init__(self, a: IntMatrix):
@@ -711,9 +641,10 @@ class LatticeSolver:
         self.a = a
         self.b = a.transpose()
         self._lu = _LU(self.b.entries)
+        rank = len(self._lu.steps)
+        if rank < a.rows:
+            raise InfiniteCokernel(a.rows - rank)
         self._delta = self._lu.delta
-        if self._delta == 0:
-            raise _infinite_cokernel(a)
         self.determinant = self._lu.determinant
 
     def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
@@ -734,9 +665,4 @@ class LatticeSolver:
     def class_order(self, x: Sequence[int]) -> int:
         """Order of the class of x in the cokernel."""
         return abs(self._delta) // gcd(self._delta, *self._scaled_inverse(x))
-
-
-def lattice_membership(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:
-    """Witness y with A^T y = v over the integers, or None (a normal outcome)."""
-    return LatticeSolver(a).solve(v)
 

@@ -1,7 +1,10 @@
 """File formats: graphs, configurations, homomorphisms, and matrices.
 
 Graph files carry the version tag "sandpile-graph-v1"; vertex order in the
-file is authoritative.  Parsers reject loops and unknown labels.
+file is authoritative.  Parsers reject loops and unknown labels, and take
+multiplicities, configuration entries and JSON matrix entries and
+dimensions only as JSON integers: a fraction or a boolean is refused, never
+rounded or read as 0 and 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,14 @@ from .intlinalg import IntMatrix
 from .morphisms import UniformHom, VertexMap, validate_hom
 
 GRAPH_FORMAT = "sandpile-graph-v1"
+
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer, else FormatError.  JSON true and false load
+    as bools, which Python counts as ints, so they are refused by name."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FormatError(f"{what} must be a JSON integer, not {json.dumps(x)}")
+    return x
 
 
 def graph_to_dict(g: Multigraph | Digraph | SinkedGraph) -> dict:
@@ -40,11 +51,13 @@ def graph_from_dict(data: dict) -> Multigraph | Digraph | SinkedGraph:
     if data.get("format") != GRAPH_FORMAT:
         raise FormatError(f'graph file must carry "format": "{GRAPH_FORMAT}"')
     try:
-        directed = bool(data["directed"])
+        directed = data["directed"]
         vertices = [str(v) for v in data["vertices"]]
-        edges = [(str(u), str(v), int(m)) for u, v, m in data["edges"]]
+        edges = [(str(u), str(v), _json_int(m, "edge multiplicity")) for u, v, m in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph file: {exc}") from exc
+    if not isinstance(directed, bool):
+        raise FormatError(f'"directed" must be true or false, not {json.dumps(directed)}')
     graph = build_digraph(vertices, edges) if directed else build_multigraph(vertices, edges)
     sink = data.get("sink")
     if sink is None:
@@ -73,9 +86,9 @@ def load_config(path: str | Path) -> tuple[int, ...]:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list):
         raise FormatError("configuration file must hold a JSON integer array")
-    return tuple(data)
+    return tuple(_json_int(x, "configuration entry") for x in data)
 
 
 def load_hom(path: str | Path, source, target) -> UniformHom:
@@ -106,14 +119,13 @@ def load_matrix(path: str | Path) -> IntMatrix:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-            entries = [[int(x) for x in row] for row in data["entries"]]
+            entries = [[_json_int(x, "matrix entry") for x in row] for row in data["entries"]]
             a = IntMatrix.from_rows(entries)
-            if a.rows != int(data["rows"]) or a.cols != int(data["cols"]):
+            if (a.rows != _json_int(data["rows"], '"rows"')
+                    or a.cols != _json_int(data["cols"], '"cols"')):
                 raise FormatError("matrix dimensions disagree with entries")
             return a
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            if isinstance(exc, FormatError):
-                raise
             raise FormatError(f"malformed matrix file: {exc}") from exc
     rows = []
     for line in text.splitlines():

@@ -61,9 +61,12 @@ def embed_factor(
     configuration with the identity of the other factor's cone.
 
     For 1-cones the box of recurrents is recurrent outright; for n > 1 the
-    box can be unstable, so the class representative is taken instead.  That
-    is not canonical for n > 1: congruent inputs with different vectors may
-    box to different vectors before reduction.
+    box can be unstable, so the class representative is taken instead.  The
+    map is one of classes for every n: the other factor's Laplacian kills
+    constant vectors, so box(L^T y, 0) = L'^T box(y, 0), with L and L' the
+    reduced Laplacians of the factor cone and the product cone (likewise
+    for factor h).  Congruent inputs therefore box to congruent vectors and
+    reach the same representative.
     """
     values = _as_values(a)
     if factor == "g":

@@ -98,6 +98,28 @@ class TestGraphFiles:
         with pytest.raises(LoopEdge):
             graph_from_dict(data)
 
+    def test_rejects_non_integer_multiplicities(self):
+        for m in (2.7, 2.0, True, "2", None):
+            data = graph_to_dict(cone(k2()))
+            data["edges"][0][2] = m
+            with pytest.raises(FormatError):
+                graph_from_dict(data)
+
+    def test_rejects_non_boolean_directed(self):
+        for directed in ("false", 0, 1, None):
+            data = graph_to_dict(cone(k2()))
+            data["directed"] = directed
+            with pytest.raises(FormatError):
+                graph_from_dict(data)
+
+    def test_cli_refuses_fractional_multiplicity(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", {
+            "format": "sandpile-graph-v1", "directed": False, "vertices": ["a", "b", "s"],
+            "edges": [["a", "b", 2.7], ["a", "s", True], ["b", "s", 1]], "sink": "s"})
+        assert main(["group", str(path)]) == 1
+        assert "error: FormatError: edge multiplicity must be a JSON integer, not 2.7" in (
+            capsys.readouterr().err)
+
     def test_rejects_unknown_labels(self):
         from sandpiles.errors import UnknownVertex
 
@@ -118,9 +140,10 @@ class TestConfigAndMatrixFiles:
         assert load_config(path) == (3, 2, 1)
 
     def test_config_rejects_non_integers(self, tmp_path):
-        path = write(tmp_path, "c.json", '[1, "x"]')
-        with pytest.raises(FormatError):
-            load_config(path)
+        for text in ('[1, "x"]', "[true, 0]", "[2.9, 1]", "[1, 2.0]", "[[1], 2]"):
+            path = write(tmp_path, "c.json", text)
+            with pytest.raises(FormatError):
+                load_config(path)
 
     def test_matrix_text(self, tmp_path):
         path = write(tmp_path, "m.txt", "2 -1\n-1 2\n")
@@ -129,6 +152,16 @@ class TestConfigAndMatrixFiles:
     def test_matrix_json(self, tmp_path):
         path = write(tmp_path, "m.json", {"rows": 1, "cols": 2, "entries": [[3, 4]]})
         assert load_matrix(path) == IntMatrix.from_rows([[3, 4]])
+
+    def test_matrix_json_rejects_non_integers(self, tmp_path):
+        for data in ({"rows": 1, "cols": 2, "entries": [[3, 2.9]]},
+                     {"rows": 1, "cols": 2, "entries": [[True, 0]]},
+                     {"rows": 1.0, "cols": 2, "entries": [[3, 4]]},
+                     {"rows": 1, "cols": True, "entries": [[3]]},
+                     {"rows": 1, "cols": 2, "entries": [[3, "4"]]}):
+            path = write(tmp_path, "m.json", data)
+            with pytest.raises(FormatError):
+                load_matrix(path)
 
     def test_matrix_ragged_rejected(self, tmp_path):
         path = write(tmp_path, "m.txt", "1 2\n3\n")

@@ -39,7 +39,6 @@ from sandpiles.intlinalg import (
     determinant,
     invariant_factors,
     laplacian,
-    lattice_membership,
     reduced_laplacian,
     smith_normal_form,
 )
@@ -79,7 +78,7 @@ sparse_square_matrices = st.integers(2, 6).flatmap(
     )
 ).map(lambda rows: IntMatrix.from_rows([[0] + rows[0][1:]] + rows[1:]))
 
-# Mostly +-1: the unit-pivot phase of the LU eliminates most rows.
+# Mostly +-1: unit steps of the LU eliminate most rows.
 unit_rich_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.sampled_from([0, 1, -1, 1, -1, 2, -3]), min_size=n, max_size=n),
@@ -88,7 +87,7 @@ unit_rich_matrices = st.integers(1, 6).flatmap(
     )
 ).map(IntMatrix.from_rows)
 
-# No entry is +-1: the dense core is the whole matrix.
+# No entry is +-1: every step of the LU is a Bareiss step.
 unit_free_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.sampled_from([0, 0, 2, -2, 3, -3, 4, 5, -7]), min_size=n, max_size=n),
@@ -100,7 +99,8 @@ unit_free_matrices = st.integers(1, 5).flatmap(
 
 @st.composite
 def permuted_unit_triangular(draw) -> IntMatrix:
-    """P U Q with U upper triangular, +-1 on its diagonal: the core is empty."""
+    """P U Q with U upper triangular, +-1 on its diagonal: unit steps pivot
+    every row and leave no Bareiss step."""
     n = draw(st.integers(1, 6))
     rows = [
         [
@@ -374,16 +374,16 @@ class TestElementaryDivisorsOnRead:
 class TestLatticeMembership:
     def test_zero_vector(self):
         a = reduced_laplacian(cone(k2()))
-        assert lattice_membership(a, (0, 0)) == (0, 0)
+        assert LatticeSolver(a).solve((0, 0)) == (0, 0)
 
     def test_row_of_transpose(self):
         a = reduced_laplacian(cone(k2()))
-        witness = lattice_membership(a, (2, -1))
+        witness = LatticeSolver(a).solve((2, -1))
         assert witness == (1, 0)
 
     def test_generator_class_has_no_witness(self):
         a = reduced_laplacian(cone(k2()))
-        assert lattice_membership(a, (1, 0)) is None
+        assert LatticeSolver(a).solve((1, 0)) is None
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -395,7 +395,7 @@ class TestLatticeMembership:
             return
         y = [rng.randint(-4, 4) for _ in range(a.rows)]
         v = a.transpose().mul_vector(y)
-        witness = lattice_membership(a, v)
+        witness = LatticeSolver(a).solve(v)
         assert witness is not None
         assert a.transpose().mul_vector(witness) == v
 
@@ -406,7 +406,7 @@ class TestLatticeMembership:
         if det == 0 or abs(det) > 50:
             return
         v = (v * a.rows)[: a.rows]
-        got = lattice_membership(a, v)
+        got = LatticeSolver(a).solve(v)
         expected = membership_by_rational_solve(a, v)
         assert (got is not None) == expected
         if got is not None:
@@ -419,7 +419,7 @@ class TestLatticeMembership:
             LatticeSolver(a)
         assert err.value.free_rank == 1
         with pytest.raises(InfiniteCokernel):
-            lattice_membership(a, (0, 0))
+            LatticeSolver(a).solve((0, 0))
 
 
 def _small_det(a: IntMatrix) -> bool:
@@ -483,19 +483,20 @@ class TestFractionFreeLU:
         x = data.draw(st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows))
         det = det_by_permutation_expansion(a)
         with pytest.MonkeyPatch.context() as mp:
-            # These matrices are small enough to skip the unit-pivot phase.
+            # These matrices are small enough to skip the unit steps.
             mp.setattr(intlinalg, "_UNIT_PHASE_MIN", 1)
             assert determinant(a) == det
             if det == 0:
-                with pytest.raises(InfiniteCokernel):
+                with pytest.raises(InfiniteCokernel) as err:
                     LatticeSolver(a)
+                assert err.value.free_rank == smith_diagonal_by_minors(a).count(0)
                 return
             solver = LatticeSolver(a)
         assert solver.determinant == det
         if kind == "unit-free":
-            assert not solver._lu.steps
+            assert not any(unit for _, _, _, unit, _, _ in solver._lu.steps)
         if kind == "empty core":
-            assert not solver._lu.core_rows
+            assert all(unit for _, _, _, unit, _, _ in solver._lu.steps)
         got = solver.solve(x)
         assert (got is not None) == membership_by_rational_solve(a, x)
         if got is not None:

@@ -167,3 +167,19 @@ class TestEmbedFactorReduced:
             a, b = rng.choice(recs), rng.choice(recs)
             assert images[g_side.add_values(a, b)] == prod.add_values(images[a], images[b])
         assert len(set(images.values())) == len(recs)
+
+    def test_congruent_inputs_embed_alike(self):
+        # a and a + L^T y, with L the reduced Laplacian of the factor cone,
+        # box to configurations congruent on the product cone.
+        rng = random.Random(11)
+        for g, h in ((k3(), k2()), (cycle_graph(4), k3())):
+            for n in (2, 3):
+                ctx = BoxContext(g, h, n=n)
+                for factor, side in (("g", ctx.cone_g), ("h", ctx.cone_h)):
+                    lt = reduced_laplacian(side).transpose()
+                    for _ in range(3):
+                        a = [rng.randint(0, 6) for _ in range(lt.rows)]
+                        y = [rng.randint(-3, 3) for _ in range(lt.rows)]
+                        shifted = [x + z for x, z in zip(a, lt.mul_vector(y))]
+                        assert (embed_factor(ctx, shifted, factor).values
+                                == embed_factor(ctx, a, factor).values)
