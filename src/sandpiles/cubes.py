@@ -69,10 +69,9 @@ def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     w = _weight(mask)
     values = parity_stripe(d, mask, d, d - w)
     graph = cube_cone(d)
-    ok, order = is_recurrent_burning(graph, values)
-    if not ok:
+    if not is_recurrent_burning(graph, values)[0]:
         raise ValidationFailed(f"stripe generator {values} is not recurrent")
-    return RecurrentConfig(graph, values, "burning", order)
+    return RecurrentConfig(graph, values, "burning")
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,9 @@ def subcube_embed_recurrent(
     vec = subcube_embed(d, mask, values, n)
     graph = cube_cone(d, n)
     if n == 1:
-        ok, order = is_recurrent_burning(graph, vec)
-        if not ok:
+        if not is_recurrent_burning(graph, vec)[0]:
             raise ValidationFailed("embedded box of a recurrent failed the burning test")
-        return RecurrentConfig(graph, vec, "burning", order)
+        return RecurrentConfig(graph, vec, "burning")
     return sandpile_group(graph).representative(vec)
 
 

@@ -6,7 +6,8 @@ above their out-degree topple), so the recurrent representative of any chip
 vector is one stabilization: add a lattice vector that lifts it above the
 maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
 burning test (Dhar's on undirected graphs, Speer's on digraphs) decides
-recurrence on both kinds of graph.
+recurrence on both kinds of graph, and it is one stabilization too.  A
+single toppling kernel runs every stabilization and recurrent enumeration.
 """
 
 from __future__ import annotations
@@ -43,17 +44,12 @@ _GROUP_CACHE_CAP = 64
 
 @dataclass(frozen=True)
 class RecurrentConfig:
-    """A configuration certified recurrent, with the certificate that proved it.
-
-    A "burning" certificate carries its burning order: the non-sink vertices
-    in toppling order, v repeated sigma_v times (once each on undirected
-    graphs).
-    """
+    """A configuration certified recurrent, with the name of the certificate
+    that proved it: "burning" for the burning test."""
 
     graph: SinkedGraph
     values: Chips
     certificate: str
-    burning_order: tuple[str, ...] | None = None
 
     def __iter__(self):
         return iter(self.values)
@@ -151,59 +147,35 @@ def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     return sigma, tuple(_fire(graph, sigma))
 
 
-def _burning_order_indices(
-    graph: SinkedGraph, values: Sequence[int], sigma: Chips, beta: Chips
-) -> list[int] | None:
-    """Greedy burning pass over values + beta: each sweep fires every ready
-    vertex once, v at most sigma_v times in all.  Complete because firing only
-    adds chips elsewhere."""
-    out = graph.out_degrees
-    adj = graph.adjacency()
-    n = len(out)
-    work = [values[i] + beta[i] for i in range(n)]
-    left = list(sigma)
-    total = sum(sigma)
-    order: list[int] = []
-    progress = True
-    while progress and len(order) < total:
-        progress = False
-        for i in range(n):
-            if left[i] and work[i] >= out[i]:
-                left[i] -= 1
-                order.append(i)
-                work[i] -= out[i]
-                for j, m in adj[i]:
-                    work[j] += m
-                progress = True
-    return order if len(order) == total else None
-
-
-def _burning_order(
+def _passes_burning(
     graph: SinkedGraph, values: Sequence[int], script: tuple[Chips, Chips]
-) -> tuple[str, ...] | None:
-    """The burning order of values under script = (sigma, beta), or None
-    when values is not recurrent."""
+) -> bool:
+    """The burning test of values under script = (sigma, beta)."""
     c = _check_vector(graph, values)
     if any(x < 0 for x in c):
         raise ValueError("configurations are nonnegative")
     if not is_stable(graph, c):
-        return None
-    order = _burning_order_indices(graph, c, *script)
-    return None if order is None else tuple(graph.nonsink_order[i] for i in order)
+        return False
+    sigma, beta = script
+    c = [x + b for x, b in zip(c, beta)]
+    return _topple(c, graph.out_degrees, graph.adjacency(), range(len(c))) == list(sigma)
 
 
 def is_recurrent_burning(
     graph: SinkedGraph, values: Sequence[int]
-) -> tuple[bool, tuple[str, ...] | None]:
-    """Burning test: add the burning configuration beta; recurrent iff every
-    vertex v topples exactly sigma_v times and the configuration returns to
-    itself.
+) -> tuple[bool, Chips | None]:
+    """Burning test: a stable c is recurrent iff stabilizing c + beta fires
+    every vertex v exactly sigma_v times, which returns it to c.  By least
+    action no vertex fires more (Dhar 1990; Speer 1993; Fey, Levine and
+    Peres 2010).
 
     Dhar's test (sigma = 1, beta = sink multiplicities) on undirected graphs,
-    Speer's on digraphs.  The burning order lists v once per toppling.
+    Speer's on digraphs.  Returns (True, sigma) or (False, None).
     """
-    order = _burning_order(graph, values, burning_script(graph))
-    return order is not None, order
+    script = burning_script(graph)
+    if _passes_burning(graph, values, script):
+        return True, script[0]
+    return False, None
 
 
 class SandpileGroup:
@@ -218,11 +190,12 @@ class SandpileGroup:
     membership witnesses, element orders and, for the structure, |det L| and
     the group exponent, modulo which the Smith diagonal of L is taken.  The
     number of steps is the rank, so a singular L is factored once, refused
-    with its free rank, and refused again on every later query.  Only recurrents() enumerates the recurrent set,
-    through the toppling kernel stabilize uses, and certifies it by its
-    size |det L|.  Its orbit_guard refuses first on the floor
-    prod(out_v - e_v) that the identity e gives, before any factorization,
-    and only then on |det L|.
+    with its free rank, and refused again on every later query.  Only
+    recurrents() enumerates the recurrent set, through the toppling kernel
+    that stabilize and the burning test use, and certifies it by its size
+    |det L|.  Its orbit_guard refuses first on the floor prod(out_v - e_v)
+    that the identity e gives, before any factorization, and only then on
+    |det L|, on every call.
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -292,14 +265,11 @@ class SandpileGroup:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _burn(self, values: Sequence[int]) -> tuple[str, ...] | None:
-        """The burning order of values, or None; the script is computed once."""
+    def is_recurrent(self, values: Sequence[int]) -> bool:
+        """The burning test, with the script computed once per group."""
         if self._script is None:
             self._script = burning_script(self.graph)
-        return _burning_order(self.graph, values, self._script)
-
-    def is_recurrent(self, values: Sequence[int]) -> bool:
-        return self._burn(values) is not None
+        return _passes_burning(self.graph, values, self._script)
 
     def recurrents(self) -> frozenset[Chips]:
         """The recurrent set: closure of the maximal stable configuration
@@ -307,25 +277,25 @@ class SandpileGroup:
 
         Recurrents form an up-set of the stable box, so the identity e alone
         shows |K| >= prod(out_v - e_v); the guard refuses on that floor,
-        which needs no factorization, before it reads |det L|.  A chip added
-        below out_v - 1 leaves the configuration stable; any other topples
-        from that vertex alone, through the kernel stabilize uses.  The set
-        is certified by its size, |det L|, and enumeration stops as soon as
-        it finds more.
+        which needs no factorization, before it reads |det L|, on every
+        call.  A chip added below out_v - 1 leaves the configuration stable;
+        any other topples from that vertex alone, through the kernel
+        stabilize uses.  The set is certified by its size, |det L|, and
+        enumeration stops as soon as it finds more.
         """
+        guard = self.orbit_guard
+        out = self.graph.out_degrees
+        floor = 1
+        for d, e in zip(out, self.identity.values):
+            floor *= d - e
+            if floor > guard:
+                raise OrbitTooLarge(f"recurrent set has more than {guard} elements "
+                                    "(the identity's up-set alone exceeds the guard)")
+        size = self.order
+        if size > guard:
+            raise OrbitTooLarge(f"recurrent set has a {size.bit_length()}-bit number "
+                                f"of elements, more than {guard}")
         if self._recurrents is None:
-            guard = self.orbit_guard
-            out = self.graph.out_degrees
-            floor = 1
-            for d, e in zip(out, self.identity.values):
-                floor *= d - e
-                if floor > guard:
-                    raise OrbitTooLarge(f"recurrent set has more than {guard} elements "
-                                        "(the identity's up-set alone exceeds the guard)")
-            size = self.order
-            if size > guard:
-                raise OrbitTooLarge(f"recurrent set has a {size.bit_length()}-bit number "
-                                    f"of elements, more than {guard}")
             adj = self.graph.adjacency()
             m = tuple(d - 1 for d in out)
             seen = {m}
@@ -376,10 +346,9 @@ class SandpileGroup:
         y = [k * p - q for p, q in zip(f_b, f)]
         if _fire(self.graph, y) != [s - xi for s, xi in zip(stable, x)]:
             raise ValidationFailed(f"firing vector does not carry {tuple(x)} to {stable}")
-        order = self._burn(stable)
-        if order is None:
+        if not self.is_recurrent(stable):
             raise ValidationFailed(f"representative {stable} failed the burning test")
-        return RecurrentConfig(self.graph, stable, "burning", order)
+        return RecurrentConfig(self.graph, stable, "burning")
 
     @property
     def identity(self) -> RecurrentConfig:
@@ -395,10 +364,9 @@ class SandpileGroup:
         if c1.graph != self.graph or c2.graph != self.graph:
             raise GraphMismatch("configurations belong to a different graph")
         values = self.add_values(c1.values, c2.values)
-        order = self._burn(values)
-        if order is None:
+        if not self.is_recurrent(values):
             raise ValueError(f"{values} is not recurrent")
-        return RecurrentConfig(self.graph, values, "burning", order)
+        return RecurrentConfig(self.graph, values, "burning")
 
     def element_order(self, c: RecurrentConfig | Sequence[int]) -> int:
         """Least k with the k-fold sum of c equal to the identity.
@@ -426,14 +394,18 @@ class SandpileGroup:
 _group_cache: dict[SinkedGraph, SandpileGroup] = {}
 
 
-def sandpile_group(graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD) -> SandpileGroup:
-    """Shared, cached group object for an (immutable) sinked graph."""
+def sandpile_group(graph: SinkedGraph, orbit_guard: int | None = None) -> SandpileGroup:
+    """Shared, cached group object for an (immutable) sinked graph.  An
+    orbit_guard, when given, becomes the cached group's guard; a new group
+    starts with DEFAULT_ORBIT_GUARD."""
     group = _group_cache.get(graph)
-    if group is None or group.orbit_guard < orbit_guard:
-        group = SandpileGroup(graph, orbit_guard)
+    if group is None:
+        group = SandpileGroup(graph)
         _group_cache[graph] = group
         while len(_group_cache) > _GROUP_CACHE_CAP:
             del _group_cache[next(iter(_group_cache))]
+    if orbit_guard is not None:
+        group.orbit_guard = orbit_guard
     return group
 
 

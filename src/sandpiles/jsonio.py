@@ -4,12 +4,14 @@ Graph files carry the version tag "sandpile-graph-v1"; vertex order in the
 file is authoritative.  Parsers reject loops and unknown labels, and take
 multiplicities, configuration entries and JSON matrix entries and
 dimensions only as JSON integers: a fraction or a boolean is refused, never
-rounded or read as 0 and 1.
+rounded or read as 0 and 1.  Plain-text matrix entries are ASCII decimal
+integers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +21,9 @@ from .intlinalg import IntMatrix
 from .morphisms import UniformHom, VertexMap, validate_hom
 
 GRAPH_FORMAT = "sandpile-graph-v1"
+# A plain-text matrix entry: ASCII digits only, so neither an underscore nor
+# a non-ASCII digit, both of which int() accepts, reads as a number.
+_TEXT_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _json_int(x, what: str) -> int:
@@ -105,6 +110,8 @@ def load_hom(path: str | Path, source, target) -> UniformHom:
         kind = str(data["kind"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed hom file: {exc}") from exc
+    if kind not in ("uniform", "weak", "directed"):
+        raise FormatError(f'"kind" must be uniform, weak or directed, not {kind!r}')
     return validate_hom(VertexMap(source, target, mapping), subset, kind)
 
 
@@ -132,10 +139,10 @@ def load_matrix(path: str | Path) -> IntMatrix:
         line = line.strip()
         if not line:
             continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise FormatError(f"malformed matrix row {line!r}") from exc
+        tokens = line.split()
+        if not all(_TEXT_INT.fullmatch(tok) for tok in tokens):
+            raise FormatError(f"malformed matrix row {line!r}")
+        rows.append([int(tok) for tok in tokens])
     if not rows:
         raise FormatError("empty matrix file")
     if len({len(r) for r in rows}) != 1:

@@ -300,10 +300,9 @@ def pullback_recurrent(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
     if c.graph != tgt:
         raise PreconditionViolated("configuration lives on a different graph")
     values = pullback_config(hom, c.values)
-    ok, order = is_recurrent_burning(src, values)
-    if not ok:
+    if not is_recurrent_burning(src, values)[0]:
         raise PreconditionViolated("pullback of a recurrent failed the burning test")
-    return RecurrentConfig(src, values, "burning", order)
+    return RecurrentConfig(src, values, "burning")
 
 
 def pullback_representative(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:

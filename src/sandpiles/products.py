@@ -83,9 +83,8 @@ def embed_factor(
         raise ValueError("factor must be 'g' or 'h'")
 
     if ctx.n == 1:
-        ok, order = is_recurrent_burning(ctx.cone_product, vec)
-        if not ok:
+        if not is_recurrent_burning(ctx.cone_product, vec)[0]:
             raise ValidationFailed("box of recurrents failed the burning test")
-        return RecurrentConfig(ctx.cone_product, vec, "burning", order)
+        return RecurrentConfig(ctx.cone_product, vec, "burning")
     return sandpile_group(ctx.cone_product).representative(vec)
 

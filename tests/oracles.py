@@ -4,7 +4,7 @@ Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
-toppling schedule.
+toppling schedule, burning orders by greedy sweeps.
 """
 
 from __future__ import annotations
@@ -219,6 +219,36 @@ def burning_script_by_fixed_point(g: SinkedGraph) -> tuple[tuple[int, ...], tupl
         sigma = nxt
     beta = [out[v] * sigma[v] - sum(m * s for m, s in zip(into[v], sigma)) for v in range(len(vs))]
     return tuple(sigma), tuple(beta)
+
+
+def burning_order_by_sweeps(g: SinkedGraph, c) -> tuple[str, ...] | None:
+    """The burning order of c (the non-sink vertices in toppling order, v
+    repeated sigma_v times), or None when c is not stable and recurrent.
+
+    Greedy sweeps over c + beta, with the script of the fixed-point oracle:
+    each sweep fires every ready vertex once, v at most sigma_v times in all.
+    Complete because firing only adds chips elsewhere.
+    """
+    out = g.out_degrees
+    if not all(0 <= x < d for x, d in zip(c, out)):
+        return None
+    sigma, beta = burning_script_by_fixed_point(g)
+    adj = g.adjacency()
+    work = [x + b for x, b in zip(c, beta)]
+    left = list(sigma)
+    order: list[str] = []
+    progress = True
+    while progress:
+        progress = False
+        for i, d in enumerate(out):
+            if left[i] and work[i] >= d:
+                left[i] -= 1
+                order.append(g.nonsink_order[i])
+                work[i] -= d
+                for j, m in adj[i]:
+                    work[j] += m
+                progress = True
+    return None if any(left) else tuple(order)
 
 
 def stabilize_by_random_schedule(

@@ -163,6 +163,21 @@ class TestConfigAndMatrixFiles:
             with pytest.raises(FormatError):
                 load_matrix(path)
 
+    def test_matrix_text_takes_only_ascii_integers(self, tmp_path):
+        path = write(tmp_path, "m.txt", "+3 -0\n007 -12\n")
+        assert load_matrix(path) == IntMatrix.from_rows([[3, 0], [7, -12]])
+        # int() reads the first three as 10, 3 and 3.
+        for text in ("1_0 0\n0 3\n", "1 0\n0 \uff13\n", "1 0\n0 \u0663\n", "1 +-2\n",
+                     "1 2.0\n", "1 0x2\n"):
+            path = write(tmp_path, "m.txt", text)
+            with pytest.raises(FormatError):
+                load_matrix(path)
+
+    def test_snf_refuses_underscore_and_full_width_digits(self, tmp_path, capsys):
+        path = write(tmp_path, "m.txt", "1_0 0\n0 \uff13\n")
+        assert main(["snf", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: FormatError: ")
+
     def test_matrix_ragged_rejected(self, tmp_path):
         path = write(tmp_path, "m.txt", "1 2\n3\n")
         with pytest.raises(FormatError):
@@ -284,6 +299,15 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert not payload["valid"]
         assert payload["clause"]
+
+    def test_check_hom_unknown_kind_exits_one(self, tmp_path, capsys):
+        src, tgt, hom = c5_onto_c3_with_unequal_fibers(tmp_path)
+        data = json.loads(Path(hom).read_text())
+        data["kind"] = "strong"
+        write(tmp_path, "hom.json", data)
+        assert main(["check-hom", src, tgt, hom]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError: ") and len(err.splitlines()) == 1
 
     def test_check_hom_witness_ignores_hash_seed(self, tmp_path):
         # String hashing changes with PYTHONHASHSEED; the witness must not.

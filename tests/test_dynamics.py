@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
 )
 from oracles import (
     all_stable_configs,
+    burning_order_by_sweeps,
     burning_script_by_fixed_point,
     det_by_permutation_expansion,
     stabilize_by_random_schedule,
@@ -100,6 +103,21 @@ class TestStabilize:
                 assert stabilize_by_random_schedule(g, c, random.Random(seed)) == reference
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBurning:
     def test_square_cone_recurrent(self):
         g = cone(hypercube(2))
@@ -120,8 +138,8 @@ class TestBurning:
     def test_certificate_replays_to_itself(self):
         g = cone(cycle_graph(5))
         c = (2, 1, 2, 1, 2)
-        ok, order = is_recurrent_burning(g, c)
-        assert ok
+        assert is_recurrent_burning(g, c) == (True, (1,) * 5)
+        order = burning_order_by_sweeps(g, c)
         lap = reduced_laplacian(g)
         work = [x + b for x, b in zip(c, g.sink_mult)]
         for v in order:
@@ -136,6 +154,32 @@ class TestBurning:
     def test_unstable_is_not_recurrent(self):
         g = cone(k2())
         assert is_recurrent_burning(g, (5, 0)) == (False, None)
+
+    def test_disconnected_graph_is_never_recurrent(self):
+        # {a, b} has no path to the sink: a stable configuration never burns
+        # there, and an unstable one would topple forever.
+        g = SinkedGraph(
+            build_multigraph(["a", "b", "c", "s"], [("a", "b", 1), ("c", "s", 1)]), "s"
+        )
+        assert g.nonsink_order == ("a", "b", "c")
+        with _time_limit(5):
+            for c in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)):
+                assert is_recurrent_burning(g, c) == (False, None)
+                assert not SandpileGroup(g).is_recurrent(c)
+
+    def test_agrees_with_sweep_oracle(self):
+        rng = random.Random(47)
+        graphs = [random_sinked_graph(rng, rng.randint(2, 5)) for _ in range(40)]
+        graphs += [random_sinked_digraph(rng, rng.randint(1, 4)) for _ in range(40)]
+        graphs += [thick_k2_cone(r, t) for r in range(1, 8) for t in range(1, 8)]
+        for g in graphs:
+            sigma = burning_script_by_fixed_point(g)[0]
+            group = SandpileGroup(g)
+            for c in all_stable_configs(g.out_degrees):
+                recurrent = burning_order_by_sweeps(g, c) is not None
+                assert is_recurrent_burning(g, c) == ((True, sigma) if recurrent
+                                                      else (False, None))
+                assert group.is_recurrent(c) == recurrent
 
 
 class TestSpeerBurning:
@@ -177,8 +221,9 @@ class TestSpeerBurning:
 
     def test_digraph_certificate_replays_to_itself(self):
         g = thick_k2_cone(2, 7)
-        ok, order = is_recurrent_burning(g, (2, 7))
-        assert ok and sorted(order) == ["v1"] * 3 + ["v2"]
+        assert is_recurrent_burning(g, (2, 7)) == (True, (3, 1))
+        order = burning_order_by_sweeps(g, (2, 7))
+        assert sorted(order) == ["v1"] * 3 + ["v2"]
         lap = reduced_laplacian(g)
         work = [x + b for x, b in zip((2, 7), burning_script(g)[1])]
         for v in order:
@@ -227,6 +272,24 @@ class TestOrbit:
 
         with pytest.raises(OrbitTooLarge):
             SandpileGroup(cone(hypercube(3)), orbit_guard=10).recurrents()
+
+    def test_guard_answers_alike_warm_and_cold(self, monkeypatch):
+        # The guard applies on every call, to a cached set too, and a new
+        # guard keeps the cached group with its factorization and identity.
+        from sandpiles import dynamics
+
+        monkeypatch.setattr(dynamics, "_group_cache", {})
+        g = cone(hypercube(2))
+        with pytest.raises(OrbitTooLarge):
+            recurrent_orbit(g, 5)
+        group = sandpile_group(g)
+        assert len(recurrent_orbit(g)) == 45
+        with pytest.raises(OrbitTooLarge):
+            recurrent_orbit(g, 5)
+        assert len(recurrent_orbit(g, 45)) == 45
+        assert sandpile_group(g, 10**7) is group and group.orbit_guard == 10**7
+        with pytest.raises(OrbitTooLarge):
+            recurrent_orbit(g, 44)
 
     def test_guard_floor_is_exact_on_point_cones(self):
         # Every stable configuration of a point cone is recurrent, so the

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import burning_order_by_sweeps
 from sandpiles.dynamics import (
     RecurrentConfig,
     is_recurrent_burning,
@@ -73,8 +74,8 @@ class TestBoxConfig:
         lap = reduced_laplacian(prod)
         a = (2, 1, 2)
         b = (1, 0)
-        _, order_a = is_recurrent_burning(ctx.cone_g, a)
-        _, order_b = is_recurrent_burning(ctx.cone_h, b)
+        order_a = burning_order_by_sweeps(ctx.cone_g, a)
+        order_b = burning_order_by_sweeps(ctx.cone_h, b)
         vec = ctx.box(a, b)
         work = [x + s for x, s in zip(vec, prod.sink_mult)]
         for v_h in order_b:
