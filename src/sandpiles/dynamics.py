@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -191,11 +192,12 @@ class SandpileGroup:
     the group exponent, modulo which the Smith diagonal of L is taken.  The
     number of steps is the rank, so a singular L is factored once, refused
     with its free rank, and refused again on every later query.  Only
-    recurrents() enumerates the recurrent set, through the toppling kernel
-    that stabilize and the burning test use, and certifies it by its size
-    |det L|.  Its orbit_guard refuses first on the floor prod(out_v - e_v)
-    that the identity e gives, before any factorization, and only then on
-    |det L|, on every call.
+    recurrents() enumerates the recurrent set: a chain of cosets of the
+    subgroups <e_0, ..., e_v>, one chip addition per recurrent through the
+    toppling kernel that stabilize and the burning test use, certified by
+    its size |det L|.  Its orbit_guard refuses first on the floor
+    prod(out_v - e_v) that the identity e gives, before any factorization,
+    and only then on |det L|, on every call.
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -272,16 +274,28 @@ class SandpileGroup:
         return _passes_burning(self.graph, values, self._script)
 
     def recurrents(self) -> frozenset[Chips]:
-        """The recurrent set: closure of the maximal stable configuration
-        m = out - 1 under adding one chip and stabilizing.
+        """The recurrent set, enumerated as a chain of cosets of K.
+
+        Adding a chip at v and stabilizing acts on the recurrents as the
+        class of e_v, and these classes generate K (Dhar 1990).  So from the
+        maximal stable configuration m = out - 1 the chain grows the coset
+        m + <e_0, ..., e_{v-1}> into m + <e_0, ..., e_v> by h_v - 1 copies
+        of itself, each one chip at v from the last.  The index
+        h_v = [<e_0, ..., e_v> : <e_0, ..., e_{v-1}>], the v-th diagonal
+        entry of the column Hermite normal form of L^T, is found on the
+        way: m plus h_v chips at v is the first step that lands back in the
+        old coset.  The cosets are disjoint, so each recurrent is made once,
+        by one chip addition.  A chip added below out_v - 1 leaves the
+        configuration stable; any other topples from that vertex alone,
+        through the kernel stabilize uses.
 
         Recurrents form an up-set of the stable box, so the identity e alone
         shows |K| >= prod(out_v - e_v); the guard refuses on that floor,
         which needs no factorization, before it reads |det L|, on every
-        call.  A chip added below out_v - 1 leaves the configuration stable;
-        any other topples from that vertex alone, through the kernel
-        stabilize uses.  The set is certified by its size, |det L|, and
-        enumeration stops as soon as it finds more.
+        call.  The set is certified by its size: every element is m plus
+        chips, stabilized, hence recurrent, and |det L| distinct ones are
+        all of them.  Enumeration runs through every vertex, and refuses as
+        soon as one more coset would pass |det L|, before the set does.
         """
         guard = self.orbit_guard
         out = self.graph.out_degrees
@@ -298,24 +312,34 @@ class SandpileGroup:
         if self._recurrents is None:
             adj = self.graph.adjacency()
             m = tuple(d - 1 for d in out)
+            # After step v, chain lists the coset m + <e_0, ..., e_v> of K, and
+            # chain[k * base] is m plus k chips at v, stabilized.
+            chain = [m]
             seen = {m}
-            queue = deque([m])
-            while queue:
-                c = queue.popleft()
-                for v, cv in enumerate(c):
-                    if cv < m[v]:
+            for v, top in enumerate(m):
+                base = len(chain)
+                i = 0
+                while True:
+                    c = chain[i]
+                    cv = c[v]
+                    if cv < top:
                         nxt = c[:v] + (cv + 1,) + c[v + 1:]
                     else:
                         w = list(c)
                         w[v] = cv + 1
                         _topple(w, out, adj, (v,))
                         nxt = tuple(w)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        if len(seen) > size:
+                    if i % base == 0:
+                        # The first element of the next coset: back in the
+                        # old ones after h_v steps, or one more coset.
+                        if nxt in seen:
+                            break
+                        if len(chain) + base > size:
                             raise ValidationFailed(
                                 f"recurrent orbit has more than {size} elements")
-                        queue.append(nxt)
+                    chain.append(nxt)
+                    i += 1
+                seen.update(islice(chain, base, None))
             if len(seen) != size:
                 raise ValidationFailed(f"recurrent orbit has {len(seen)} elements, not {size}")
             self._recurrents = frozenset(seen)

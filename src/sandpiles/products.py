@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .dynamics import Chips, RecurrentConfig, is_recurrent_burning, sandpile_group
-from .errors import ContextMismatch, ValidationFailed
+from .errors import ContextMismatch, NonPositiveMultiplicity, ValidationFailed
 from .graphs import Multigraph, SinkedGraph, cartesian_product, cone
 
 
@@ -22,6 +22,10 @@ class BoxContext:
     g: Multigraph
     h: Multigraph
     n: int = 1
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise NonPositiveMultiplicity(f"cone needs n >= 1, got {self.n}")
 
     @cached_property
     def product(self) -> Multigraph:

@@ -4,7 +4,8 @@ Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
-toppling schedule, burning orders by greedy sweeps.
+toppling schedule, burning orders by greedy sweeps, recurrent sets by a
+breadth-first closure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
-from sandpiles.dynamics import sandpile_group
+from sandpiles.dynamics import sandpile_group, stabilize
 from sandpiles.graphs import Multigraph, SinkedGraph
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
 from sandpiles.morphisms import UniformHom, pullback_chips, pullback_config
@@ -264,6 +265,25 @@ def stabilize_by_random_schedule(
         c = [x - t for x, t in zip(c, rows[i])]
         firings[i] += 1
     return tuple(c), tuple(firings)
+
+
+def recurrents_by_closure(g: SinkedGraph) -> frozenset[tuple[int, ...]]:
+    """The recurrent set as the closure of the maximal stable configuration
+    under adding one chip at any vertex and stabilizing, breadth first, every
+    step through the public stabilize."""
+    m = tuple(d - 1 for d in g.out_degrees)
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for v in range(len(c)):
+                w, _ = stabilize(g, c[:v] + (c[v] + 1,) + c[v + 1:])
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def all_stable_configs(out_degrees):

@@ -373,6 +373,21 @@ class TestCliCommands:
         assert min(payload["box"]) < 0
         assert payload["recurrent"] is False
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("certify", [[], ["--certify"]])
+    def test_product_refuses_a_nonpositive_multiplicity(self, tmp_path, capsys, n, certify):
+        g = tmp_path / "c4.json"
+        h = tmp_path / "c3.json"
+        save_graph(cycle_graph(4), g)
+        save_graph(cycle_graph(3), h)
+        a = write(tmp_path, "a.json", "[1, 1, 1, 1]")
+        b = write(tmp_path, "b.json", "[1, 1, 1]")
+        assert main(["product", str(g), str(h), str(a), str(b), "--n", n, *certify]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonPositiveMultiplicity: ")
+        assert captured.err.count("\n") == 1
+
     def test_hypercube_structure(self, capsys):
         assert main(["hypercube", "--d", "2", "--k", "1", "--verify", "structure"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -22,6 +22,7 @@ from oracles import (
     burning_order_by_sweeps,
     burning_script_by_fixed_point,
     det_by_permutation_expansion,
+    recurrents_by_closure,
     stabilize_by_random_schedule,
 )
 import sandpiles.intlinalg as intlinalg
@@ -328,6 +329,28 @@ class TestOrbit:
         monkeypatch.setattr(SandpileGroup, "determinant", property(lambda self: 46))
         with pytest.raises(ValidationFailed, match="45 elements, not 46"):
             SandpileGroup(cone(hypercube(2))).recurrents()
+
+    def test_chain_runs_past_a_claimed_order_it_reaches_early(self, monkeypatch):
+        # K(cone Q_2) = Z_3 + Z_15: the first vertex's coset already has 15
+        # elements.  Stopping there would certify a wrong set; the next
+        # coset must be refused before it is enumerated.
+        monkeypatch.setattr(SandpileGroup, "determinant", property(lambda self: 15))
+        with pytest.raises(ValidationFailed, match="more than 15 elements"):
+            SandpileGroup(cone(hypercube(2))).recurrents()
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(cone(hypercube(3)), id="cube3"),
+        *(pytest.param(cone(cycle_graph(k)), id=f"cycle{k}") for k in range(6, 11)),
+        pytest.param(thick_k2_cone(1592, 1407), id="thick1592-1407"),
+    ])
+    def test_matches_closure_oracle(self, g):
+        assert SandpileGroup(g).recurrents() == recurrents_by_closure(g)
+
+    def test_matches_closure_oracle_on_random_digraphs(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            g = random_sinked_digraph(rng, rng.randint(1, 6))
+            assert SandpileGroup(g).recurrents() == recurrents_by_closure(g)
 
     @pytest.mark.parametrize("kind", ["graph", "digraph"])
     def test_matches_burning_filter_on_random_graphs(self, kind):

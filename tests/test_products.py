@@ -11,7 +11,7 @@ from sandpiles.dynamics import (
     is_recurrent_burning,
     sandpile_group,
 )
-from sandpiles.errors import ContextMismatch, ValidationFailed
+from sandpiles.errors import ContextMismatch, NonPositiveMultiplicity, ValidationFailed
 from sandpiles.graphs import build_multigraph, cone, cycle_graph, hypercube, k2
 from sandpiles.intlinalg import reduced_laplacian
 from sandpiles.products import BoxContext, embed_factor
@@ -43,6 +43,11 @@ class TestBoxConfig:
         ctx = BoxContext(k2(), k2())
         with pytest.raises(ContextMismatch):
             ctx.box((1,), (1, 0))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_multiplicity_refused(self, n):
+        with pytest.raises(NonPositiveMultiplicity, match=f"got {n}"):
+            BoxContext(k2(), k2(), n)
 
     def test_box_of_stable_is_stable(self):
         rng = random.Random(19)
