@@ -80,8 +80,10 @@ class StripeSubgroup:
 
     `elements` are the actual recurrent configurations (closed under the group
     law); `patterns` are the printed parameter-stripe vectors representing the
-    same classes.  For 1-cones the two lists coincide; for n-cones a pattern
-    need not be recurrent itself, only congruent to its element.
+    same classes.  A pattern need not be recurrent itself, only congruent to
+    its element, on 1-cones too; the two lists coincide only in the 1-cone
+    subgroups of `stripe_subgroup`, which replaces the patterns by the
+    elements.
     """
 
     graph: SinkedGraph
@@ -94,26 +96,9 @@ class StripeSubgroup:
     patterns: tuple[Chips, ...]
 
     @property
-    def order_matches(self) -> bool:
-        return self.order == self.expected_order
-
-    @property
     def odd_cone(self) -> bool:
         # The direct-sum decomposition claim needs an odd cone multiplicity.
         return self.n % 2 == 1
-
-    def to_dict(self) -> dict:
-        return {
-            "mask": list(self.mask),
-            "n": self.n,
-            "order": self.order,
-            "expected_order": self.expected_order,
-            "order_matches": self.order_matches,
-            "odd_cone": self.odd_cone,
-            "generator": list(self.generator),
-            "elements": [list(e) for e in self.elements],
-            "patterns": [list(p) for p in self.patterns],
-        }
 
 
 def _cyclic_powers(group: SandpileGroup, gen: Chips) -> list[Chips]:

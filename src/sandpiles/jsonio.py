@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import FormatError
 from .graphs import Digraph, Multigraph, SinkedGraph, build_digraph, build_multigraph
 from .intlinalg import IntMatrix
-from .morphisms import UniformHom, VertexMap, validate_hom
+from .morphisms import HOM_KINDS, UniformHom, VertexMap, validate_hom
 
 GRAPH_FORMAT = "sandpile-graph-v1"
 # A plain-text matrix entry: ASCII digits only, so neither an underscore nor
@@ -110,8 +110,8 @@ def load_hom(path: str | Path, source, target) -> UniformHom:
         kind = str(data["kind"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed hom file: {exc}") from exc
-    if kind not in ("uniform", "weak", "directed"):
-        raise FormatError(f'"kind" must be uniform, weak or directed, not {kind!r}')
+    if kind not in HOM_KINDS:
+        raise FormatError(f'"kind" must be one of {", ".join(HOM_KINDS)}, not {kind!r}')
     return validate_hom(VertexMap(source, target, mapping), subset, kind)
 
 

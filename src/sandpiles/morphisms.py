@@ -5,16 +5,20 @@ A validated homomorphism is the only way to obtain a UniformHom: every
 theorem hypothesis is enforced by the validator, so the induced maps never
 have to re-check them.
 
-verify_group_injection proves the paper's main theorem for one
-homomorphism: the pullback maps the target's relations into the source
-lattice, and the index of the source lattice in the lattice it spans
-together with the pulled-back unit vectors equals the order of the target
-group, so the induced map is injective.
+`pullback` is the one linear map behind every kind: each source coordinate
+copies the coordinate of its image, scaled by the degree over the
+complement of the subset for the uniform and weak kinds.  `induced_map`
+turns it into the map on recurrents, and verify_group_injection proves the
+paper's main theorem for one homomorphism: the pullback maps the target's
+relations into the source lattice, and the index of the source lattice in
+the lattice it spans together with the pulled-back unit vectors equals the
+order of the target group, so the induced map is injective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from typing import Mapping, Sequence
 
@@ -37,6 +41,8 @@ from .intlinalg import IntMatrix, cokernel_diagonal
 
 GraphLike = Multigraph | Digraph | SinkedGraph
 
+HOM_KINDS = ("uniform", "weak", "directed")
+
 
 def _vertices(g: GraphLike) -> tuple[str, ...]:
     return g.graph.vertices if isinstance(g, SinkedGraph) else g.vertices
@@ -51,9 +57,7 @@ def _undirected(g: GraphLike) -> Multigraph:
 
 def _arc_mult(g: GraphLike, u: str, v: str) -> int:
     """Arc multiplicity in the sandpile digraph view of g."""
-    if isinstance(g, SinkedGraph):
-        return g.arc_multiplicity(u, v)
-    if isinstance(g, Digraph):
+    if isinstance(g, (SinkedGraph, Digraph)):
         return g.arc_multiplicity(u, v)
     raise NotUndirected(
         "directed validation needs a digraph or a sinked graph to orient edges"
@@ -92,7 +96,7 @@ class UniformHom:
 
     vertex_map: VertexMap
     subset: frozenset[str]
-    kind: str  # "uniform" | "weak" | "directed"
+    kind: str  # one of HOM_KINDS
     degree: int | None
     surjective: bool
 
@@ -108,13 +112,6 @@ class UniformHom:
         return self.vertex_map(v)
 
 
-def _edges_within(g: GraphLike, u: str, others: Sequence[str], directed: bool) -> int:
-    if directed:
-        return sum(_arc_mult(g, u, w) for w in others if w != u)
-    base = _undirected(g)
-    return sum(base.multiplicity(u, w) for w in others if w != u)
-
-
 def validate_hom(
     vmap: VertexMap,
     subset: Sequence[str],
@@ -127,12 +124,17 @@ def validate_hom(
     identity-on-complement, stability, degree-count) with a witness, or
     NotSurjective when surjectivity is requested and a fiber is empty.
     """
-    if kind not in ("uniform", "weak", "directed"):
+    if kind not in HOM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    # One pair of multiplicities serves every clause: edges for the uniform
+    # and weak kinds, arcs of the sandpile digraph view for the directed one.
     directed = kind == "directed"
-    if not directed:
-        _undirected(vmap.source)
-        _undirected(vmap.target)
+    if directed:
+        src_mult = partial(_arc_mult, vmap.source)
+        tgt_mult = partial(_arc_mult, vmap.target)
+    else:
+        src_mult = _undirected(vmap.source).multiplicity
+        tgt_mult = _undirected(vmap.target).multiplicity
 
     src_vertices = _vertices(vmap.source)
     tgt_vertices = _vertices(vmap.target)
@@ -151,16 +153,13 @@ def validate_hom(
         raise NotSurjective(f"fiber over {empty!r} is empty")
 
     # fiber-size: all fibers over the subset share one cardinality (the degree).
+    # Directed fibers may differ, and then the map has no degree.
     sizes = {len(fibers[x]) for x in subset_order if fibers[x]}
-    degree: int | None
-    if directed:
-        degree = sizes.pop() if len(sizes) == 1 else None
-    else:
-        if len(sizes) > 1:
-            small = min(subset_order, key=lambda x: len(fibers[x]))
-            big = max(subset_order, key=lambda x: len(fibers[x]))
-            raise ClauseViolation("fiber-size", (small, len(fibers[small]), big, len(fibers[big])))
-        degree = sizes.pop() if sizes else 0
+    if len(sizes) > 1 and not directed:
+        small = min(subset_order, key=lambda x: len(fibers[x]))
+        big = max(subset_order, key=lambda x: len(fibers[x]))
+        raise ClauseViolation("fiber-size", (small, len(fibers[small]), big, len(fibers[big])))
+    degree = sizes.pop() if len(sizes) == 1 else (None if directed else 0)
 
     # identity-on-complement: the restriction away from the subset's fibers is a
     # multiplicity-preserving bijection onto the target complement.
@@ -171,17 +170,8 @@ def validate_hom(
         raise ClauseViolation("identity-on-complement", tuple(complement_src))
     for u in complement_src:
         for w in complement_src:
-            if u >= w:
-                continue
-            if directed:
-                same = _arc_mult(vmap.source, u, w) == _arc_mult(
-                    vmap.target, vmap(u), vmap(w)
-                ) and _arc_mult(vmap.source, w, u) == _arc_mult(vmap.target, vmap(w), vmap(u))
-            else:
-                same = _undirected(vmap.source).multiplicity(u, w) == _undirected(
-                    vmap.target
-                ).multiplicity(vmap(u), vmap(w))
-            if not same:
+            if u < w and any(src_mult(a, b) != tgt_mult(vmap(a), vmap(b))
+                             for a, b in ((u, w), (w, u))):
                 raise ClauseViolation("identity-on-complement", (u, w))
 
     # stability: fibers over the subset are independent sets (uniform kind only;
@@ -190,11 +180,8 @@ def validate_hom(
         for x in subset_order:
             members = fibers[x]
             for u in members:
-                if _edges_within(vmap.source, u, members, directed=False):
-                    w = next(
-                        w for w in members
-                        if w != u and _undirected(vmap.source).multiplicity(u, w)
-                    )
+                w = next((w for w in members if w != u and src_mult(u, w)), None)
+                if w is not None:
                     raise ClauseViolation("stability", (x, u, w))
 
     # degree-count: every u in a subset fiber sees exactly m_{x,y} edges (arcs)
@@ -202,13 +189,10 @@ def validate_hom(
     for x in subset_order:
         for u in fibers[x]:
             for y in tgt_vertices:
-                if y == x and kind != "directed":
+                if y == x and not directed:
                     continue
-                found = _edges_within(vmap.source, u, fibers[y], directed)
-                if directed:
-                    wanted = _arc_mult(vmap.target, x, y)
-                else:
-                    wanted = _undirected(vmap.target).multiplicity(x, y)
+                found = sum(src_mult(u, w) for w in fibers[y] if w != u)
+                wanted = tgt_mult(x, y)
                 if found != wanted:
                     raise ClauseViolation("degree-count", (u, y, found, wanted))
 
@@ -249,88 +233,60 @@ def _sinked(g: GraphLike, which: str) -> SinkedGraph:
     return g
 
 
-def _check_sinked_surjection(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
+def _pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
     """The checks every pullback needs: both graphs carry a sink, the map is
-    surjective, and the sink fiber is exactly the source sink."""
+    surjective and the sink fiber is exactly the source sink.  The uniform
+    and weak kinds also need the target sink outside the subset and a stable
+    target complement."""
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")
     if not hom.surjective:
         raise PreconditionViolated("homomorphism is not surjective")
     if hom.vertex_map.fiber(tgt.sink) != (src.sink,):
         raise PreconditionViolated("sink fiber must be exactly the source sink")
-    return src, tgt
-
-
-def _check_pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
-    src, tgt = _check_sinked_surjection(hom)
-    if tgt.sink in hom.subset:
-        raise PreconditionViolated("target sink must lie outside the subset")
-    complement = [x for x in tgt.graph.vertices if x not in hom.subset]
-    if not tgt.directed:
-        base = tgt.graph
+    if hom.kind != "directed":
+        if tgt.sink in hom.subset:
+            raise PreconditionViolated("target sink must lie outside the subset")
+        complement = [x for x in tgt.graph.vertices if x not in hom.subset]
         for i, x in enumerate(complement):
             for y in complement[i + 1 :]:
-                if base.multiplicity(x, y):
+                if tgt.graph.multiplicity(x, y):
                     raise PreconditionViolated("target complement is not a stable set")
     return src, tgt
 
 
-def pullback_config(hom: UniformHom, values: Sequence[int]) -> Chips:
-    """Pull a target configuration back along a uniform or weak homomorphism:
-    coordinates over the subset copy through, coordinates over the complement
-    are scaled by the degree."""
-    if hom.kind not in ("uniform", "weak"):
-        raise PreconditionViolated("pullback_config needs a uniform or weak homomorphism")
-    src, tgt = _check_pullback_preconditions(hom)
-    if len(values) != tgt.n_nonsink:
-        raise PreconditionViolated("configuration length does not match target")
+def pullback(hom: UniformHom, x: Sequence[int]) -> Chips:
+    """Pull a target chip vector back along hom: each source coordinate copies
+    the coordinate of its image, times the degree when the image lies outside
+    the subset (uniform and weak kinds; the directed kind copies plainly)."""
+    src, tgt = _pullback_preconditions(hom)
+    if len(x) != tgt.n_nonsink:
+        raise PreconditionViolated("vector length does not match target")
+    scale = 1 if hom.kind == "directed" else hom.degree
     out = []
     for v in src.nonsink_order:
         fv = hom(v)
-        x = values[tgt.nonsink_index(fv)]
-        out.append(x if fv in hom.subset else hom.degree * x)
+        value = x[tgt.nonsink_index(fv)]
+        out.append(value if fv in hom.subset else scale * value)
     return tuple(out)
 
 
-def pullback_recurrent(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
-    """Uniform homomorphisms send recurrents to recurrents; certify by burning."""
-    if hom.kind != "uniform":
-        raise PreconditionViolated("recurrence is preserved by the uniform kind only")
-    src, tgt = _check_pullback_preconditions(hom)
+def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
+    """The induced group map K(target) -> K(source) on recurrents.  A uniform
+    hom sends recurrents to recurrents, certified by burning; a weak one
+    needs the recurrent representative of the pullback.  Directed homs act
+    on chip vectors only, through `pullback`."""
+    if hom.kind == "directed":
+        raise PreconditionViolated("directed homs act on chip vectors; use pullback")
+    src, tgt = _pullback_preconditions(hom)
     if c.graph != tgt:
         raise PreconditionViolated("configuration lives on a different graph")
-    values = pullback_config(hom, c.values)
+    values = pullback(hom, c.values)
+    if hom.kind == "weak":
+        return sandpile_group(src).representative(values)
     if not is_recurrent_burning(src, values)[0]:
         raise PreconditionViolated("pullback of a recurrent failed the burning test")
     return RecurrentConfig(src, values, "burning")
-
-
-def pullback_representative(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
-    """Weak homomorphisms compose the raw pullback with the class representative."""
-    src, tgt = _check_pullback_preconditions(hom)
-    if c.graph != tgt:
-        raise PreconditionViolated("configuration lives on a different graph")
-    return sandpile_group(src).representative(pullback_config(hom, c.values))
-
-
-def pullback_chips(hom: UniformHom, x: Sequence[int]) -> Chips:
-    """Directed pullback: plain coordinate copy (no degree factor)."""
-    if hom.kind != "directed":
-        raise PreconditionViolated("pullback_chips needs a directed homomorphism")
-    src, tgt = _check_sinked_surjection(hom)
-    if len(x) != tgt.n_nonsink:
-        raise PreconditionViolated("vector length does not match target")
-    return tuple(x[tgt.nonsink_index(hom(v))] for v in src.nonsink_order)
-
-
-def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
-    """The public induced group map: direct pullback for uniform homs, pullback
-    followed by the recurrent representative for weak ones."""
-    if hom.kind == "uniform":
-        return pullback_recurrent(hom, c)
-    if hom.kind == "weak":
-        return pullback_representative(hom, c)
-    raise PreconditionViolated("directed homs act on chip vectors; use pullback_chips")
 
 
 # -- verification ----------------------------------------------------------------
@@ -361,11 +317,11 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     """Prove that the induced map K(target) -> K(source) is an injective group
     homomorphism, by one lattice index.
 
-    Let P be the pullback (pullback_config, or pullback_chips for the
-    directed kind).  P is linear, so it is a well-defined homomorphism on
-    classes once it sends every relation of the target into the source
-    lattice: for the directed kind P(L_tgt e_j) = L_src P(e_j) exactly, for
-    the uniform and weak kinds P(L_tgt e_j) has a witness in Im L_src^T.
+    Let P be `pullback`, the one linear map for every kind.  P is a
+    well-defined homomorphism on classes once it sends every relation of the
+    target into the source lattice: for the directed kind
+    P(L_tgt e_j) = L_src P(e_j) exactly, for the uniform and weak kinds
+    P(L_tgt e_j) has a witness in Im L_src^T.
     Its image is then generated by the classes of P(e_1), ..., P(e_n) and has
     order |K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, one cokernel
     diagonal modulo the source exponent; the map is injective exactly when
@@ -378,16 +334,15 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     g_src = sandpile_group(src)
     g_tgt = sandpile_group(tgt)
     directed = hom.kind == "directed"
-    pull = pullback_chips if directed else pullback_config
     l_src = g_src.reduced_laplacian
     n = tgt.n_nonsink
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    images = [pull(hom, u) for u in units]
+    images = [pullback(hom, u) for u in units]
 
     # Columns of L are its rows on the undirected graphs that the uniform
     # and weak kinds require, so one column lattice serves every kind.
     for column, image in zip(g_tgt.reduced_laplacian.transpose().entries, images):
-        relation = pull(hom, column)
+        relation = pullback(hom, column)
         if directed:
             held = relation == l_src.mul_vector(image)
         else:
@@ -406,7 +361,7 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     if hom.kind == "uniform":
         for u in units:
             rep = g_tgt.representative(u).values
-            if not g_src.is_recurrent(pullback_config(hom, rep)):
+            if not g_src.is_recurrent(pullback(hom, rep)):
                 return InjectionReport(False, image_order, False, witness=(rep,), note=note)
         recurrent_images = True
     return InjectionReport(image_order == g_tgt.order, image_order, recurrent_images, note=note)

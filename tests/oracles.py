@@ -18,7 +18,7 @@ from math import gcd, prod
 from sandpiles.dynamics import sandpile_group, stabilize
 from sandpiles.graphs import Multigraph, SinkedGraph
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
-from sandpiles.morphisms import UniformHom, pullback_chips, pullback_config
+from sandpiles.morphisms import UniformHom, pullback
 
 
 def det_by_permutation_expansion(a: IntMatrix) -> int:
@@ -304,16 +304,12 @@ def factor_by_trial_division(n: int) -> dict[int, int]:
     return factors
 
 
-def _pullback(hom: UniformHom):
-    return pullback_chips if hom.kind == "directed" else pullback_config
-
-
 def image_order_by_smith_form(hom: UniformHom) -> int:
     """|K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, both from the full
     Smith normal form with transforms instead of a modular diagonal."""
     lap = reduced_laplacian(hom.source)
     n = hom.target.n_nonsink
-    images = [_pullback(hom)(hom, [int(i == j) for i in range(n)]) for j in range(n)]
+    images = [pullback(hom, [int(i == j) for i in range(n)]) for j in range(n)]
     stacked = IntMatrix.from_rows(list(lap.transpose().entries) + images)
     return prod(smith_normal_form(lap).diagonal()) // prod(smith_normal_form(stacked).diagonal())
 
@@ -334,5 +330,4 @@ def image_order_by_enumeration(hom: UniformHom) -> int:
         cover = itertools.product(range(g_tgt.order), repeat=hom.target.n_nonsink)
     else:
         cover = g_tgt.recurrents()
-    pull = _pullback(hom)
-    return len({g_src.representative(pull(hom, c)).values for c in cover})
+    return len({g_src.representative(pullback(hom, c)).values for c in cover})

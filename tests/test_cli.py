@@ -9,10 +9,18 @@ from pathlib import Path
 import pytest
 
 import sandpiles
-from conftest import grid_cone
+from conftest import contracted_square, grid_cone, thick_triangle_target
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
-from sandpiles.graphs import build_multigraph, cone, cycle_graph, hypercube, k2, thick_k2_cone
+from sandpiles.graphs import (
+    build_multigraph,
+    cartesian_product,
+    cone,
+    cycle_graph,
+    hypercube,
+    k2,
+    thick_k2_cone,
+)
 from sandpiles.intlinalg import IntMatrix
 from sandpiles.jsonio import (
     dumps,
@@ -271,27 +279,36 @@ class TestCliCommands:
         assert main(["representative", str(square_cone), str(conf)]) == 0
         assert json.loads(capsys.readouterr().out)["representative"] == [2, 2, 2, 2]
 
-    def test_check_hom_pass(self, tmp_path, capsys):
-        from conftest import contracted_square, thick_triangle_target
-
+    @pytest.mark.parametrize(
+        "source, target, mapping, kind, degree, image_order",
+        [
+            (contracted_square(), thick_triangle_target(),
+             {"sG": "sH", "u2": "v2", "u3": "v3", "u4": "v2", "u5": "v3"}, "uniform", 2, 8),
+            # The projection of cone(C3 x K2) onto cone(C3), K = Z4 + Z4.
+            (cone(cartesian_product(cycle_graph(3), k2())), cone(cycle_graph(3)),
+             {"s": "s", **{f"({u},{v})": u for u in ("v1", "v2", "v3") for v in ("v1", "v2")}},
+             "weak", 2, 16),
+            # The collapse of the cone of the 3-leaf star onto thick_k2_cone(3, 1), K = Z5.
+            (cone(build_multigraph(["c", "l1", "l2", "l3"],
+                                   [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)])),
+             thick_k2_cone(3, 1), {"s": "s", "c": "v1", "l1": "v2", "l2": "v2", "l3": "v2"},
+             "directed", None, 5),
+        ],
+        ids=["uniform", "weak", "directed"],
+    )
+    def test_check_hom_pass(self, tmp_path, capsys, source, target, mapping, kind, degree,
+                            image_order):
         src = tmp_path / "src.json"
         tgt = tmp_path / "tgt.json"
-        save_graph(contracted_square(), src)
-        save_graph(thick_triangle_target(), tgt)
-        hom = write(
-            tmp_path,
-            "hom.json",
-            {
-                "map": {"sG": "sH", "u2": "v2", "u3": "v3", "u4": "v2", "u5": "v3"},
-                "subset_V": ["v2", "v3"],
-                "kind": "uniform",
-            },
-        )
+        save_graph(source, src)
+        save_graph(target, tgt)
+        subset = [x for x in target.graph.vertices if x != target.sink]
+        hom = write(tmp_path, "hom.json", {"map": mapping, "subset_V": subset, "kind": kind})
         assert main(["check-hom", str(src), str(tgt), str(hom), "--verify-injection"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["valid"] and payload["degree"] == 2
+        assert payload["valid"] and payload["kind"] == kind and payload["degree"] == degree
         injection = payload["injection"]
-        assert injection["passed"] and injection["image_order"] == 8
+        assert injection["passed"] and injection["image_order"] == image_order
         assert injection["mode"] == "lattice" and "checked_pairs" not in injection
 
     def test_check_hom_fail_exits_two(self, tmp_path, capsys):

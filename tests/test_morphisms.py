@@ -35,10 +35,7 @@ from sandpiles.morphisms import (
     induced_map,
     is_full_homomorphism,
     is_graph_homomorphism,
-    pullback_chips,
-    pullback_config,
-    pullback_recurrent,
-    pullback_representative,
+    pullback,
     validate_hom,
     verify_group_injection,
 )
@@ -233,8 +230,8 @@ class TestDegreeLaw:
 class TestPullback:
     def test_contraction_example(self):
         hom = contraction_hom()
-        assert pullback_config(hom, (0, 3)) == (0, 3, 0, 3)
-        assert pullback_config(hom, (1, 2)) == (1, 2, 1, 2)
+        assert pullback(hom, (0, 3)) == (0, 3, 0, 3)
+        assert pullback(hom, (1, 2)) == (1, 2, 1, 2)
 
     def test_identity_hom_pullback_is_identity(self):
         g = cone(cycle_graph(4))
@@ -244,12 +241,12 @@ class TestPullback:
             "uniform",
             require_surjective=True,
         )
-        assert pullback_config(hom, (1, 2, 0, 1)) == (1, 2, 0, 1)
+        assert pullback(hom, (1, 2, 0, 1)) == (1, 2, 0, 1)
 
     def test_identity_pullback_gives_source_identity(self):
         hom = contraction_hom()
         tgt_identity = sandpile_group(hom.target).identity
-        img = pullback_recurrent(hom, tgt_identity)
+        img = induced_map(hom, tgt_identity)
         assert img.values == sandpile_group(hom.source).identity.values
 
     def test_pullback_commutes_with_stabilization(self):
@@ -258,15 +255,15 @@ class TestPullback:
         tgt, src = hom.target, hom.source
         for _ in range(30):
             c = tuple(rng.randint(0, 2 * d) for d in tgt.out_degrees)
-            lhs = pullback_config(hom, stabilize(tgt, c)[0])
-            rhs = stabilize(src, pullback_config(hom, c))[0]
+            lhs = pullback(hom, stabilize(tgt, c)[0])
+            rhs = stabilize(src, pullback(hom, c))[0]
             assert lhs == rhs
 
     def test_recurrents_pull_back_to_recurrents(self):
         hom = contraction_hom()
         g_src = sandpile_group(hom.source)
         for c in sandpile_group(hom.target).recurrents():
-            img = pullback_recurrent(hom, RecurrentConfig(hom.target, c, "orbit"))
+            img = induced_map(hom, RecurrentConfig(hom.target, c, "orbit"))
             assert g_src.is_recurrent(img.values)
 
     def test_preconditions_enforced(self):
@@ -275,7 +272,7 @@ class TestPullback:
             VertexMap(g, g, {v: v for v in g.vertices}), g.vertices, "uniform"
         )
         with pytest.raises(PreconditionViolated):
-            pullback_config(hom, (0, 0, 0, 0))  # no sinks anywhere
+            pullback(hom, (0, 0, 0, 0))  # no sinks anywhere
 
 
 def blowup_draw(i: int) -> UniformHom:
@@ -343,39 +340,34 @@ class TestInjectionVerification:
         assert report.recurrent_images is (True if hom.kind == "uniform" else None)
 
     @pytest.mark.parametrize(
-        "make, pullback, factor, image_order",
+        "make, factor, image_order",
         [
-            (projection_hom, "pullback_config", 2, 4),  # K(target) = Z4 + Z4
-            (lambda: star_collapse_hom(), "pullback_chips", 5, 1),  # K(target) = Z5
+            (projection_hom, 2, 4),  # K(target) = Z4 + Z4
+            (lambda: star_collapse_hom(), 5, 1),  # K(target) = Z5
         ],
         ids=["weak", "directed"],
     )
-    def test_collapsing_pullback_is_refused(self, monkeypatch, make, pullback, factor, image_order):
+    def test_collapsing_pullback_is_refused(self, monkeypatch, make, factor, image_order):
         hom = make()
-        original = getattr(morphisms, pullback)
         monkeypatch.setattr(
-            morphisms, pullback, lambda h, x: tuple(factor * v for v in original(h, x))
+            morphisms, "pullback", lambda h, x: tuple(factor * v for v in pullback(h, x))
         )
         report = verify_group_injection(hom)
         assert not report.passed and report.image_order == image_order
         assert image_order < sandpile_group(hom.target).order
 
     @pytest.mark.parametrize(
-        "make, pullback",
-        [(contraction_hom, "pullback_config"),
-         (lambda: star_collapse_hom(), "pullback_chips")],
-        ids=["uniform", "directed"],
+        "make", [contraction_hom, lambda: star_collapse_hom()], ids=["uniform", "directed"]
     )
-    def test_pullback_off_the_lattice_is_refused(self, monkeypatch, make, pullback):
+    def test_pullback_off_the_lattice_is_refused(self, monkeypatch, make):
         hom = make()
-        original = getattr(morphisms, pullback)
 
         def shifted(h, x):
-            y = list(original(h, x))
+            y = list(pullback(h, x))
             y[0] += x[0]
             return tuple(y)
 
-        monkeypatch.setattr(morphisms, pullback, shifted)
+        monkeypatch.setattr(morphisms, "pullback", shifted)
         report = verify_group_injection(hom)
         assert not report.passed and report.image_order is None
         (relation,) = report.witness
@@ -387,10 +379,9 @@ class TestInjectionVerification:
         # lattice, but the directed kind needs P(L_tgt e_j) = L_src P(e_j).
         hom = star_collapse_hom()
         toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
-        original = morphisms.pullback_chips
         monkeypatch.setattr(
-            morphisms, "pullback_chips",
-            lambda h, x: tuple(a + x[0] * b for a, b in zip(original(h, x), toppling)),
+            morphisms, "pullback",
+            lambda h, x: tuple(a + x[0] * b for a, b in zip(pullback(h, x), toppling)),
         )
         report = verify_group_injection(hom)
         assert not report.passed and report.image_order is None
@@ -401,10 +392,9 @@ class TestInjectionVerification:
         # of the images can refuse this map.
         hom = contraction_hom()
         toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
-        original = morphisms.pullback_config
         monkeypatch.setattr(
-            morphisms, "pullback_config",
-            lambda h, x: tuple(a + b for a, b in zip(original(h, x), toppling)),
+            morphisms, "pullback",
+            lambda h, x: tuple(a + b for a, b in zip(pullback(h, x), toppling)),
         )
         report = verify_group_injection(hom)
         assert not report.passed
@@ -430,8 +420,8 @@ class TestWeakHoms:
         src_group = sandpile_group(hom.source)
         moved = 0
         for c in tgt_group.recurrents():
-            raw = pullback_config(hom, c)
-            rep = pullback_representative(hom, RecurrentConfig(hom.target, c, "orbit"))
+            raw = pullback(hom, c)
+            rep = induced_map(hom, RecurrentConfig(hom.target, c, "orbit"))
             assert src_group.is_recurrent(rep.values)
             assert src_group.congruent(raw, rep.values)
             if raw != rep.values:
@@ -463,33 +453,32 @@ class TestDirectedHoms:
     def test_pullback_chips_of_zero(self):
         hom = star_collapse_hom()
         assert hom.kind == "directed"
-        assert pullback_chips(hom, (0, 0)) == (0, 0, 0, 0)
+        assert pullback(hom, (0, 0)) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "perturb, message",
         [
-            (lambda h: dataclasses.replace(h, kind="uniform"), "needs a directed homomorphism"),
             (lambda h: _remapped(h, source=h.source.graph), "source graph carries no sink"),
             (lambda h: _remapped(h, target=h.target.graph), "target graph carries no sink"),
             (lambda h: dataclasses.replace(h, surjective=False), "not surjective"),
             (lambda h: _remapped(h, l1="s"), "sink fiber must be exactly the source sink"),
         ],
-        ids=["kind", "unsinked-source", "unsinked-target", "not-surjective", "sink-fiber"],
+        ids=["unsinked-source", "unsinked-target", "not-surjective", "sink-fiber"],
     )
     def test_pullback_chips_refusals(self, perturb, message):
         with pytest.raises(PreconditionViolated, match=message):
-            pullback_chips(perturb(star_collapse_hom()), (0, 0))
+            pullback(perturb(star_collapse_hom()), (0, 0))
 
     def test_pullback_chips_refuses_wrong_length(self):
         with pytest.raises(PreconditionViolated, match="vector length"):
-            pullback_chips(star_collapse_hom(), (0, 0, 0))
+            pullback(star_collapse_hom(), (0, 0, 0))
 
     def test_columns_pull_into_source_lattice(self):
         hom = star_collapse_hom()
         g_src = sandpile_group(hom.source)
         lap_t = sandpile_group(hom.target).reduced_laplacian.transpose()
         for row in lap_t.entries:
-            assert g_src.in_image(pullback_chips(hom, row)) is not None
+            assert g_src.in_image(pullback(hom, row)) is not None
 
     def test_directed_injection_reports(self):
         hom = star_collapse_hom()
@@ -498,6 +487,13 @@ class TestDirectedHoms:
         assert sandpile_group(hom.source).order % 5 == 0
 
     def test_induced_map_rejects_directed(self):
+        hom = star_collapse_hom()
+        identity = sandpile_group(thick_k2_cone(3, 1)).identity
+        assert identity.graph == hom.target
+        with pytest.raises(PreconditionViolated, match="directed homs act on chip vectors"):
+            induced_map(hom, identity)
+
+    def test_one_edge_collapse_is_uniform(self):
         star = build_multigraph(["c", "l1"], [("c", "l1", 1)])
         hom = bipartite_collapse_hom(star, (["c"], ["l1"]))
         assert hom.kind == "uniform"  # degrees agree here, so it is undirected
