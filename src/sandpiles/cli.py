@@ -4,13 +4,12 @@ Subcommands: group, stabilize, identity, recurrents, add, representative,
 check-hom, product, hypercube, snf.  Exit codes: 0 success, 1 input or
 validation error, 2 verification FAIL.  Output is deterministic JSON by
 default (sorted keys, big integers as decimal strings); --output text gives a
-human-readable fallback, and SANDPILES_OUTPUT sets the default.
+human-readable fallback.  The format is set by --output alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import cubes
@@ -198,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         choices=("json", "text"),
-        default=os.environ.get("SANDPILES_OUTPUT", "json"),
-        help="output format (env SANDPILES_OUTPUT sets the default)",
+        default="json",
+        help="output format (default json)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

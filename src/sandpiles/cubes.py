@@ -6,12 +6,17 @@ length d, and a stripe assigns one value to the vertices whose masked bit
 count is even and another to the odd ones.  The stripe with values
 (d, d - weight) generates a cyclic subgroup of order 2*weight + 1 in the
 sandpile group of the cone, and those subgroups decompose the whole group.
+
+The two maps behind the generators are the other layers' maps, not copies:
+the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
+subcube, and the subcube embedding is a `products.BoxContext` box with
+Q_d = Q_S box Q_{S^c}, certified by `products.box_class`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .dynamics import (
@@ -29,7 +34,6 @@ from .graphs import (
     hypercube_label,
     mask_int,
     subcube,
-    thick_k2_cone,
     thick_pair,
 )
 from .intlinalg import (
@@ -38,7 +42,8 @@ from .intlinalg import (
     elementary_divisors_of,
     reduced_laplacian,
 )
-from .morphisms import UniformHom, VertexMap, validate_hom
+from .morphisms import UniformHom, bipartite_collapse_hom
+from .products import BoxContext, box_class
 
 BitMask = tuple[int, ...]
 
@@ -114,16 +119,16 @@ def _cyclic_powers(group: SandpileGroup, gen: Chips) -> list[Chips]:
 
 def stripe_subgroup(d: int, mask: Sequence[int]) -> StripeSubgroup:
     """The stripe subgroup of cone_stripe_subgroup at n = 1, checked to be the
-    2*weight+1 stripes {stripe(r, t) + (d-weight)*1 : r = weight or
-    t = weight}; its generator is the stripe (d, d - weight), the identity
-    d*1 at weight 0."""
+    2*weight+1 closed-form powers thick_k2_power(weight, k) lifted through the
+    parity stripe and shifted by (d-weight)*1; its generator is the stripe
+    (d, d - weight), the identity d*1 at weight 0."""
     sub = cone_stripe_subgroup(d, 1, mask)
     w = _weight(sub.mask)
     shift = d - w
-    expected = set()
-    for r in range(w + 1):
-        expected.add(parity_stripe(d, sub.mask, w + shift, r + shift))
-        expected.add(parity_stripe(d, sub.mask, r + shift, w + shift))
+    expected = {
+        parity_stripe(d, sub.mask, *(v + shift for v in thick_k2_power(w, k)))
+        for k in range(2 * w + 1)
+    }
     if set(sub.elements) != expected:
         raise ValidationFailed(
             f"stripe powers {sorted(set(sub.elements))} differ from the stripe family"
@@ -142,20 +147,16 @@ def thick_k2_power(r: int, k: int) -> tuple[int, int]:
 
 def subcube_embed(d: int, mask: Sequence[int], values: Sequence[int], n: int = 1) -> Chips:
     """Box a configuration on the masked subcube's cone with the identity of the
-    complementary subcube's cone, interleaving coordinates back into the full
-    cube order."""
-    mask = tuple(mask)
+    complementary subcube's cone, Q_d = Q_S box Q_{S^c}, read back in cube
+    vertex order: cube vertex x is the product vertex (x & m, x & ~m)."""
     m = mask_int(mask)
-    comp = ((1 << d) - 1) ^ m
-    sub_members = [x for x in range(1 << d) if x & ~m == 0]
-    if len(values) != len(sub_members):
-        raise ValueError(f"expected {len(sub_members)} values, got {len(values)}")
-    comp_graph = cone(subcube(d, tuple(0 if mask[i] else 1 for i in range(d))), n)
-    comp_identity = sandpile_group(comp_graph).identity.values
-    sub_pos = {x: i for i, x in enumerate(sub_members)}
-    comp_pos = {x: i for i, x in enumerate(x for x in range(1 << d) if x & ~comp == 0)}
+    ctx = BoxContext(subcube(d, mask), subcube(d, tuple(1 - b for b in mask)), n)
+    if len(values) != ctx.g.n:
+        raise ValueError(f"expected {ctx.g.n} values, got {len(values)}")
+    boxed = ctx.box(values, sandpile_group(ctx.cone_h).identity.values)
+    label = [hypercube_label(x, d) for x in range(1 << d)]
     return tuple(
-        values[sub_pos[x & m]] + comp_identity[comp_pos[x & comp]]
+        boxed[ctx.index(ctx.g.index(label[x & m]), ctx.h.index(label[x & ~m]))]
         for x in range(1 << d)
     )
 
@@ -164,35 +165,21 @@ def subcube_embed_recurrent(
     d: int, mask: Sequence[int], c: RecurrentConfig | Sequence[int], n: int = 1
 ) -> RecurrentConfig:
     """The injective group map from the subcube cone into the full cube cone."""
-    values = c.values if isinstance(c, RecurrentConfig) else tuple(c)
-    vec = subcube_embed(d, mask, values, n)
-    graph = cube_cone(d, n)
-    if n == 1:
-        if not is_recurrent_burning(graph, vec)[0]:
-            raise ValidationFailed("embedded box of a recurrent failed the burning test")
-        return RecurrentConfig(graph, vec, "burning")
-    return sandpile_group(graph).representative(vec)
+    return box_class(cube_cone(d, n), subcube_embed(d, mask, tuple(c), n), n)
 
 
 def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
     """The surjective uniform homomorphism from the masked subcube's cone onto
     the thick two-vertex cone, v_x -> v1/v2 by masked parity, of degree
-    2^(weight-1)."""
-    mask = tuple(mask)
+    2^(weight-1): the bipartite collapse of the weight-regular subcube."""
     w = _weight(mask)
     if w == 0:
         raise ValueError("the collapse needs a nonzero mask")
-    m = mask_int(mask)
-    src = cone(subcube(d, mask), 1)
-    tgt = thick_k2_cone(w, w)
-    mapping = {}
-    for x in range(1 << d):
-        if x & ~m == 0:
-            mapping[hypercube_label(x, d)] = "v1" if x.bit_count() % 2 == 0 else "v2"
-    mapping[src.sink] = tgt.sink
-    hom = validate_hom(VertexMap(src, tgt, mapping), ["v1", "v2"], "uniform",
-                       require_surjective=True)
-    if hom.degree != 1 << max(w - 1, 0):
+    sub = subcube(d, mask)
+    hom = bipartite_collapse_hom(
+        sub, tuple([v for v in sub.vertices if v.count("1") % 2 == p] for p in (0, 1))
+    )
+    if hom.degree != 1 << (w - 1):
         raise ValidationFailed(f"collapse degree {hom.degree} != 2^{w - 1}")
     return hom
 
@@ -303,10 +290,7 @@ def verify_even_cone_counterexample() -> EvenConeReport:
     computed = group.structure.elementary_divisors
     formula_cyclic = (2, 4, 4, 6)
     formula_divisors = elementary_divisors_of(formula_cyclic)
-    order_formula = 1
-    for f in formula_cyclic:
-        order_formula *= f
-    orders_match = group.order == order_formula
+    orders_match = group.order == prod(formula_cyclic)
     passed = (
         computed == (3, 8, 8)
         and computed != formula_divisors

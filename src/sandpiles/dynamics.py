@@ -401,8 +401,7 @@ class SandpileGroup:
         a common factor g would give (k/g)(c-e) = L^T (y/g) with y/g
         integral, and without one no proper divisor of k annihilates.
         """
-        values = c.values if isinstance(c, RecurrentConfig) else tuple(c)
-        values = _check_vector(self.graph, values)
+        values = _check_vector(self.graph, tuple(c))
         e = self.identity.values
         diff = [a - b for a, b in zip(values, e)]
         k = self.solver.class_order(diff)

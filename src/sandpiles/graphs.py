@@ -312,7 +312,9 @@ def cartesian_product(g: Multigraph, h: Multigraph) -> Multigraph:
 
 
 def hypercube_label(x: int, d: int) -> str:
-    return "v" + "".join(str((x >> i) & 1) for i in range(d))
+    # The d bits of x, least significant first: the binary digits of
+    # x + 2^d read backwards, stopping before the leading 1.
+    return "v" + bin(x | 1 << d)[:2:-1]
 
 
 def hypercube(d: int) -> Multigraph:

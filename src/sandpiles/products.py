@@ -54,41 +54,38 @@ class BoxContext:
         return tuple(a[i] + b[j] for j in range(self.h.n) for i in range(self.g.n))
 
 
-def _as_values(c: RecurrentConfig | Sequence[int]) -> tuple[int, ...]:
-    return c.values if isinstance(c, RecurrentConfig) else tuple(c)
+def box_class(graph: SinkedGraph, vec: Chips, n: int) -> RecurrentConfig:
+    """The recurrent class of a boxed configuration on the n-cone `graph`.
+
+    At n = 1 a box of recurrents is recurrent outright, and the burning test
+    certifies it; for n > 1 it can be unstable, so the class representative
+    is taken instead.
+    """
+    if n == 1:
+        if not is_recurrent_burning(graph, vec)[0]:
+            raise ValidationFailed("box of recurrents failed the burning test")
+        return RecurrentConfig(graph, vec, "burning")
+    return sandpile_group(graph).representative(vec)
 
 
 def embed_factor(
     ctx: BoxContext, a: RecurrentConfig | Sequence[int], factor: str = "g"
 ) -> RecurrentConfig:
     """Injective group map from a factor cone into the product cone: box the
-    configuration with the identity of the other factor's cone.
+    configuration with the identity of the other factor's cone, `factor`
+    naming which of g and h the configuration lives on.
 
-    For 1-cones the box of recurrents is recurrent outright; for n > 1 the
-    box can be unstable, so the class representative is taken instead.  The
-    map is one of classes for every n: the other factor's Laplacian kills
-    constant vectors, so box(L^T y, 0) = L'^T box(y, 0), with L and L' the
-    reduced Laplacians of the factor cone and the product cone (likewise
+    The map is one of classes for every n: the other factor's Laplacian
+    kills constant vectors, so box(L^T y, 0) = L'^T box(y, 0), with L and L'
+    the reduced Laplacians of the factor cone and the product cone (likewise
     for factor h).  Congruent inputs therefore box to congruent vectors and
-    reach the same representative.
+    reach the same class, which box_class certifies.  A configuration of the
+    wrong length raises ContextMismatch from the box.
     """
-    values = _as_values(a)
     if factor == "g":
-        if len(values) != ctx.g.n:
-            raise ContextMismatch(f"expected length {ctx.g.n}, got {len(values)}")
-        other_identity = sandpile_group(ctx.cone_h).identity.values
-        vec = ctx.box(values, other_identity)
+        vec = ctx.box(tuple(a), sandpile_group(ctx.cone_h).identity.values)
     elif factor == "h":
-        if len(values) != ctx.h.n:
-            raise ContextMismatch(f"expected length {ctx.h.n}, got {len(values)}")
-        other_identity = sandpile_group(ctx.cone_g).identity.values
-        vec = ctx.box(other_identity, values)
+        vec = ctx.box(sandpile_group(ctx.cone_g).identity.values, tuple(a))
     else:
         raise ValueError("factor must be 'g' or 'h'")
-
-    if ctx.n == 1:
-        if not is_recurrent_burning(ctx.cone_product, vec)[0]:
-            raise ValidationFailed("box of recurrents failed the burning test")
-        return RecurrentConfig(ctx.cone_product, vec, "burning")
-    return sandpile_group(ctx.cone_product).representative(vec)
-
+    return box_class(ctx.cone_product, vec, ctx.n)

@@ -440,6 +440,11 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "identity:" in out
 
+    def test_output_is_set_by_the_flag_alone(self, square_cone, capsys, monkeypatch):
+        monkeypatch.setenv("SANDPILES_OUTPUT", "text")
+        assert main(["identity", str(square_cone)]) == 0
+        assert "identity" in json.loads(capsys.readouterr().out)
+
     def test_output_determinism(self, tmp_path, capsys):
         path = tmp_path / "c5.json"
         save_graph(cone(cycle_graph(5)), path)

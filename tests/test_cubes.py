@@ -226,6 +226,11 @@ class TestParityCollapse:
         assert sorted(hom.vertex_map.fiber("v1")) == ["v000", "v110"]
         assert sorted(hom.vertex_map.fiber("v2")) == ["v010", "v100"]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_mask_refused(self, d):
+        with pytest.raises(ValueError):
+            parity_collapse_hom(d, (0,) * d)
+
 
 class TestSubcubeEmbedding:
     def test_embedding_the_edge_generator_gives_the_stripe_generator(self):
@@ -243,6 +248,22 @@ class TestSubcubeEmbedding:
                         m = mask[0] + 2 * mask[1]
                         if (x & m) == (y & m):
                             assert vec[x] == vec[y]
+
+    def test_wrong_length_refused(self):
+        with pytest.raises(ValueError):
+            subcube_embed(2, (1, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("mask", all_masks(2))
+    def test_representative_branch_at_n_three(self, mask):
+        # n > 1: the box can be unstable, and the image is its representative
+        group = sandpile_group(cube_cone(2, 3))
+        recs = sandpile_group(cone(subcube(2, mask), 3)).recurrents()
+        images = set()
+        for c in recs:
+            image = subcube_embed_recurrent(2, mask, c, 3).values
+            assert image == group.representative(subcube_embed(2, mask, c, 3)).values
+            images.add(image)
+        assert len(images) == len(recs)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_pairwise_intersections(self, d):

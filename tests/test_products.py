@@ -132,6 +132,17 @@ class TestEmbedFactor:
         with pytest.raises(ValidationFailed):
             embed_factor(ctx, sandpile_group(ctx.cone_g).identity, "g")
 
+    @pytest.mark.parametrize("factor, length", [("g", 4), ("h", 1)])
+    def test_wrong_length_refused(self, factor, length):
+        ctx = BoxContext(k3(), k2())
+        with pytest.raises(ContextMismatch):
+            embed_factor(ctx, (1,) * length, factor)
+
+    def test_unknown_factor_refused(self):
+        ctx = BoxContext(k3(), k2())
+        with pytest.raises(ValueError):
+            embed_factor(ctx, (1, 1, 1), factor="x")
+
     def test_injective_on_pentagon(self):
         ctx = BoxContext(cycle_graph(5), k2())
         recs = sorted(sandpile_group(ctx.cone_g).recurrents())
