@@ -16,6 +16,7 @@ Q_d = Q_S box Q_{S^c}, certified by `products.box_class`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, prod
 from typing import Sequence
 
@@ -145,20 +146,30 @@ def thick_k2_power(r: int, k: int) -> tuple[int, int]:
     return (r, j) if odd else (r - j, r)
 
 
+@lru_cache(maxsize=64)
+def _embed_context(d: int, mask: BitMask, n: int) -> tuple[BoxContext, Chips, tuple[int, ...]]:
+    """The box context of Q_d = Q_S box Q_{S^c}, the identity of the
+    complementary subcube's cone, and the product index of each cube vertex
+    x, the product vertex (x & m, x & ~m); built once per (d, mask, n)."""
+    m = mask_int(mask)
+    ctx = BoxContext(subcube(d, mask), subcube(d, tuple(1 - b for b in mask)), n)
+    label = [hypercube_label(x, d) for x in range(1 << d)]
+    order = tuple(
+        ctx.index(ctx.g.index(label[x & m]), ctx.h.index(label[x & ~m]))
+        for x in range(1 << d)
+    )
+    return ctx, sandpile_group(ctx.cone_h).identity.values, order
+
+
 def subcube_embed(d: int, mask: Sequence[int], values: Sequence[int], n: int = 1) -> Chips:
     """Box a configuration on the masked subcube's cone with the identity of the
     complementary subcube's cone, Q_d = Q_S box Q_{S^c}, read back in cube
-    vertex order: cube vertex x is the product vertex (x & m, x & ~m)."""
-    m = mask_int(mask)
-    ctx = BoxContext(subcube(d, mask), subcube(d, tuple(1 - b for b in mask)), n)
+    vertex order."""
+    ctx, identity, order = _embed_context(d, tuple(mask), n)
     if len(values) != ctx.g.n:
         raise ValueError(f"expected {ctx.g.n} values, got {len(values)}")
-    boxed = ctx.box(values, sandpile_group(ctx.cone_h).identity.values)
-    label = [hypercube_label(x, d) for x in range(1 << d)]
-    return tuple(
-        boxed[ctx.index(ctx.g.index(label[x & m]), ctx.h.index(label[x & ~m]))]
-        for x in range(1 << d)
-    )
+    boxed = ctx.box(values, identity)
+    return tuple(boxed[i] for i in order)
 
 
 def subcube_embed_recurrent(

@@ -188,8 +188,9 @@ class SandpileGroup:
     graphs and digraphs alike.  Lattice queries come from one cached
     LatticeSolver, an exact LU of L^T as one list of elimination steps that
     each query replays on its vector: the determinant, congruence and
-    membership witnesses, element orders and, for the structure, |det L| and
-    the group exponent, modulo which the Smith diagonal of L is taken.  The
+    membership witnesses, element orders and, for the structure, |det L|,
+    the probed exponent E and the core its unit steps leave, whose Smith
+    diagonal is taken modulo the smaller of E and |det L|/E.  The
     number of steps is the rank, so a singular L is factored once, refused
     with its free rank, and refused again on every later query.  Only
     recurrents() enumerates the recurrent set: a chain of cosets of the

@@ -8,11 +8,12 @@ rank, so a singular L is refused with its free rank; otherwise it gives
 det L, and replaying it on a vector v gives delta * (L^T)^-1 v with
 |delta| = |det L|, behind witnesses and class orders.  The other is one
 Smith pivot-and-clear loop, _smith_eliminate.  Run modulo a multiple of the
-group exponent, it gives the Smith diagonal of every cokernel; the exponent
-comes from the class orders of two fixed vectors and is certified by the
-product of the diagonal.  Run over the integers on a matrix bordered by
-identities, it gives the Smith normal form with transforms of the `snf`
-command.
+group exponent, it gives the Smith diagonal of every cokernel.  For the
+group structure it runs on the core the LU's unit steps leave, modulo the
+smaller of E and |det|/E, with E the lcm of the class orders of two fixed
+vectors; the product of the diagonal certifies the answer.  Run over the
+integers on a matrix bordered by identities, it gives the Smith normal form
+with transforms of the `snf` command.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm, prod
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import InfiniteCokernel, ValidationFailed
 from .graphs import AnyGraph, Digraph, Multigraph, SinkedGraph
@@ -161,9 +163,17 @@ class _LU:
     stay minors of B.  A column with no nonzero left is skipped, so
     len(steps) is the rank of B.  delta, the last Bareiss pivot, satisfies
     |delta| = |det B| (1 without Bareiss steps, 0 when B is singular).
+
+    core() is the Schur complement the unit steps leave: the rows and columns
+    not yet pivoted when the Bareiss steps start (all of B below
+    _UNIT_PHASE_MIN rows, none when every pivot is a unit).  Unit steps are
+    unimodular row operations, after which the pivoted rows and columns form
+    a triangular block with +-1 diagonal and the other rows are zero in the
+    pivoted columns.  So B ~ diag(I, core), and the Smith diagonal of the
+    core is that of B less leading ones.
     """
 
-    __slots__ = ("steps", "delta", "determinant")
+    __slots__ = ("steps", "delta", "determinant", "_core")
 
     def __init__(self, m: Sequence[Sequence[int]]):
         n = len(m)
@@ -216,6 +226,9 @@ class _LU:
                                 elif not z:
                                     count[j] -= 1
                     steps.append((r, c, p, True, elim, urow))
+        # The rows left, copied before the Bareiss steps change them; their
+        # entries in the columns left are the core.
+        self._core = ([rows[r][:] for r in active], cols)
         # Columns are taken in order, so a Bareiss pivot adds inversions
         # only by its row.
         prev = 1
@@ -245,6 +258,11 @@ class _LU:
         else:
             self.delta = prev
             self.determinant = -prev if parity % 2 else prev
+
+    def core(self) -> IntMatrix:
+        rows, cols = self._core
+        entries = tuple(tuple(row[c] for c in cols) for row in rows)
+        return IntMatrix(len(rows), len(cols), entries)
 
     def solve(self, v: Sequence[int]) -> list[int]:
         """delta * B^-1 v; exact, and needs delta != 0.
@@ -558,32 +576,50 @@ def _factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def _probe_vectors(n: int) -> list[list[int]]:
-    """Two fixed vectors with entries in [-8, 8], from a linear congruential
+# Probe vectors that invariant_factors tries, past the first two, before an
+# r route short of the exponent falls back to the modulus-|det| pass.  A
+# probe misses a prime p of the exponent with chance about 1/p and costs one
+# class order: 25 ms at 150 rows on a 2-core VM, where that pass took 18 s.
+_MORE_PROBES = 8
+
+
+def _probe_vectors(n: int) -> Iterator[list[int]]:
+    """Fixed vectors with entries in [-8, 8], from a linear congruential
     sequence."""
     x = 1
-    probes = []
-    for _ in range(2):
+    while True:
         v = []
         for _ in range(n):
             x = (1103515245 * x + 12345) % 2**31
             v.append(x % 17 - 8)
-        probes.append(v)
-    return probes
+        yield v
 
 
 def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
     """Cokernel structure of a square nonsingular integer matrix, or of the
     matrix a LatticeSolver was built from (its LU is then reused).
 
-    |det| comes from the solver's LU.  The Smith diagonal of the matrix
-    itself is taken modulo m, the lcm of the class orders of two fixed
-    vectors (Eberly-Giesbrecht-Villard 2000), which divides the exponent of
-    the cokernel G; when m is close to |det| (m^2 > |det|), |det| is used.
-    Elimination modulo m yields G/mG, so the product of the diagonal equals
-    |det| exactly when m is a multiple of the exponent.  If it falls short by
-    r, m * r is one (its p-adic valuation is mu + sum (a_i - mu)^+ >= max
-    a_i for each prime p), and one more pass with it must give |det|.
+    |det| comes from the solver's LU, and the Smith diagonal is taken of
+    the core its unit steps leave, since A^T ~ diag(I, core) (_LU).  E, the
+    lcm of the class orders of two fixed vectors (Eberly-Giesbrecht-Villard
+    2000), divides the exponent d_n of the cokernel G.  Elimination modulo m
+    yields G/mG, the orders gcd(d_i, m).
+    - r = |det|/E = 1: E = |det| is the exponent, so G is cyclic and no
+      elimination runs.
+    - E^2 <= |det|: the core is eliminated modulo E.  The product equals
+      |det| exactly when E is a multiple of the exponent.  If it falls short
+      by s, E * s is one (its p-adic valuation is mu + sum (a_i - mu)^+ >=
+      max a_i for each prime p), and one more pass with it must give |det|.
+    - E^2 > |det|: the core is eliminated modulo the smaller r, its last
+      order is dropped and E appended.  Since prod_{i<n} gcd(d_i, r) <=
+      |det|/d_n and E <= d_n, the product equals |det| only when E = d_n,
+      and then every d_i with i < n divides d_1 ... d_{n-1} = r.  E divides
+      d_n, so r is a multiple of d_1 ... d_{n-1} and the orders kept are
+      d_1, ..., d_{n-1} even when E falls short: up to _MORE_PROBES further
+      class orders are folded into E until it reaches |det| over their
+      product.  If none gets there, one pass modulo |det| runs (scaling r
+      need not reach a multiple of the exponent).
+    A product other than |det| after these passes raises ValidationFailed.
     """
     if isinstance(a, LatticeSolver):
         solver = a
@@ -592,15 +628,28 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
     else:
         solver = LatticeSolver(a)
     order = abs(solver.determinant)
-    modulus = lcm(*(solver.class_order(x) for x in _probe_vectors(solver.a.rows)))
-    if modulus * modulus > order:
-        modulus = order
-    diag = cokernel_diagonal(solver.a, modulus)
-    found = prod(diag)
-    if found != order and order % found == 0:
-        diag = cokernel_diagonal(solver.a, modulus * (order // found))
+    probes = _probe_vectors(solver.a.rows)
+    e = lcm(*(solver.class_order(x) for x in islice(probes, 2)))
+    r = order // e
+    if r == 1:
+        return GroupStructure((order,) if order > 1 else ())
+    core = solver._lu.core()
+    if e * e > order:
+        diag = cokernel_diagonal(core, r)[:-1]
+        exponent = order // prod(diag)
+        for x in islice(probes, _MORE_PROBES):
+            if e == exponent:
+                break
+            e = lcm(e, solver.class_order(x))
+        diag += (e,)
+        if prod(diag) != order:
+            diag = cokernel_diagonal(core, order)
+    else:
+        diag = cokernel_diagonal(core, e)
         found = prod(diag)
-    if found != order:
+        if found != order and order % found == 0:
+            diag = cokernel_diagonal(core, e * (order // found))
+    if prod(diag) != order:
         raise ValidationFailed("invariant factors do not multiply to |det|")
     return GroupStructure(tuple(x for x in diag if x != 1))
 

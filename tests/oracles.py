@@ -5,7 +5,7 @@ determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
 toppling schedule, burning orders by greedy sweeps, recurrent sets by a
-breadth-first closure.
+breadth-first closure, subcube embeddings by bit arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from sandpiles.dynamics import sandpile_group, stabilize
-from sandpiles.graphs import Multigraph, SinkedGraph
+from sandpiles.graphs import Multigraph, SinkedGraph, cone, subcube
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
 from sandpiles.morphisms import UniformHom, pullback
 
@@ -331,3 +331,20 @@ def image_order_by_enumeration(hom: UniformHom) -> int:
     else:
         cover = g_tgt.recurrents()
     return len({g_src.representative(pullback(hom, c)).values for c in cover})
+
+
+def subcube_embeddings_by_bits(d: int, mask, configs, n: int = 1) -> list[tuple[int, ...]]:
+    """Each configuration on the masked subcube's n-cone boxed with the
+    identity of the complementary subcube's n-cone, in cube vertex order, by
+    bit arithmetic instead of labels: cube vertex x takes the entry at x & m
+    among the submasks of m in increasing order (the subcube's vertex
+    order), plus the identity's entry at x & ~m among the submasks of ~m."""
+    m = sum(b << i for i, b in enumerate(mask))
+    full = (1 << d) - 1
+    sub = {x: i for i, x in enumerate(x for x in range(1 << d) if x & ~m == 0)}
+    comp = {x: i for i, x in enumerate(x for x in range(1 << d) if x & m == 0)}
+    identity = sandpile_group(cone(subcube(d, [1 - b for b in mask]), n)).identity.values
+    return [
+        tuple(c[sub[x & m]] + identity[comp[x & ~m & full]] for x in range(1 << d))
+        for c in configs
+    ]

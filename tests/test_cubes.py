@@ -5,7 +5,8 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import matmul
+from oracles import matmul, subcube_embeddings_by_bits
+import sandpiles.cubes as cubes
 from sandpiles.cubes import (
     all_masks,
     cone_stripe_subgroup,
@@ -252,6 +253,26 @@ class TestSubcubeEmbedding:
     def test_wrong_length_refused(self):
         with pytest.raises(ValueError):
             subcube_embed(2, (1, 0), (1, 0, 0))
+
+    def test_context_is_built_once(self, monkeypatch):
+        built = []
+
+        def spy(d, mask):
+            built.append(tuple(mask))
+            return subcube(d, mask)
+
+        cubes._embed_context.cache_clear()
+        monkeypatch.setattr(cubes, "subcube", spy)
+        c = (2, 1, 0, 2, 2, 1, 0, 2)
+        assert subcube_embed(4, (1, 0, 1, 1), c) == subcube_embed(4, (1, 0, 1, 1), c)
+        assert sorted(built) == [(0, 1, 0, 0), (1, 0, 1, 1)]
+
+    @pytest.mark.parametrize("mask, n", [((1, 0, 1, 1), 1), ((0, 1, 1, 0), 3)])
+    def test_matches_bit_oracle_on_every_recurrent(self, mask, n):
+        recs = sorted(sandpile_group(cone(subcube(4, mask), n)).recurrents())
+        assert [subcube_embed(4, mask, c, n) for c in recs] == subcube_embeddings_by_bits(
+            4, mask, recs, n
+        )
 
     @pytest.mark.parametrize("mask", all_masks(2))
     def test_representative_branch_at_n_three(self, mask):

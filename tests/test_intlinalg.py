@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from oracles import (
 )
 import sandpiles.intlinalg as intlinalg
 from sandpiles.cubes import parity_collapse_hom, verify_decomposition
-from sandpiles.dynamics import sandpile_group
+from sandpiles.dynamics import SandpileGroup, sandpile_group
 from sandpiles.errors import InfiniteCokernel, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
@@ -234,6 +234,24 @@ class TestDeterminant:
                 assert determinant(lap) == trees
 
 
+def _spy_passes(monkeypatch) -> list[tuple[int, int]]:
+    """Record the rows and the modulus of every cokernel_diagonal call."""
+    passes = []
+    diagonal = intlinalg.cokernel_diagonal
+
+    def recorded(b, modulus):
+        passes.append((b.rows, modulus))
+        return diagonal(b, modulus)
+
+    monkeypatch.setattr(intlinalg, "cokernel_diagonal", recorded)
+    return passes
+
+
+def _probe_exponent(solver: LatticeSolver) -> int:
+    probes = intlinalg._probe_vectors(solver.a.rows)
+    return lcm(solver.class_order(next(probes)), solver.class_order(next(probes)))
+
+
 class TestInvariantFactors:
     def test_prism_cone(self):
         from sandpiles.graphs import cartesian_product
@@ -289,19 +307,12 @@ class TestInvariantFactors:
     def test_short_modulus_is_rescued(self, monkeypatch):
         a = reduced_laplacian(cone(hypercube(3)))
         expected = invariant_factors(a)
-        moduli = []
-        diagonal = intlinalg.cokernel_diagonal
-
-        def recorded(b, modulus):
-            moduli.append(modulus)
-            return diagonal(b, modulus)
-
-        monkeypatch.setattr(intlinalg, "cokernel_diagonal", recorded)
+        passes = _spy_passes(monkeypatch)
         # 3 divides the exponent 105 but is no multiple of it: G/3G = Z_3^3
         # falls short of |det| = 23625 by 875, and 3 * 875 is a multiple.
         monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: 3)
         assert invariant_factors(a) == expected
-        assert moduli == [3, 3 * 875]
+        assert [m for _, m in passes] == [3, 3 * 875]
 
     def test_corrupted_rescue_is_caught(self, monkeypatch):
         a = reduced_laplacian(cone(hypercube(3)))
@@ -337,6 +348,116 @@ class TestInvariantFactors:
                 for sink in g.vertices
             }
             assert len(seen) == 1
+
+
+class TestCoreDiagonal:
+    """invariant_factors eliminates only the core that the LU's unit steps
+    leave, modulo the smaller of E and |det|/E; the reference is the Smith
+    diagonal of the whole matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_cube_cones(self, d, n, monkeypatch):
+        a = reduced_laplacian(cone(hypercube(d), n))
+        solver = LatticeSolver(a)
+        order = abs(solver.determinant)
+        passes = _spy_passes(monkeypatch)
+        factors = invariant_factors(solver).invariant_factors
+        monkeypatch.undo()
+        # Only the core is eliminated: half the rows from d = 4 up.
+        assert {rows for rows, _ in passes} <= {a.rows if d < 4 else a.rows // 2}
+        # At d = 8 a modulus-|det| pass on the 256 rows takes seconds, so the
+        # reference is taken modulo the exponent, which presents the same
+        # diagonal (cokernel_diagonal).
+        reference = cokernel_diagonal(a, order if d < 8 else factors[-1])
+        assert factors == tuple(x for x in reference if x != 1)
+        if d >= 3:
+            # Not the r route: the first pass is modulo E (at d = 8, n = 2
+            # the probes miss a factor 6 of the exponent, so a rescue follows).
+            e = _probe_exponent(solver)
+            assert e * e <= order
+            assert passes[0][1] == e
+
+    @pytest.mark.parametrize("kind", ["unit-rich", "empty core"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_rich_matrices(self, kind, data):
+        a = data.draw({"unit-rich": unit_rich_matrices,
+                       "empty core": permuted_unit_triangular()}[kind])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intlinalg, "_UNIT_PHASE_MIN", 1)
+            if determinant(a) == 0:
+                with pytest.raises(InfiniteCokernel):
+                    invariant_factors(a)
+                return
+            solver = LatticeSolver(a)
+        if kind == "empty core":
+            assert solver._lu.core().rows == 0
+        reference = cokernel_diagonal(a, abs(solver.determinant))
+        assert invariant_factors(solver).invariant_factors == tuple(
+            x for x in reference if x != 1
+        )
+
+    def test_nearly_cyclic_random_graphs(self, monkeypatch):
+        rng = random.Random(7)
+        routes = set()
+        for n in (30 + 50 * i // 29 for i in range(30)):
+            a = reduced_laplacian(random_sinked_graph(rng, n))
+            solver = LatticeSolver(a)
+            order = abs(solver.determinant)
+            e = _probe_exponent(solver)
+            passes = _spy_passes(monkeypatch)
+            factors = invariant_factors(solver).invariant_factors
+            monkeypatch.undo()
+            reference = cokernel_diagonal(a, order)
+            assert factors == tuple(x for x in reference if x != 1)
+            if e == order:
+                routes.add("cyclic")
+                assert passes == []
+            else:
+                # One pass modulo r, also where the first two probes miss
+                # part of the exponent and further probes make it up.
+                assert e * e > order
+                routes.add("r" if e == factors[-1] else "r, more probes")
+                assert [m for _, m in passes] == [order // e]
+        assert routes == {"cyclic", "r", "r, more probes"}
+
+    def test_short_exponent_on_the_r_route_falls_back(self, monkeypatch):
+        # Z_2 + Z_48: E = 16 divides 48 and 16^2 > 96 = |det|, so the core is
+        # eliminated modulo r = 6.  That gives Z_2 + Z_6; its last order
+        # replaced by 16 multiplies to 32.  No further probe raises E, so the
+        # modulus-|det| pass runs.
+        a = reduced_laplacian(contracted_square())
+        passes = _spy_passes(monkeypatch)
+        probed = []
+        monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: probed.append(x) or 16)
+        assert invariant_factors(a).invariant_factors == (2, 48)
+        assert passes == [(4, 6), (4, 96)]
+        assert len(probed) == 2 + intlinalg._MORE_PROBES
+
+    def test_corrupted_fallback_is_caught(self, monkeypatch):
+        a = reduced_laplacian(contracted_square())
+        diagonal = intlinalg.cokernel_diagonal
+        first = []
+
+        def repeat_first(b, modulus):
+            if not first:
+                first.append(diagonal(b, modulus))
+            return first[0]
+
+        monkeypatch.setattr(intlinalg, "cokernel_diagonal", repeat_first)
+        monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: 16)
+        with pytest.raises(ValidationFailed):
+            invariant_factors(a)
+
+    def test_random_graph_at_150_vertices(self):
+        # The envelope: the structure of a 150-vertex random multigraph, LU
+        # included.  Its group is Z_2 + Z_N with N of 1067 bits, so one pass
+        # modulo |det| alone would take about 20 s.
+        start = time.perf_counter()
+        structure = SandpileGroup(random_sinked_graph(random.Random(150), 150)).structure
+        assert time.perf_counter() - start < 10
+        assert [x.bit_length() for x in structure.invariant_factors] == [2, 1067]
 
 
 class TestElementaryDivisorsOnRead:
