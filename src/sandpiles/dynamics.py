@@ -7,7 +7,8 @@ vector is one stabilization: add a lattice vector that lifts it above the
 maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
 burning test (Dhar's on undirected graphs, Speer's on digraphs) decides
 recurrence on both kinds of graph, and it is one stabilization too.  A
-single toppling kernel runs every stabilization and recurrent enumeration.
+single toppling kernel runs every stabilization; the recurrent enumeration
+adds one chip at a time and runs each avalanche from that chip inline.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     GraphMismatch,
@@ -71,17 +72,16 @@ def _require_global_sink(graph: SinkedGraph) -> None:
         raise NoGlobalSink("graph is disconnected; stabilization need not terminate")
 
 
-def _topple(c: list[int], out: Sequence[int], adj, start: Iterable[int]) -> list[int]:
-    """Topple c in place until stable, seeding the queue with the unstable
-    vertices of start; returns the firing vector.
+def _topple(c: list[int], out: Sequence[int], adj) -> list[int]:
+    """Topple c in place until stable; returns the firing vector.
 
     The schedule processes a FIFO queue and batches repeated topplings of
     the same vertex; by the abelian property every schedule gives the same
-    result.  Vertices outside start must already be stable.
+    result.
     """
     n = len(c)
     firings = [0] * n
-    queue = deque(i for i in start if c[i] >= out[i])
+    queue = deque(i for i in range(n) if c[i] >= out[i])
     queued = [False] * n
     for i in queue:
         queued[i] = True
@@ -107,7 +107,7 @@ def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
     """Topple until stable; returns (stable, firings) with c - L^T f = stable."""
     _require_global_sink(graph)
     c = _check_vector(graph, values)
-    firings = _topple(c, graph.out_degrees, graph.adjacency(), range(len(c)))
+    firings = _topple(c, graph.out_degrees, graph.adjacency())
     return tuple(c), tuple(firings)
 
 
@@ -159,7 +159,7 @@ def _passes_burning(
         return False
     sigma, beta = script
     c = [x + b for x, b in zip(c, beta)]
-    return _topple(c, graph.out_degrees, graph.adjacency(), range(len(c))) == list(sigma)
+    return _topple(c, graph.out_degrees, graph.adjacency()) == list(sigma)
 
 
 def is_recurrent_burning(
@@ -194,9 +194,9 @@ class SandpileGroup:
     number of steps is the rank, so a singular L is factored once, refused
     with its free rank, and refused again on every later query.  Only
     recurrents() enumerates the recurrent set: a chain of cosets of the
-    subgroups <e_0, ..., e_v>, one chip addition per recurrent through the
-    toppling kernel that stabilize and the burning test use, certified by
-    its size |det L|.  Its orbit_guard refuses first on the floor
+    subgroups <e_0, ..., e_v>, one chip addition per recurrent, each a
+    plain increment or an avalanche from that one chip, certified by its
+    size |det L|.  Its orbit_guard refuses first on the floor
     prod(out_v - e_v) that the identity e gives, before any factorization,
     and only then on |det L|, on every call.
     """
@@ -287,8 +287,9 @@ class SandpileGroup:
         way: m plus h_v chips at v is the first step that lands back in the
         old coset.  The cosets are disjoint, so each recurrent is made once,
         by one chip addition.  A chip added below out_v - 1 leaves the
-        configuration stable; any other topples from that vertex alone,
-        through the kernel stabilize uses.
+        configuration stable; any other starts an avalanche from v alone.
+        Each copy is built from the last in one pass, and only its first
+        element is looked up among the old coset.
 
         Recurrents form an up-set of the stable box, so the identity e alone
         shows |K| >= prod(out_v - e_v); the guard refuses on that floor,
@@ -313,33 +314,50 @@ class SandpileGroup:
         if self._recurrents is None:
             adj = self.graph.adjacency()
             m = tuple(d - 1 for d in out)
-            # After step v, chain lists the coset m + <e_0, ..., e_v> of K, and
-            # chain[k * base] is m plus k chips at v, stabilized.
+            # After step v, chain lists the coset m + <e_0, ..., e_v> of K as
+            # copies of m + <e_0, ..., e_{v-1}>, the k-th one k chips at v
+            # from the first.
             chain = [m]
             seen = {m}
             for v, top in enumerate(m):
+
+                def add_chip(c: Chips) -> Chips:
+                    """c plus a chip at v, stabilized: below top a plain
+                    increment, at top an avalanche from v.  A vertex is
+                    pushed when its count crosses out_j, so it is on the
+                    stack at most once, and it fires all it can at once.
+                    Only v starts unstable and no firing vector is read, so
+                    this skips the queue setup and firings of _topple."""
+                    if c[v] < top:
+                        return c[:v] + (c[v] + 1,) + c[v + 1:]
+                    w = list(c)
+                    w[v] = top + 1
+                    stack = [v]
+                    while stack:
+                        u = stack.pop()
+                        ou = out[u]
+                        k = w[u] // ou
+                        w[u] -= k * ou
+                        for j, mult in adj[u]:
+                            cj = w[j]
+                            w[j] = nj = cj + k * mult
+                            if cj < out[j] <= nj:
+                                stack.append(j)
+                    return tuple(w)
+
                 base = len(chain)
-                i = 0
+                copy = chain
                 while True:
-                    c = chain[i]
-                    cv = c[v]
-                    if cv < top:
-                        nxt = c[:v] + (cv + 1,) + c[v + 1:]
-                    else:
-                        w = list(c)
-                        w[v] = cv + 1
-                        _topple(w, out, adj, (v,))
-                        nxt = tuple(w)
-                    if i % base == 0:
-                        # The first element of the next coset: back in the
-                        # old ones after h_v steps, or one more coset.
-                        if nxt in seen:
-                            break
-                        if len(chain) + base > size:
-                            raise ValidationFailed(
-                                f"recurrent orbit has more than {size} elements")
-                    chain.append(nxt)
-                    i += 1
+                    # The first element of the next copy: back in the old
+                    # coset after h_v copies, or one more coset.
+                    first = add_chip(copy[0])
+                    if first in seen:
+                        break
+                    if len(chain) + base > size:
+                        raise ValidationFailed(
+                            f"recurrent orbit has more than {size} elements")
+                    copy = [first, *map(add_chip, copy[1:])]
+                    chain += copy
                 seen.update(islice(chain, base, None))
             if len(seen) != size:
                 raise ValidationFailed(f"recurrent orbit has {len(seen)} elements, not {size}")

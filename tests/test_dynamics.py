@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     contracted_square,
     grid_cone,
+    random_connected_multigraph,
     random_sinked_digraph,
     random_sinked_graph,
     wired_grid,
@@ -342,9 +343,21 @@ class TestOrbit:
         pytest.param(cone(hypercube(3)), id="cube3"),
         *(pytest.param(cone(cycle_graph(k)), id=f"cycle{k}") for k in range(6, 11)),
         pytest.param(thick_k2_cone(1592, 1407), id="thick1592-1407"),
+        pytest.param(cone(hypercube(2), 3), id="cube2n3"),
+        pytest.param(cone(hypercube(2), 5), id="cube2n5"),
+        pytest.param(cone(cycle_graph(6), 3), id="cycle6n3"),
     ])
     def test_matches_closure_oracle(self, g):
         assert SandpileGroup(g).recurrents() == recurrents_by_closure(g)
+
+    def test_matches_closure_oracle_on_random_multigraph_cones(self):
+        # Parallel edges carry a neighbour past its out-degree by several
+        # chips in one firing, and up to six vertices give long avalanches.
+        rng = random.Random(53)
+        for k in (3, 4, 5, 6):
+            for _ in range(5):
+                g = cone(random_connected_multigraph(rng, k, 3))
+                assert SandpileGroup(g).recurrents() == recurrents_by_closure(g)
 
     def test_matches_closure_oracle_on_random_digraphs(self):
         rng = random.Random(47)
