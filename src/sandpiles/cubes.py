@@ -5,7 +5,9 @@ Bit masks play the role of coordinate subsets: a mask is a 0/1 tuple of
 length d, and a stripe assigns one value to the vertices whose masked bit
 count is even and another to the odd ones.  The stripe with values
 (d, d - weight) generates a cyclic subgroup of order 2*weight + 1 in the
-sandpile group of the cone, and those subgroups decompose the whole group.
+sandpile group of the cone, and those subgroups decompose the whole group;
+`verify_decomposition` proves it at every d with one certified order per
+weight, since the coordinate permutations of Q_d permute the stripes.
 
 The two maps behind the generators are the other layers' maps, not copies:
 the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
@@ -53,10 +55,6 @@ def cube_cone(d: int, n: int = 1) -> SinkedGraph:
     return cone(hypercube(d), n)
 
 
-def _weight(mask: Sequence[int]) -> int:
-    return sum(mask)
-
-
 def parity_stripe(d: int, mask: Sequence[int], even_value: int, odd_value: int) -> Chips:
     """Vector over the 2^d cube vertices: even_value where the masked bit count
     is even, odd_value where it is odd."""
@@ -72,7 +70,7 @@ def parity_stripe(d: int, mask: Sequence[int], even_value: int, odd_value: int) 
 def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     """The stripe (d, d - weight): a recurrent configuration of the cube cone
     generating a cyclic subgroup of order 2*weight + 1 (order 1 for mask 0)."""
-    w = _weight(mask)
+    w = sum(mask)
     values = parity_stripe(d, mask, d, d - w)
     graph = cube_cone(d)
     if not is_recurrent_burning(graph, values)[0]:
@@ -124,7 +122,7 @@ def stripe_subgroup(d: int, mask: Sequence[int]) -> StripeSubgroup:
     parity stripe and shifted by (d-weight)*1; its generator is the stripe
     (d, d - weight), the identity d*1 at weight 0."""
     sub = cone_stripe_subgroup(d, 1, mask)
-    w = _weight(sub.mask)
+    w = sum(sub.mask)
     shift = d - w
     expected = {
         parity_stripe(d, sub.mask, *(v + shift for v in thick_k2_power(w, k)))
@@ -183,7 +181,7 @@ def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
     """The surjective uniform homomorphism from the masked subcube's cone onto
     the thick two-vertex cone, v_x -> v1/v2 by masked parity, of degree
     2^(weight-1): the bipartite collapse of the weight-regular subcube."""
-    w = _weight(mask)
+    w = sum(mask)
     if w == 0:
         raise ValueError("the collapse needs a nonzero mask")
     sub = subcube(d, mask)
@@ -209,7 +207,7 @@ def cone_stripe_subgroup(d: int, n: int, mask: Sequence[int]) -> StripeSubgroup:
     decomposition claim needs n odd.
     """
     mask = tuple(mask)
-    w = _weight(mask)
+    w = sum(mask)
     graph = cube_cone(d, n)
     group = sandpile_group(graph)
     if w == 0:
@@ -312,12 +310,14 @@ def verify_even_cone_counterexample() -> EvenConeReport:
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """K(cone(Q_d)) = (+)_S <s_S> as `verify_decomposition` proves it, with no
+    element enumerated; `stripe_orders[w - 1]` is the order at weight w."""
+
     d: int
     passed: bool
     lattice_diagonal: tuple[int, ...]
-    element_level: bool
-    distinct_sums: int | None
-    expected_sums: int | None
+    stripe_orders: tuple[int, ...]
+    element_level = False
 
     def to_dict(self) -> dict:
         return {
@@ -326,8 +326,7 @@ class DecompositionReport:
             "passed": self.passed,
             "lattice_diagonal": list(self.lattice_diagonal),
             "element_level": self.element_level,
-            "distinct_sums": self.distinct_sums,
-            "expected_sums": self.expected_sums,
+            "stripe_orders": list(self.stripe_orders),
         }
 
 
@@ -347,35 +346,31 @@ def decomposition_rows(d: int) -> IntMatrix:
 
 
 def verify_decomposition(d: int, max_d: int = 8) -> DecompositionReport:
-    """Check that topplings plus stripe generators span the full integer lattice
-    (Smith diagonal all ones) and, at d <= 3, that summing one element from
-    each stripe subgroup produces only distinct recurrents (at d = 4 that
-    would be |K| ~ 2.7e10 sums)."""
+    """Prove K = (+)_S <s_S> over the nonempty S, with |<s_S>| = 2|S| + 1.
+
+    Generation: the toppling rows stacked with the stripes have Smith
+    diagonal all ones.  Orders: a coordinate permutation pi of Q_d is an
+    automorphism of the cone that fixes the sink and carries s_S to
+    s_pi(S), so a stripe of weight w has the order of the one on the first
+    w coordinates, certified recurrent by burning and of order 2w + 1 by a
+    witness solve.  Directness: prod_w (2w + 1)^C(d, w) = |K|, so
+    |K| <= prod_S ord(s_S) = |K| and (+)_S <s_S> -> K is a bijection.
+    """
     if not 1 <= d <= max_d:
         raise OutOfRange(f"need 1 <= d <= {max_d}")
-    element_level = d <= 3
     group = sandpile_group(cube_cone(d))
     # The rows include L, whose row lattice contains e * Z^(2^d) for the
     # exponent e of K(cone(Q_d)), its largest invariant factor.
     exponent = max(group.structure.invariant_factors, default=1)
     diag = cokernel_diagonal(decomposition_rows(d), exponent)
     lattice_ok = len(diag) == 1 << d and all(x == 1 for x in diag)
-
-    distinct = expected = None
-    elements_ok = True
-    if element_level:
-        sums = {group.identity.values}
-        expected = 1
-        for mask in all_masks(d):
-            sub = stripe_subgroup(d, mask)
-            expected *= sub.order
-            sums = {group.add_values(s, el) for s in sums for el in sub.elements}
-        distinct = len(sums)
-        elements_ok = distinct == expected == group.order
-
-    return DecompositionReport(
-        d, lattice_ok and elements_ok, diag, element_level, distinct, expected
+    orders = tuple(
+        group.element_order(stripe_generator(d, (1,) * w + (0,) * (d - w)))
+        for w in range(1, d + 1)
     )
+    passed = (lattice_ok and orders == tuple(range(3, 2 * d + 2, 2))
+              and prod(o ** comb(d, w) for w, o in enumerate(orders, 1)) == group.order)
+    return DecompositionReport(d, passed, diag, orders)
 
 
 @dataclass(frozen=True)

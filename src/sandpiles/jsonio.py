@@ -4,8 +4,8 @@ Graph files carry the version tag "sandpile-graph-v1"; vertex order in the
 file is authoritative.  Parsers reject loops and unknown labels, and take
 multiplicities, configuration entries and JSON matrix entries and
 dimensions only as JSON integers: a fraction or a boolean is refused, never
-rounded or read as 0 and 1.  Plain-text matrix entries are ASCII decimal
-integers.
+rounded or read as 0 and 1.  Lists are JSON arrays, labels JSON strings.
+Plain-text matrix entries are ASCII decimal integers.  Files are UTF-8.
 """
 
 from __future__ import annotations
@@ -26,12 +26,31 @@ GRAPH_FORMAT = "sandpile-graph-v1"
 _TEXT_INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _json_int(x, what: str) -> int:
-    """x if it is a JSON integer, else FormatError.  JSON true and false load
-    as bools, which Python counts as ints, so they are refused by name."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise FormatError(f"{what} must be a JSON integer, not {json.dumps(x)}")
+def _json(x, kind: type, what: str):
+    """x if it is a JSON bool, int, str or list as kind says, else FormatError;
+    Python counts bools as ints, so only kind bool takes true and false."""
+    if isinstance(x, bool) != (kind is bool) or not isinstance(x, kind):
+        name = {bool: "boolean", int: "integer", str: "string", list: "array"}[kind]
+        raise FormatError(f"{what} must be a JSON {name}, not {json.dumps(x)}")
     return x
+
+
+def _labels(xs, what: str) -> list[str]:
+    return [_json(x, str, "vertex label") for x in _json(xs, list, what)]
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _load_json(path: str | Path):
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def graph_to_dict(g: Multigraph | Digraph | SinkedGraph) -> dict:
@@ -56,26 +75,21 @@ def graph_from_dict(data: dict) -> Multigraph | Digraph | SinkedGraph:
     if data.get("format") != GRAPH_FORMAT:
         raise FormatError(f'graph file must carry "format": "{GRAPH_FORMAT}"')
     try:
-        directed = data["directed"]
-        vertices = [str(v) for v in data["vertices"]]
-        edges = [(str(u), str(v), _json_int(m, "edge multiplicity")) for u, v, m in data["edges"]]
+        directed = _json(data["directed"], bool, '"directed"')
+        vertices = _labels(data["vertices"], '"vertices"')
+        edges = [(*_labels([u, v], "edge"), _json(m, int, "edge multiplicity"))
+                 for u, v, m in _json(data["edges"], list, '"edges"')]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph file: {exc}") from exc
-    if not isinstance(directed, bool):
-        raise FormatError(f'"directed" must be true or false, not {json.dumps(directed)}')
     graph = build_digraph(vertices, edges) if directed else build_multigraph(vertices, edges)
     sink = data.get("sink")
     if sink is None:
         return graph
-    return SinkedGraph(graph, str(sink))
+    return SinkedGraph(graph, _json(sink, str, '"sink"'))
 
 
 def load_graph(path: str | Path) -> Multigraph | Digraph | SinkedGraph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(_load_json(path))
 
 
 def save_graph(g, path: str | Path) -> None:
@@ -87,26 +101,20 @@ def config_to_list(values: Sequence[int]) -> list[int]:
 
 
 def load_config(path: str | Path) -> tuple[int, ...]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    data = _load_json(path)
     if not isinstance(data, list):
         raise FormatError("configuration file must hold a JSON integer array")
-    return tuple(_json_int(x, "configuration entry") for x in data)
+    return tuple(_json(x, int, "configuration entry") for x in data)
 
 
 def load_hom(path: str | Path, source, target) -> UniformHom:
     """Parse and validate a homomorphism file against already-loaded graphs."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise FormatError("hom file must hold a JSON object")
     try:
-        mapping = {str(k): str(v) for k, v in data["map"].items()}
-        subset = [str(x) for x in data["subset_V"]]
+        mapping = {k: _json(v, str, "vertex label") for k, v in data["map"].items()}
+        subset = _labels(data["subset_V"], '"subset_V"')
         kind = str(data["kind"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed hom file: {exc}") from exc
@@ -121,27 +129,23 @@ def matrix_to_dict(a: IntMatrix) -> dict:
 
 def load_matrix(path: str | Path) -> IntMatrix:
     """JSON {"rows","cols","entries"} or plain text rows of integers."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-            entries = [[_json_int(x, "matrix entry") for x in row] for row in data["entries"]]
+            entries = [[_json(x, int, "matrix entry") for x in row] for row in data["entries"]]
             a = IntMatrix.from_rows(entries)
-            if (a.rows != _json_int(data["rows"], '"rows"')
-                    or a.cols != _json_int(data["cols"], '"cols"')):
+            if (a.rows != _json(data["rows"], int, '"rows"')
+                    or a.cols != _json(data["cols"], int, '"cols"')):
                 raise FormatError("matrix dimensions disagree with entries")
             return a
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FormatError(f"malformed matrix file: {exc}") from exc
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in filter(str.strip, text.splitlines()):
         tokens = line.split()
         if not all(_TEXT_INT.fullmatch(tok) for tok in tokens):
-            raise FormatError(f"malformed matrix row {line!r}")
+            raise FormatError(f"malformed matrix row {line.strip()!r}")
         rows.append([int(tok) for tok in tokens])
     if not rows:
         raise FormatError("empty matrix file")

@@ -5,7 +5,8 @@ determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
 toppling schedule, burning orders by greedy sweeps, recurrent sets by a
-breadth-first closure, subcube embeddings by bit arithmetic.
+breadth-first closure, subcube embeddings by bit arithmetic, the stripe
+decomposition by summing one element of every stripe subgroup.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+from sandpiles.cubes import all_masks, cube_cone, stripe_subgroup
 from sandpiles.dynamics import sandpile_group, stabilize
 from sandpiles.graphs import Multigraph, SinkedGraph, cone, subcube
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
@@ -270,20 +272,39 @@ def stabilize_by_random_schedule(
 def recurrents_by_closure(g: SinkedGraph) -> frozenset[tuple[int, ...]]:
     """The recurrent set as the closure of the maximal stable configuration
     under adding one chip at any vertex and stabilizing, breadth first, every
-    step through the public stabilize."""
-    m = tuple(d - 1 for d in g.out_degrees)
+    step that reaches an out-degree through the public stabilize (a chip
+    added below it leaves the configuration stable)."""
+    out = g.out_degrees
+    m = tuple(d - 1 for d in out)
     seen = {m}
     frontier = [m]
     while frontier:
         nxt = []
         for c in frontier:
             for v in range(len(c)):
-                w, _ = stabilize(g, c[:v] + (c[v] + 1,) + c[v + 1:])
+                w = c[:v] + (c[v] + 1,) + c[v + 1:]
+                if w[v] >= out[v]:
+                    w, _ = stabilize(g, w)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
     return frozenset(seen)
+
+
+def direct_sum_by_enumeration(d: int) -> tuple[int, int]:
+    """(distinct sums, tuples summed) over every choice of one element from
+    each stripe subgroup of cone(Q_d), each sum formed by the group law.
+    Both equal |K| exactly when K is the direct sum of the stripe subgroups.
+    Meant for d <= 3: at d = 4 there would be |K| ~ 2.7e10 sums."""
+    group = sandpile_group(cube_cone(d))
+    sums = {group.identity.values}
+    tuples = 1
+    for mask in all_masks(d):
+        elements = stripe_subgroup(d, mask).elements
+        tuples *= len(elements)
+        sums = {group.add_values(s, el) for s in sums for el in elements}
+    return len(sums), tuples
 
 
 def all_stable_configs(out_degrees):

@@ -128,6 +128,30 @@ class TestGraphFiles:
         assert "error: FormatError: edge multiplicity must be a JSON integer, not 2.7" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("field, value", [
+        ("vertices", "v1v2s"),
+        ("vertices", ["v1", "v2", 0]),
+        ("edges", "v1"),
+        ("edges", [["v1", "v2", 1], ["v1", ["s"], 1], ["v2", "s", 1]]),
+        ("edges", [["v1", "v2", 1], [1, "s", 1], ["v2", "s", 1]]),
+        ("sink", 0),
+        ("sink", ["s"]),
+    ])
+    def test_rejects_labels_that_are_not_json_strings(self, field, value):
+        data = graph_to_dict(cone(k2()))
+        data[field] = value
+        with pytest.raises(FormatError):
+            graph_from_dict(data)
+
+    def test_cli_refuses_a_string_of_vertices(self, tmp_path, capsys):
+        # Iterated, "abs" would be the three vertices a, b and s.
+        path = write(tmp_path, "g.json", {
+            "format": "sandpile-graph-v1", "directed": False, "vertices": "abs",
+            "edges": [["a", "b", 1], ["a", "s", 1], ["b", "s", 1]], "sink": "s"})
+        assert main(["group", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            'error: FormatError: "vertices" must be a JSON array, not "abs"\n')
+
     def test_rejects_unknown_labels(self):
         from sandpiles.errors import UnknownVertex
 
@@ -190,6 +214,41 @@ class TestConfigAndMatrixFiles:
         path = write(tmp_path, "m.txt", "1 2\n3\n")
         with pytest.raises(FormatError):
             load_matrix(path)
+
+
+class TestUnreadableFiles:
+    """Bytes that are not UTF-8 and JSON nested too deep to parse are
+    malformed files like any other: exit 1 with one FormatError line."""
+
+    DEEP = b"[" * 100_000 + b"]" * 100_000
+
+    @pytest.mark.parametrize("kind", ["graph", "config", "hom", "matrix"])
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{}", DEEP], ids=["non-utf8", "deep"])
+    def test_every_file_kind(self, tmp_path, capsys, square_cone, kind, payload):
+        bad = tmp_path / "bad.json"
+        if kind == "matrix" and payload == self.DEEP:
+            payload = b'{"entries": ' + payload + b"}"
+        bad.write_bytes(payload)
+        good = str(square_cone)
+        argv = {"graph": ["group", str(bad)],
+                "config": ["stabilize", good, str(bad)],
+                "hom": ["check-hom", good, good, str(bad)],
+                "matrix": ["snf", str(bad)]}[kind]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+
+    def test_console_prints_no_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        src_dir = str(Path(sandpiles.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "sandpiles", "group", str(bad)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_dir))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: FormatError: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCliCommands:
@@ -326,6 +385,27 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: FormatError: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("subset_V", "ab"),
+        ("subset_V", ["a", 2]),
+        ("map", {"a": "a", "b": ["b"], "s": "s"}),
+        ("map", ["a", "b", "s"]),
+    ])
+    def test_check_hom_refuses_labels_that_are_not_json_strings(
+            self, tmp_path, capsys, field, value):
+        # Iterated, "ab" would be the subset ["a", "b"] of a valid identity map.
+        path = tmp_path / "g.json"
+        save_graph(cone(build_multigraph(["a", "b"], [("a", "b", 1)])), path)
+        data = {"map": {"a": "a", "b": "b", "s": "s"}, "subset_V": ["a", "b"],
+                "kind": "uniform"}
+        assert main(["check-hom", str(path), str(path), str(write(tmp_path, "h.json", data))]) == 0
+        capsys.readouterr()
+        data[field] = value
+        assert main(["check-hom", str(path), str(path), str(write(tmp_path, "h.json", data))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+
     def test_check_hom_witness_ignores_hash_seed(self, tmp_path):
         # String hashing changes with PYTHONHASHSEED; the witness must not.
         argv = [sys.executable, "-m", "sandpiles", "check-hom",
@@ -418,7 +498,10 @@ class TestCliCommands:
 
     def test_hypercube_all_at_max_d(self, capsys):
         assert main(["hypercube", "--d", "8", "--verify", "all"]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"]
+        decomposition = next(r for r in payload["reports"] if r["check"] == "decomposition")
+        assert decomposition["stripe_orders"] == [3, 5, 7, 9, 11, 13, 15, 17]
 
     def test_hypercube_guard(self, capsys):
         assert main(["hypercube", "--d", "9", "--verify", "structure"]) == 1

@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import matmul, subcube_embeddings_by_bits
+from oracles import direct_sum_by_enumeration, matmul, subcube_embeddings_by_bits
 import sandpiles.cubes as cubes
 from sandpiles.cubes import (
     all_masks,
@@ -25,10 +25,10 @@ from sandpiles.cubes import (
     verify_invariant_factor_count,
     verify_structure,
 )
-from sandpiles.dynamics import sandpile_group
+from sandpiles.dynamics import SandpileGroup, sandpile_group
 from sandpiles.errors import OutOfRange
 from sandpiles.graphs import cone, subcube, thick_pair
-from sandpiles.intlinalg import determinant, reduced_laplacian
+from sandpiles.intlinalg import IntMatrix, determinant, reduced_laplacian
 from sandpiles.morphisms import verify_group_injection
 
 
@@ -385,15 +385,49 @@ class TestDecomposition:
         rows = decomposition_rows(1)
         assert rows.entries == ((2, -1), (-1, 2), (1, 0))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_lattice_fills_out(self, d):
         report = verify_decomposition(d)
-        assert report.passed
+        assert report.passed and not report.element_level
         assert all(x == 1 for x in report.lattice_diagonal)
+        assert report.stripe_orders == tuple(range(3, 2 * d + 2, 2))
 
-    def test_element_level_counts(self):
-        report = verify_decomposition(2)
-        assert report.distinct_sums == report.expected_sums == 45
+    @pytest.mark.parametrize("d, order", [(1, 3), (2, 45), (3, 23625)])
+    def test_matches_the_sum_enumeration(self, d, order):
+        assert verify_decomposition(d).passed
+        assert sandpile_group(cube_cone(d)).order == order
+        assert direct_sum_by_enumeration(d) == (order, order)
+
+    def test_a_non_generator_stripe_fails(self, monkeypatch):
+        # The last row is the full-mask stripe, the only one of order 7 at
+        # d = 3; the identity 3 * 1 in its place generates nothing.
+        rows = decomposition_rows(3).entries
+        swapped = IntMatrix.from_rows([list(r) for r in rows[:-1]] + [[3] * 8])
+        monkeypatch.setattr(cubes, "decomposition_rows", lambda d: swapped)
+        report = verify_decomposition(3)
+        assert not report.passed and report.lattice_diagonal[-1] == 7
+
+    # Tripled at weight 2; or swapped between weights 1 and 2, which keeps
+    # the product 3^3 5^3 7 = |K|.
+    @pytest.mark.parametrize("wrong", [{5: 15}, {3: 5, 5: 3}], ids=["tripled", "swapped"])
+    def test_a_wrong_stripe_order_fails(self, monkeypatch, wrong):
+        order = SandpileGroup.element_order
+
+        def wrong_order(self, c):
+            k = order(self, c)
+            return wrong.get(k, k)
+
+        monkeypatch.setattr(SandpileGroup, "element_order", wrong_order)
+        report = verify_decomposition(3)
+        assert not report.passed
+        assert report.stripe_orders == tuple(wrong.get(k, k) for k in (3, 5, 7))
+
+    def test_orders_that_miss_the_group_order_fail(self, monkeypatch):
+        # Right orders whose product is not |K| leave the sum undecided.
+        order = SandpileGroup.order
+        monkeypatch.setattr(SandpileGroup, "order", property(lambda self: 3 * order.fget(self)))
+        report = verify_decomposition(3)
+        assert not report.passed and report.stripe_orders == (3, 5, 7)
 
 
 class TestInvariantFactorCount:
