@@ -77,7 +77,8 @@ def _topple(c: list[int], out: Sequence[int], adj) -> list[int]:
 
     The schedule processes a FIFO queue and batches repeated topplings of
     the same vertex; by the abelian property every schedule gives the same
-    result.
+    result.  A vertex is queued only when unstable, at most once at a time,
+    and only gains chips until it is popped, so it is unstable when popped.
     """
     n = len(c)
     firings = [0] * n
@@ -89,8 +90,6 @@ def _topple(c: list[int], out: Sequence[int], adj) -> list[int]:
         i = queue.popleft()
         queued[i] = False
         oi = out[i]
-        if c[i] < oi:
-            continue
         k = c[i] // oi
         c[i] -= k * oi
         firings[i] += k
@@ -185,18 +184,17 @@ class SandpileGroup:
     The group law needs no linear algebra: representatives, the identity
     and add come from stabilization, certified by a sparse product with L^T
     and by the burning test with the script the group computes once, on
-    graphs and digraphs alike.  Lattice queries come from one cached
-    LatticeSolver, an exact LU of L^T as one list of elimination steps that
-    each query replays on its vector: the determinant, congruence and
-    membership witnesses, element orders and, for the structure, |det L|,
-    the probed exponent E and the core its unit steps leave, whose Smith
-    diagonal is taken modulo the smaller of E and |det L|/E.  The
-    number of steps is the rank, so a singular L is factored once, refused
-    with its free rank, and refused again on every later query.  Only
-    recurrents() enumerates the recurrent set: a chain of cosets of the
-    subgroups <e_0, ..., e_v>, one chip addition per recurrent, each a
-    plain increment or an avalanche from that one chip, certified by its
-    size |det L|.  Its orbit_guard refuses first on the floor
+    graphs and digraphs alike.  Every lattice answer is read from one
+    cached factorization object, the LatticeSolver of L: the determinant
+    and order, congruence and membership witnesses, element orders and,
+    for the structure, |det L|, the probed exponent E and the core its unit
+    steps leave, whose Smith diagonal is taken modulo the smaller of E and
+    |det L|/E.  The solver refuses a singular L with its free rank; the
+    group keeps that refusal, so L is factored once and every later query
+    is refused again.  Only recurrents() enumerates the recurrent set: a
+    chain of cosets of the subgroups <e_0, ..., e_v>, one chip addition per
+    recurrent, each a plain increment or an avalanche from that one chip,
+    certified by its size |det L|.  Its orbit_guard refuses first on the floor
     prod(out_v - e_v) that the identity e gives, before any factorization,
     and only then on |det L|, on every call.
     """
@@ -205,7 +203,6 @@ class SandpileGroup:
         self.graph = graph
         self.orbit_guard = orbit_guard
         self._reduced: IntMatrix | None = None
-        self._det: int | None = None
         self._structure: GroupStructure | None = None
         self._solver: LatticeSolver | None = None
         self._singular: InfiniteCokernel | None = None
@@ -224,20 +221,16 @@ class SandpileGroup:
 
     @property
     def determinant(self) -> int:
-        """det L, read from the solver's factorization; 0 when L is singular."""
-        if self._det is None:
-            try:
-                self._det = self.solver.determinant
-            except SingularReducedLaplacian:
-                self._det = 0
-        return self._det
+        """det L, read from the solver; 0 when L is singular."""
+        try:
+            return self.solver.determinant
+        except SingularReducedLaplacian:
+            return 0
 
     @property
     def order(self) -> int:
-        det = self.determinant
-        if det == 0:
-            raise SingularReducedLaplacian(_SINGULAR)
-        return abs(det)
+        """|det L|; the solver refuses a singular L."""
+        return abs(self.solver.determinant)
 
     @property
     def structure(self) -> GroupStructure:

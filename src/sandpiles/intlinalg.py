@@ -1,19 +1,21 @@
 """Exact integer linear algebra: Laplacians, determinants, cokernels and
 lattice membership.
 
-Two eliminations answer every question about the lattice Im L^T of a
-square L.  One is an exact LU of L^T, a single list of elimination steps
-(division-free steps on +-1 pivots, then Bareiss steps).  Its length is the
-rank, so a singular L is refused with its free rank; otherwise it gives
-det L, and replaying it on a vector v gives delta * (L^T)^-1 v with
-|delta| = |det L|, behind witnesses and class orders.  The other is one
-Smith pivot-and-clear loop, _smith_eliminate.  Run modulo a multiple of the
-group exponent, it gives the Smith diagonal of every cokernel.  For the
-group structure it runs on the core the LU's unit steps leave, modulo the
-smaller of E and |det|/E, with E the lcm of the class orders of two fixed
-vectors; the product of the diagonal certifies the answer.  Run over the
-integers on a matrix bordered by identities, it gives the Smith normal form
-with transforms of the `snf` command.
+Two eliminations answer every question about the lattice Im L^T of a square
+L.  One is the factorization object LatticeSolver: an exact LU of L^T, a
+single list of elimination steps (division-free steps on +-1 pivots, then
+Bareiss steps).  Its length is the rank, so a singular L is refused with its
+free rank; otherwise the solver holds det L, replays the steps on a vector
+v to give delta * (L^T)^-1 v with |delta| = |det L|, behind witnesses and
+class orders, and keeps the core its unit steps leave.  determinant(),
+invariant_factors and the group's lattice queries all read that one
+object.  The other is one Smith pivot-and-clear loop, _smith_eliminate.  Run
+modulo a multiple of the group exponent, it gives the Smith diagonal of
+every cokernel.  For the group structure it runs on the core the LU's unit
+steps leave, modulo the smaller of E and |det|/E, with E the lcm of the
+class orders of two fixed vectors; the product of the diagonal certifies
+the answer.  Run over the integers on a matrix bordered by identities, it
+gives the Smith normal form with transforms of the `snf` command.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -131,22 +133,24 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-# -- determinant and LU -------------------------------------------------------
+# -- the exact LU: determinant and lattice membership -------------------------
 
 
-# Matrices with fewer rows skip the unit steps of _LU: below about a dozen
-# rows their bookkeeping costs more than the Bareiss steps they save.
+# Matrices with fewer rows skip the unit steps of LatticeSolver: below about
+# a dozen rows their bookkeeping costs more than the Bareiss steps they save.
 _UNIT_PHASE_MIN = 12
 
 
-class _LU:
-    """Exact LU of a square integer matrix B as one list of elimination steps.
+class LatticeSolver:
+    """Exact LU of B = A^T for a square integer A, and the lattice Im A^T it
+    decides: membership with witnesses, the orders of cokernel classes, det A
+    and the core behind the Smith diagonal.
 
-    Each step is (row r, column c, pivot p, unit, [(row i, f)], [(column j,
-    u)]): it pivots on B[r][c] = p, updates the listed rows i not yet
-    pivoted, each with its multiplier f, and records the nonzero entries u
-    of row r in the columns not yet pivoted, its row of U.  The steps run
-    in place on the rows of B.
+    The LU is one list of elimination steps, each (row r, column c, pivot p,
+    unit, [(row i, f)], [(column j, u)]): it pivots on B[r][c] = p, updates
+    the listed rows i not yet pivoted, each with its multiplier f, and
+    records the nonzero entries u of row r in the columns not yet pivoted,
+    its row of U.  The steps run in place on a copy of the rows of B.
 
     Unit steps come first, from _UNIT_PHASE_MIN rows up, in the manner of
     Dumas-Saunders-Villard 2001.  A sweep visits the rows not yet pivoted in
@@ -161,8 +165,14 @@ class _LU:
     left by row_i = (p * row_i - f * row_r) / p', with p' the previous
     Bareiss pivot (1 at first).  Every division is exact, since the entries
     stay minors of B.  A column with no nonzero left is skipped, so
-    len(steps) is the rank of B.  delta, the last Bareiss pivot, satisfies
-    |delta| = |det B| (1 without Bareiss steps, 0 when B is singular).
+    len(steps) is the rank of B, and a singular A is refused with
+    InfiniteCokernel, its free rank being the number of rows less the rank.
+    delta, the last Bareiss pivot (1 without Bareiss steps), satisfies
+    |delta| = |det A|, and determinant is det A with its sign.
+
+    Each query replays the steps on v and back-substitutes, which gives
+    w = delta * B^-1 v exactly: v lies in the lattice exactly when delta
+    divides every entry of w, and the quotient is the (unique) witness.
 
     core() is the Schur complement the unit steps leave: the rows and columns
     not yet pivoted when the Bareiss steps start (all of B below
@@ -170,14 +180,15 @@ class _LU:
     unimodular row operations, after which the pivoted rows and columns form
     a triangular block with +-1 diagonal and the other rows are zero in the
     pivoted columns.  So B ~ diag(I, core), and the Smith diagonal of the
-    core is that of B less leading ones.
+    core is that of B less leading ones; invariant_factors takes it there.
     """
 
-    __slots__ = ("steps", "delta", "determinant", "_core")
-
-    def __init__(self, m: Sequence[Sequence[int]]):
-        n = len(m)
-        rows = [list(r) for r in m]
+    def __init__(self, a: IntMatrix):
+        if not a.is_square():
+            raise ValueError("lattice solving needs a square matrix")
+        self.b = a.transpose()
+        n = a.rows
+        rows = [list(r) for r in self.b.entries]
         # The rows and columns not yet pivoted, in order.  A pivot's position
         # among them counts the inversions it adds to the row or column
         # order of the steps, so with one more for each unit pivot -1 the
@@ -254,21 +265,22 @@ class _LU:
             prev = p
         self.steps = steps
         if len(steps) < n:
-            self.delta = self.determinant = 0
-        else:
-            self.delta = prev
-            self.determinant = -prev if parity % 2 else prev
+            raise InfiniteCokernel(n - len(steps))
+        self.delta = prev
+        self.determinant = -prev if parity % 2 else prev
 
     def core(self) -> IntMatrix:
         rows, cols = self._core
         entries = tuple(tuple(row[c] for c in cols) for row in rows)
         return IntMatrix(len(rows), len(cols), entries)
 
-    def solve(self, v: Sequence[int]) -> list[int]:
-        """delta * B^-1 v; exact, and needs delta != 0.
+    def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
+        """delta * B^-1 v, exactly.
 
         The steps replay forward on w = v, then back substitution from the
         last step gives p x_c = delta w_r - sum u x_j."""
+        if len(v) != self.b.rows:
+            raise ValueError("dimension mismatch")
         w = list(v)
         prev = 1
         for r, _, p, unit, elim, _ in self.steps:
@@ -289,11 +301,29 @@ class _LU:
             x[c] = acc // p
         return x
 
+    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Integer y with A^T y = v, or None if v is outside the lattice."""
+        w = self._scaled_inverse(v)
+        if any(z % self.delta for z in w):
+            return None
+        y = tuple(z // self.delta for z in w)
+        if self.b.mul_vector(y) != tuple(v):
+            raise ValidationFailed("lattice witness does not solve A^T y = v")
+        return y
+
+    def class_order(self, x: Sequence[int]) -> int:
+        """Order of the class of x in the cokernel."""
+        return abs(self.delta) // gcd(self.delta, *self._scaled_inverse(x))
+
 
 def determinant(a: IntMatrix) -> int:
+    """det A, read from the LU of A^T (det A^T = det A); 0 when A is singular."""
     if not a.is_square():
         raise ValueError("determinant needs a square matrix")
-    return _LU(a.entries).determinant
+    try:
+        return LatticeSolver(a).determinant
+    except InfiniteCokernel:
+        return 0
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -599,11 +629,11 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
     """Cokernel structure of a square nonsingular integer matrix, or of the
     matrix a LatticeSolver was built from (its LU is then reused).
 
-    |det| comes from the solver's LU, and the Smith diagonal is taken of
-    the core its unit steps leave, since A^T ~ diag(I, core) (_LU).  E, the
-    lcm of the class orders of two fixed vectors (Eberly-Giesbrecht-Villard
-    2000), divides the exponent d_n of the cokernel G.  Elimination modulo m
-    yields G/mG, the orders gcd(d_i, m).
+    |det| comes from the solver, and the Smith diagonal is taken of the
+    core its unit steps leave, since A^T ~ diag(I, core) (LatticeSolver).
+    E, the lcm of the class orders of two fixed vectors
+    (Eberly-Giesbrecht-Villard 2000), divides the exponent d_n of the
+    cokernel G.  Elimination modulo m yields G/mG, the orders gcd(d_i, m).
     - r = |det|/E = 1: E = |det| is the exponent, so G is cyclic and no
       elimination runs.
     - E^2 <= |det|: the core is eliminated modulo E.  The product equals
@@ -628,12 +658,12 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
     else:
         solver = LatticeSolver(a)
     order = abs(solver.determinant)
-    probes = _probe_vectors(solver.a.rows)
+    probes = _probe_vectors(solver.b.rows)
     e = lcm(*(solver.class_order(x) for x in islice(probes, 2)))
     r = order // e
     if r == 1:
         return GroupStructure((order,) if order > 1 else ())
-    core = solver._lu.core()
+    core = solver.core()
     if e * e > order:
         diag = cokernel_diagonal(core, r)[:-1]
         exponent = order // prod(diag)
@@ -665,53 +695,3 @@ def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:
         for p, e in _factorize(f).items():
             out.append(p**e)
     return tuple(sorted(out))
-
-
-# -- lattice membership ----------------------------------------------------------
-
-
-class LatticeSolver:
-    """Decides membership in the lattice Im A^T of a nonsingular square A,
-    produces witnesses, and gives the orders of cokernel classes.
-
-    Built from one LU of A^T (_LU), whose last Bareiss pivot delta
-    satisfies |delta| = |det A|.  A singular A is refused with
-    InfiniteCokernel, its free rank being the number of rows less the
-    number of steps.  Each query replays the steps on v and back-substitutes,
-    which gives w = delta * (A^T)^-1 v exactly: v lies in the lattice
-    exactly when delta divides every entry of w, and the quotient is the
-    (unique) witness.  invariant_factors reuses the solver for the group
-    structure.
-    """
-
-    def __init__(self, a: IntMatrix):
-        if not a.is_square():
-            raise ValueError("lattice solving needs a square matrix")
-        self.a = a
-        self.b = a.transpose()
-        self._lu = _LU(self.b.entries)
-        rank = len(self._lu.steps)
-        if rank < a.rows:
-            raise InfiniteCokernel(a.rows - rank)
-        self._delta = self._lu.delta
-        self.determinant = self._lu.determinant
-
-    def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.b.rows:
-            raise ValueError("dimension mismatch")
-        return self._lu.solve(v)
-
-    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer y with A^T y = v, or None if v is outside the lattice."""
-        w = self._scaled_inverse(v)
-        if any(z % self._delta for z in w):
-            return None
-        y = tuple(z // self._delta for z in w)
-        if self.b.mul_vector(y) != tuple(v):
-            raise ValidationFailed("lattice witness does not solve A^T y = v")
-        return y
-
-    def class_order(self, x: Sequence[int]) -> int:
-        """Order of the class of x in the cokernel."""
-        return abs(self._delta) // gcd(self._delta, *self._scaled_inverse(x))
-

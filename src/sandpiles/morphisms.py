@@ -13,6 +13,14 @@ paper's main theorem for one homomorphism: the pullback maps the target's
 relations into the source lattice, and the index of the source lattice in
 the lattice it spans together with the pulled-back unit vectors equals the
 order of the target group, so the induced map is injective.
+
+The classes.  SandpileGroup works in K = Z^n / Im L^T, the chip vectors
+modulo topplings (the rows of L).  The uniform and weak kinds need
+undirected graphs, where L = L^T, so their maps act on K.  The directed
+kind intertwines P L_tgt = L_src P, so it maps the column quotient
+Z^n / Im L_tgt into Z^m / Im L_src.  Both quotients share the invariant
+factors of L, but on a digraph target they are different quotients: two
+chip vectors congruent in K(target) may pull back to classes that differ.
 """
 
 from __future__ import annotations
@@ -199,31 +207,6 @@ def validate_hom(
     return UniformHom(vmap, subset_v, kind, degree, surjective)
 
 
-# -- classical homomorphism classifiers (docs/tests only) -----------------------
-
-
-def is_graph_homomorphism(vmap: VertexMap) -> bool:
-    g = _undirected(vmap.source)
-    h = _undirected(vmap.target)
-    for u, v, _ in g.edges():
-        if h.multiplicity(vmap(u), vmap(v)) == 0:
-            return False
-    return True
-
-
-def is_full_homomorphism(vmap: VertexMap) -> bool:
-    if not is_graph_homomorphism(vmap):
-        return False
-    g = _undirected(vmap.source)
-    h = _undirected(vmap.target)
-    vs = _vertices(vmap.source)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if vmap(u) != vmap(v) and h.multiplicity(vmap(u), vmap(v)) and not g.multiplicity(u, v):
-                return False
-    return True
-
-
 # -- induced maps on configurations ---------------------------------------------
 
 
@@ -258,7 +241,11 @@ def _pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
 def pullback(hom: UniformHom, x: Sequence[int]) -> Chips:
     """Pull a target chip vector back along hom: each source coordinate copies
     the coordinate of its image, times the degree when the image lies outside
-    the subset (uniform and weak kinds; the directed kind copies plainly)."""
+    the subset (uniform and weak kinds; the directed kind copies plainly).
+
+    The uniform and weak pullbacks respect chip classes Z^n / Im L^T.  The
+    directed one respects the column classes Z^n / Im L instead, which on a
+    digraph target are not the classes of `congruent` (module docstring)."""
     src, tgt = _pullback_preconditions(hom)
     if len(x) != tgt.n_nonsink:
         raise PreconditionViolated("vector length does not match target")
@@ -275,7 +262,9 @@ def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
     """The induced group map K(target) -> K(source) on recurrents.  A uniform
     hom sends recurrents to recurrents, certified by burning; a weak one
     needs the recurrent representative of the pullback.  Directed homs act
-    on chip vectors only, through `pullback`."""
+    on chip vectors only, through `pullback`: they are maps on the column
+    quotient Z^n / Im L, which the target's recurrents do not represent on a
+    digraph (module docstring)."""
     if hom.kind == "directed":
         raise PreconditionViolated("directed homs act on chip vectors; use pullback")
     src, tgt = _pullback_preconditions(hom)
@@ -328,6 +317,12 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     that order is |K(target)|.  For the uniform kind the pullbacks of the
     recurrent representatives of the target's unit vectors, which generate
     K(target), must also pass the burning test.
+
+    For the directed kind the classes are those of the column quotients
+    Z^n / Im L (module docstring): the stack holds the columns of L_src, and
+    the injection proved is of Z^n / Im L_tgt.  That has the order of
+    K(target), so passed and image_order read the same, but on a digraph
+    target its classes are not the chip classes of K(target).
     """
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")

@@ -289,6 +289,17 @@ class TestSinkDigraph:
         assert dg.arc_multiplicity("v1", "s") == 1
         assert dg.arc_multiplicity("s", "v1") == 0
 
+    def test_undirected_arcs_are_those_of_the_sink_digraph(self):
+        # An undirected sinked graph answers arc queries without building
+        # its sink digraph; sink edges point into the sink only.
+        g = cone(k2())
+        dg = to_sink_digraph(g.graph, g.sink).graph
+        for u in g.graph.vertices:
+            for v in g.graph.vertices:
+                assert g.arc_multiplicity(u, v) == dg.arc_multiplicity(u, v)
+        assert g.graph.multiplicity("s", "v1") == 1
+        assert g.arc_multiplicity("s", "v1") == 0
+
     def test_reduced_laplacian_matches_undirected(self):
         base = cone(hypercube(1))
         direct = to_sink_digraph(base.graph, base.sink)

@@ -33,8 +33,6 @@ from sandpiles.morphisms import (
     VertexMap,
     bipartite_collapse_hom,
     induced_map,
-    is_full_homomorphism,
-    is_graph_homomorphism,
     pullback,
     validate_hom,
     verify_group_injection,
@@ -116,6 +114,32 @@ class TestValidation:
             validate_hom(vmap, c3.vertices, "uniform")
         assert err.value.clause in ("fiber-size", "degree-count")
 
+    def test_chorded_pentagon_to_triangle_fails(self):
+        c3 = build_multigraph(["u1", "u2", "u3"], [("u1", "u2", 1), ("u2", "u3", 1), ("u1", "u3", 1)])
+        g = build_multigraph(
+            [f"v{i}" for i in range(1, 6)],
+            [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v5", 1),
+             ("v5", "v1", 1), ("v2", "v5", 1), ("v1", "v3", 1), ("v1", "v4", 1)],
+        )
+        vmap = VertexMap(g, c3, {"v1": "u1", "v2": "u2", "v4": "u2", "v3": "u3", "v5": "u3"})
+        with pytest.raises(ClauseViolation):
+            validate_hom(vmap, c3.vertices, "uniform")
+
+    def test_padded_pentagon_is_uniform_of_degree_two(self):
+        target = build_multigraph(
+            ["u1", "u2", "u3"],
+            [("u1", "u2", 1), ("u2", "u3", 2), ("u1", "u3", 1)],
+        )
+        g = build_multigraph(
+            [f"v{i}" for i in range(1, 6)] + ["w1"],
+            [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v5", 1),
+             ("v5", "v1", 1), ("v2", "v5", 1), ("w1", "v4", 1), ("w1", "v3", 1)],
+        )
+        mapping = {"v1": "u1", "w1": "u1", "v2": "u2", "v4": "u2", "v3": "u3", "v5": "u3"}
+        hom = validate_hom(VertexMap(g, target, mapping), target.vertices, "uniform",
+                           require_surjective=True)
+        assert hom.degree == 2
+
     def test_stability_clause(self):
         # map both ends of an edge onto the same target vertex
         g = build_multigraph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
@@ -148,51 +172,24 @@ class TestValidation:
         assert err.value.clause == "degree-count"
         assert len(err.value.witness) == 4
 
-
-class TestClassicalClassifiers:
-    """The pentagon-to-triangle family: a plain homomorphism, a full one, and
-    a uniform one, pairwise inequivalent."""
-
-    def base_map(self):
-        return {"v1": "u1", "v2": "u2", "v4": "u2", "v3": "u3", "v5": "u3"}
-
-    def test_plain_homomorphism_only(self):
-        c5 = cycle_graph(5)
-        c3 = build_multigraph(["u1", "u2", "u3"], [("u1", "u2", 1), ("u2", "u3", 1), ("u1", "u3", 1)])
-        vmap = VertexMap(c5, c3, self.base_map())
-        assert is_graph_homomorphism(vmap)
-        assert not is_full_homomorphism(vmap)
-        with pytest.raises(ClauseViolation):
-            validate_hom(vmap, c3.vertices, "uniform")
-
-    def test_full_but_not_uniform(self):
-        c3 = build_multigraph(["u1", "u2", "u3"], [("u1", "u2", 1), ("u2", "u3", 1), ("u1", "u3", 1)])
-        g = build_multigraph(
-            [f"v{i}" for i in range(1, 6)],
-            [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v5", 1),
-             ("v5", "v1", 1), ("v2", "v5", 1), ("v1", "v3", 1), ("v1", "v4", 1)],
-        )
-        vmap = VertexMap(g, c3, self.base_map())
-        assert is_full_homomorphism(vmap)
-        with pytest.raises(ClauseViolation):
-            validate_hom(vmap, c3.vertices, "uniform")
-
-    def test_uniform_but_not_full(self):
-        target = build_multigraph(
-            ["u1", "u2", "u3"],
-            [("u1", "u2", 1), ("u2", "u3", 2), ("u1", "u3", 1)],
-        )
-        g = build_multigraph(
-            [f"v{i}" for i in range(1, 6)] + ["w1"],
-            [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v5", 1),
-             ("v5", "v1", 1), ("v2", "v5", 1), ("w1", "v4", 1), ("w1", "v3", 1)],
-        )
-        mapping = dict(self.base_map())
-        mapping["w1"] = "u1"
-        vmap = VertexMap(g, target, mapping)
-        hom = validate_hom(vmap, target.vertices, "uniform", require_surjective=True)
-        assert hom.degree == 2
-        assert not is_full_homomorphism(vmap)
+    @pytest.mark.parametrize(
+        "edges, mapping, witness",
+        [
+            # b and c both land on y: the complement map is not injective.
+            ([("a", "b", 1), ("a", "c", 1)], {"a": "x", "b": "y", "c": "y"}, ("b", "c")),
+            # b and c are adjacent, their images y and z are not.
+            ([("a", "b", 1), ("a", "c", 1), ("b", "c", 1)],
+             {"a": "x", "b": "y", "c": "z"}, ("b", "c")),
+        ],
+        ids=["not-injective", "multiplicity"],
+    )
+    def test_identity_on_complement_clause(self, edges, mapping, witness):
+        h = build_multigraph(["x", "y", "z"], [("x", "y", 1), ("x", "z", 1)])
+        g = build_multigraph(["a", "b", "c"], edges)
+        with pytest.raises(ClauseViolation) as err:
+            validate_hom(VertexMap(g, h, mapping), ["x"], "uniform")
+        assert err.value.clause == "identity-on-complement"
+        assert err.value.witness == witness
 
 
 class TestDegreeLaw:
@@ -273,6 +270,22 @@ class TestPullback:
         )
         with pytest.raises(PreconditionViolated):
             pullback(hom, (0, 0, 0, 0))  # no sinks anywhere
+
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            (["v1", "v2", "v3", "v4", "s"], "target sink must lie outside the subset"),
+            (["v1", "v3"], "target complement is not a stable set"),
+        ],
+        ids=["sink-in-subset", "unstable-complement"],
+    )
+    def test_undirected_preconditions_enforced(self, subset, message):
+        # The identity of cone(C_4) is uniform for every subset; the pullback
+        # still needs the sink outside it and a stable complement.
+        g = cone(cycle_graph(4))
+        hom = validate_hom(VertexMap(g, g, {v: v for v in g.graph.vertices}), subset, "uniform")
+        with pytest.raises(PreconditionViolated, match=message):
+            pullback(hom, (0, 0, 0, 0))
 
 
 def blowup_draw(i: int) -> UniformHom:
@@ -479,6 +492,22 @@ class TestDirectedHoms:
         lap_t = sandpile_group(hom.target).reduced_laplacian.transpose()
         for row in lap_t.entries:
             assert g_src.in_image(pullback(hom, row)) is not None
+
+    def test_directed_kind_acts_on_the_column_quotient(self):
+        # The directed pullback intertwines the columns of L, so it acts on
+        # Z^n / Im L.  On this digraph target that is not the chip-class
+        # quotient Z^n / Im L^T of SandpileGroup: a toppling is congruent to
+        # 0 in the target, its pullback is not congruent to 0 in the source,
+        # and the injection report still passes.
+        hom = star_collapse_hom()
+        g_src, g_tgt = sandpile_group(hom.source), sandpile_group(hom.target)
+        toppling = g_tgt.reduced_laplacian.entries[0]
+        assert toppling == (4, -3) and g_tgt.congruent((0, 0), toppling)
+        assert pullback(hom, (0, 0)) == (0, 0, 0, 0)
+        assert pullback(hom, toppling) == (4, -3, -3, -3)
+        assert g_src.in_image(pullback(hom, toppling)) is None
+        report = verify_group_injection(hom)
+        assert report.passed and report.image_order == 5
 
     def test_directed_injection_reports(self):
         hom = star_collapse_hom()
