@@ -15,7 +15,7 @@ import sys
 from . import cubes
 from .dynamics import DEFAULT_ORBIT_GUARD, RecurrentConfig, sandpile_group, stabilize
 from .errors import ClauseViolation, FormatError, NotSurjective, SandpileError
-from .graphs import SinkedGraph
+from .graphs import Multigraph, SinkedGraph
 from .intlinalg import smith_normal_form
 from .jsonio import (
     config_to_list,
@@ -142,7 +142,7 @@ def cmd_product(args, fmt: str) -> int:
     g = load_graph(args.graph_g)
     h = load_graph(args.graph_h)
     for name, graph in (("first", g), ("second", h)):
-        if isinstance(graph, SinkedGraph) or not hasattr(graph, "edges"):
+        if not isinstance(graph, Multigraph):
             raise FormatError(f"{name} graph must be an undirected multigraph without a sink")
     ctx = BoxContext(g, h, args.n)
     a = load_config(args.config_a)

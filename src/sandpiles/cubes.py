@@ -12,7 +12,8 @@ weight, since the coordinate permutations of Q_d permute the stripes.
 The two maps behind the generators are the other layers' maps, not copies:
 the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
 subcube, and the subcube embedding is a `products.BoxContext` box with
-Q_d = Q_S box Q_{S^c}, certified by `products.box_class`.
+Q_d = Q_S box Q_{S^c}, whose class is the cube cone group's
+`representative`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .dynamics import (
     Chips,
     RecurrentConfig,
     SandpileGroup,
-    is_recurrent_burning,
     sandpile_group,
 )
 from .errors import OutOfRange, ValidationFailed
@@ -46,7 +46,7 @@ from .intlinalg import (
     reduced_laplacian,
 )
 from .morphisms import UniformHom, bipartite_collapse_hom
-from .products import BoxContext, box_class
+from .products import BoxContext
 
 BitMask = tuple[int, ...]
 
@@ -73,7 +73,7 @@ def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     w = sum(mask)
     values = parity_stripe(d, mask, d, d - w)
     graph = cube_cone(d)
-    if not is_recurrent_burning(graph, values)[0]:
+    if not sandpile_group(graph).is_recurrent(values):
         raise ValidationFailed(f"stripe generator {values} is not recurrent")
     return RecurrentConfig(graph, values, "burning")
 
@@ -174,7 +174,8 @@ def subcube_embed_recurrent(
     d: int, mask: Sequence[int], c: RecurrentConfig | Sequence[int], n: int = 1
 ) -> RecurrentConfig:
     """The injective group map from the subcube cone into the full cube cone."""
-    return box_class(cube_cone(d, n), subcube_embed(d, mask, tuple(c), n), n)
+    vec = subcube_embed(d, mask, tuple(c), n)
+    return sandpile_group(cube_cone(d, n)).representative(vec)
 
 
 def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
@@ -220,8 +221,7 @@ def cone_stripe_subgroup(d: int, n: int, mask: Sequence[int]) -> StripeSubgroup:
 
     pair_group = sandpile_group(cone(thick_pair(w), n))
     pair_gen = (-(-w // n) * n, 0)
-    ok, _ = is_recurrent_burning(pair_group.graph, pair_gen)
-    if not ok:
+    if not pair_group.is_recurrent(pair_gen):
         raise ValidationFailed(f"{pair_gen} is not recurrent on the pair cone")
     pair_powers = _cyclic_powers(pair_group, pair_gen)
     patterns = tuple(parity_stripe(d, mask, p, q) for p, q in pair_powers)

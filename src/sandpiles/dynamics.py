@@ -6,9 +6,11 @@ above their out-degree topple), so the recurrent representative of any chip
 vector is one stabilization: add a lattice vector that lifts it above the
 maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
 burning test (Dhar's on undirected graphs, Speer's on digraphs) decides
-recurrence on both kinds of graph, and it is one stabilization too.  A
-single toppling kernel runs every stabilization; the recurrent enumeration
-adds one chip at a time and runs each avalanche from that chip inline.
+recurrence on both kinds of graph, and it is one stabilization too.  That
+test lives in `SandpileGroup.is_recurrent` alone, with its script computed
+once per group; every other layer asks the group.  A single toppling kernel
+runs every stabilization; the recurrent enumeration adds one chip at a time
+and runs each avalanche from that chip inline.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
     return tuple(c), tuple(firings)
 
 
-def is_stable(graph: SinkedGraph, values: Sequence[int]) -> bool:
-    return all(0 <= x < d for x, d in zip(values, graph.out_degrees))
-
-
 def _fire(graph: SinkedGraph, y: Sequence[int]) -> list[int]:
     """L^T y, the chips that firing each vertex v y_v times removes from v
     (net of what it receives), by one pass over the arcs."""
@@ -145,37 +143,6 @@ def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     _, f = stabilize(graph, [d - 1 for d in indeg])
     sigma = tuple(1 + k for k in f)
     return sigma, tuple(_fire(graph, sigma))
-
-
-def _passes_burning(
-    graph: SinkedGraph, values: Sequence[int], script: tuple[Chips, Chips]
-) -> bool:
-    """The burning test of values under script = (sigma, beta)."""
-    c = _check_vector(graph, values)
-    if any(x < 0 for x in c):
-        raise ValueError("configurations are nonnegative")
-    if not is_stable(graph, c):
-        return False
-    sigma, beta = script
-    c = [x + b for x, b in zip(c, beta)]
-    return _topple(c, graph.out_degrees, graph.adjacency()) == list(sigma)
-
-
-def is_recurrent_burning(
-    graph: SinkedGraph, values: Sequence[int]
-) -> tuple[bool, Chips | None]:
-    """Burning test: a stable c is recurrent iff stabilizing c + beta fires
-    every vertex v exactly sigma_v times, which returns it to c.  By least
-    action no vertex fires more (Dhar 1990; Speer 1993; Fey, Levine and
-    Peres 2010).
-
-    Dhar's test (sigma = 1, beta = sink multiplicities) on undirected graphs,
-    Speer's on digraphs.  Returns (True, sigma) or (False, None).
-    """
-    script = burning_script(graph)
-    if _passes_burning(graph, values, script):
-        return True, script[0]
-    return False, None
 
 
 class SandpileGroup:
@@ -262,10 +229,23 @@ class SandpileGroup:
     # -- dynamics ----------------------------------------------------------
 
     def is_recurrent(self, values: Sequence[int]) -> bool:
-        """The burning test, with the script computed once per group."""
+        """The burning test: a stable c is recurrent iff stabilizing c + beta
+        fires every vertex v exactly sigma_v times, which returns it to c.  By
+        least action no vertex fires more (Dhar 1990; Speer 1993; Fey, Levine
+        and Peres 2010).  The script (sigma, beta) of `burning_script` is
+        computed once per group.
+        """
+        c = _check_vector(self.graph, values)
+        if any(x < 0 for x in c):
+            raise ValueError("configurations are nonnegative")
+        out = self.graph.out_degrees
+        if any(x >= d for x, d in zip(c, out)):
+            return False
         if self._script is None:
             self._script = burning_script(self.graph)
-        return _passes_burning(self.graph, values, self._script)
+        sigma, beta = self._script
+        c = [x + b for x, b in zip(c, beta)]
+        return _topple(c, out, self.graph.adjacency()) == list(sigma)
 
     def recurrents(self) -> frozenset[Chips]:
         """The recurrent set, enumerated as a chain of cosets of K.
@@ -366,12 +346,16 @@ class SandpileGroup:
         b = a - stab(a) = L^T f_b >= m + 1.  The representative is
         stab(x + k b), firing f, for the least k >= 0 with x + k b >= m.  It
         is certified congruent by one sparse product, result - x =
-        L^T (k f_b - f), and recurrent by the burning test.
+        L^T (k f_b - f), and recurrent by the burning test.  A recurrent x is
+        the unique recurrent configuration of its class, so a nonnegative x
+        that passes the burning test is returned as it stands.
         """
         x = _check_vector(self.graph, x)
+        if not self.graph.connected:
+            raise SingularReducedLaplacian(_SINGULAR)
+        if all(xi >= 0 for xi in x) and self.is_recurrent(x):
+            return RecurrentConfig(self.graph, tuple(x), "burning")
         if self._lift is None:
-            if not self.graph.connected:
-                raise SingularReducedLaplacian(_SINGULAR)
             a = [2 * d - 1 for d in self.graph.out_degrees]
             stable, f_b = stabilize(self.graph, a)
             self._lift = tuple(p - q for p, q in zip(a, stable)), f_b
@@ -445,6 +429,19 @@ def sandpile_group(graph: SinkedGraph, orbit_guard: int | None = None) -> Sandpi
 
 
 # -- free-function surface ------------------------------------------------------
+
+
+def is_recurrent_burning(
+    graph: SinkedGraph, values: Sequence[int]
+) -> tuple[bool, Chips | None]:
+    """`SandpileGroup.is_recurrent` on the cached group of graph: Dhar's test
+    (sigma = 1, beta = sink multiplicities) on undirected graphs, Speer's on
+    digraphs.  Returns (True, sigma) or (False, None).
+    """
+    group = sandpile_group(graph)
+    if group.is_recurrent(values):
+        return True, group._script[0]
+    return False, None
 
 
 def recurrent_orbit(graph: SinkedGraph, guard: int = DEFAULT_ORBIT_GUARD) -> set[Chips]:

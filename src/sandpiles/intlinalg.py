@@ -31,7 +31,7 @@ from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
 from .errors import InfiniteCokernel, ValidationFailed
-from .graphs import AnyGraph, Digraph, Multigraph, SinkedGraph
+from .graphs import AnyGraph, SinkedGraph
 
 
 @dataclass(frozen=True)

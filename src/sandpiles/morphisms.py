@@ -30,12 +30,7 @@ from functools import partial
 from math import prod
 from typing import Mapping, Sequence
 
-from .dynamics import (
-    Chips,
-    RecurrentConfig,
-    is_recurrent_burning,
-    sandpile_group,
-)
+from .dynamics import Chips, RecurrentConfig, sandpile_group
 from .errors import (
     ClauseViolation,
     NotBiregular,
@@ -271,9 +266,10 @@ def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
     if c.graph != tgt:
         raise PreconditionViolated("configuration lives on a different graph")
     values = pullback(hom, c.values)
+    group = sandpile_group(src)
     if hom.kind == "weak":
-        return sandpile_group(src).representative(values)
-    if not is_recurrent_burning(src, values)[0]:
+        return group.representative(values)
+    if not group.is_recurrent(values):
         raise PreconditionViolated("pullback of a recurrent failed the burning test")
     return RecurrentConfig(src, values, "burning")
 

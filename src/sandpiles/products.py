@@ -2,6 +2,8 @@
 
 A BoxContext pins the aligned vertex orders once; after that every product
 map is index arithmetic (product index j*|V(G)| + i), never label lookup.
+The class of a boxed configuration is read from the product cone group's
+`representative`.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .dynamics import Chips, RecurrentConfig, is_recurrent_burning, sandpile_group
-from .errors import ContextMismatch, NonPositiveMultiplicity, ValidationFailed
+from .dynamics import Chips, RecurrentConfig, sandpile_group
+from .errors import ContextMismatch, NonPositiveMultiplicity
 from .graphs import Multigraph, SinkedGraph, cartesian_product, cone
 
 
@@ -54,20 +56,6 @@ class BoxContext:
         return tuple(a[i] + b[j] for j in range(self.h.n) for i in range(self.g.n))
 
 
-def box_class(graph: SinkedGraph, vec: Chips, n: int) -> RecurrentConfig:
-    """The recurrent class of a boxed configuration on the n-cone `graph`.
-
-    At n = 1 a box of recurrents is recurrent outright, and the burning test
-    certifies it; for n > 1 it can be unstable, so the class representative
-    is taken instead.
-    """
-    if n == 1:
-        if not is_recurrent_burning(graph, vec)[0]:
-            raise ValidationFailed("box of recurrents failed the burning test")
-        return RecurrentConfig(graph, vec, "burning")
-    return sandpile_group(graph).representative(vec)
-
-
 def embed_factor(
     ctx: BoxContext, a: RecurrentConfig | Sequence[int], factor: str = "g"
 ) -> RecurrentConfig:
@@ -79,8 +67,11 @@ def embed_factor(
     kills constant vectors, so box(L^T y, 0) = L'^T box(y, 0), with L and L'
     the reduced Laplacians of the factor cone and the product cone (likewise
     for factor h).  Congruent inputs therefore box to congruent vectors and
-    reach the same class, which box_class certifies.  A configuration of the
-    wrong length raises ContextMismatch from the box.
+    reach the same class, and the product group's `representative` returns
+    it certified.  At n = 1 a box of recurrents is recurrent outright, so it
+    is returned as it stands after one burning test; for n > 1 it can be
+    unstable and is lifted.  A configuration of the wrong length raises
+    ContextMismatch from the box.
     """
     if factor == "g":
         vec = ctx.box(tuple(a), sandpile_group(ctx.cone_h).identity.values)
@@ -88,4 +79,4 @@ def embed_factor(
         vec = ctx.box(sandpile_group(ctx.cone_g).identity.values, tuple(a))
     else:
         raise ValueError("factor must be 'g' or 'h'")
-    return box_class(ctx.cone_product, vec, ctx.n)
+    return sandpile_group(ctx.cone_product).representative(vec)

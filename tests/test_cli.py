@@ -13,6 +13,7 @@ from conftest import contracted_square, grid_cone, thick_triangle_target
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
 from sandpiles.graphs import (
+    build_digraph,
     build_multigraph,
     cartesian_product,
     cone,
@@ -216,9 +217,18 @@ class TestConfigAndMatrixFiles:
             load_matrix(path)
 
 
+def _read_as(kind: str, bad: Path, good: Path) -> list[str]:
+    """CLI arguments that read `bad` as a file of the given kind."""
+    return {"graph": ["group", str(bad)],
+            "config": ["stabilize", str(good), str(bad)],
+            "hom": ["check-hom", str(good), str(good), str(bad)],
+            "matrix": ["snf", str(bad)]}[kind]
+
+
 class TestUnreadableFiles:
-    """Bytes that are not UTF-8 and JSON nested too deep to parse are
-    malformed files like any other: exit 1 with one FormatError line."""
+    """Bytes that are not UTF-8, JSON nested too deep to parse and JSON of
+    the wrong shape are malformed files like any other: exit 1 with one
+    FormatError line."""
 
     DEEP = b"[" * 100_000 + b"]" * 100_000
 
@@ -229,15 +239,29 @@ class TestUnreadableFiles:
         if kind == "matrix" and payload == self.DEEP:
             payload = b'{"entries": ' + payload + b"}"
         bad.write_bytes(payload)
-        good = str(square_cone)
-        argv = {"graph": ["group", str(bad)],
-                "config": ["stabilize", good, str(bad)],
-                "hom": ["check-hom", good, good, str(bad)],
-                "matrix": ["snf", str(bad)]}[kind]
-        assert main(argv) == 1
+        assert main(_read_as(kind, bad, square_cone)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("graph", [], "graph file must hold a JSON object"),
+        ("graph", {"format": "sandpile-graph-v1", "directed": False, "vertices": ["a", "s"],
+                   "edges": [["a", "s"]], "sink": "s"}, "malformed graph file: "),
+        ("config", {}, "configuration file must hold a JSON integer array"),
+        ("hom", [], "hom file must hold a JSON object"),
+        ("matrix", {"rows": 2, "cols": 2, "entries": [[1, 2]]},
+         "matrix dimensions disagree with entries"),
+        ("matrix", " \n\n", "empty matrix file"),
+    ], ids=["graph-not-object", "edge-of-two", "config-not-array", "hom-not-object",
+            "matrix-shape", "matrix-empty"])
+    def test_wrong_shape(self, tmp_path, capsys, square_cone, kind, payload, message):
+        bad = write(tmp_path, "bad.json", payload)
+        assert main(_read_as(kind, bad, square_cone)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: FormatError: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_console_prints_no_traceback(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -266,6 +290,13 @@ class TestCliCommands:
         assert main(["group", str(path), "--sink", "v1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["invariant_factors"] == [3]
+
+    def test_graph_without_a_sink_needs_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "c3.json"
+        save_graph(cycle_graph(3), path)
+        assert main(["group", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: FormatError: graph file has no sink; pass --sink LABEL\n")
 
     def test_group_disconnected_exits_one(self, tmp_path, capsys):
         g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])
@@ -469,6 +500,24 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert min(payload["box"]) < 0
         assert payload["recurrent"] is False
+
+    @pytest.mark.parametrize("graph", [lambda: cone(k2()),
+                                       lambda: build_digraph(["a", "b"], [("a", "b", 1)])],
+                             ids=["sinked", "digraph"])
+    @pytest.mark.parametrize("position", ["first", "second"])
+    def test_product_refuses_a_sinked_graph_or_a_digraph(self, tmp_path, capsys, graph,
+                                                          position):
+        good = tmp_path / "k2.json"
+        bad = tmp_path / "bad.json"
+        save_graph(k2(), good)
+        save_graph(graph(), bad)
+        pair = [str(bad), str(good)] if position == "first" else [str(good), str(bad)]
+        a = write(tmp_path, "a.json", "[1, 1]")
+        assert main(["product", *pair, str(a), str(a)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: FormatError: {position} graph must be an undirected "
+                                "multigraph without a sink\n")
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     @pytest.mark.parametrize("certify", [[], ["--certify"]])

@@ -43,6 +43,10 @@ class TestParityStripe:
     def test_equal_values_constant(self):
         assert parity_stripe(3, (1, 1, 0), 4, 4) == (4,) * 8
 
+    def test_wrong_mask_length_refused(self):
+        with pytest.raises(ValueError, match="mask length 2 != 3"):
+            parity_stripe(3, (1, 0), 2, 1)
+
 
 class TestStripeGenerator:
     def test_square_generators(self):
@@ -369,6 +373,8 @@ class TestStructureReports:
     def test_guard(self):
         with pytest.raises(OutOfRange):
             verify_structure(9, 0)
+        with pytest.raises(OutOfRange, match="k must be nonnegative"):
+            verify_structure(2, -1)
 
 
 class TestEvenConeReport:
@@ -422,6 +428,11 @@ class TestDecomposition:
         assert not report.passed
         assert report.stripe_orders == tuple(wrong.get(k, k) for k in (3, 5, 7))
 
+    @pytest.mark.parametrize("d, max_d", [(0, 8), (9, 8), (3, 2)])
+    def test_guard(self, d, max_d):
+        with pytest.raises(OutOfRange, match=f"need 1 <= d <= {max_d}"):
+            verify_decomposition(d, max_d)
+
     def test_orders_that_miss_the_group_order_fail(self, monkeypatch):
         # Right orders whose product is not |K| leave the sum undecided.
         order = SandpileGroup.order
@@ -455,3 +466,5 @@ class TestInvariantFactorCount:
             verify_invariant_factor_count(9)
         with pytest.raises(OutOfRange):
             verify_invariant_factor_count(3, max_d=2)
+        with pytest.raises(OutOfRange, match="need d >= 1"):
+            invariant_factor_count(0)

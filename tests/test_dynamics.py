@@ -94,6 +94,10 @@ class TestStabilize:
         with pytest.raises(NoGlobalSink):
             stabilize(SinkedGraph(g, "a"), (0, 5))
 
+    def test_wrong_length_refused(self):
+        with pytest.raises(GraphMismatch, match="vector length 3 != 2"):
+            stabilize(cone(k2()), (1, 0, 0))
+
     def test_abelian_property(self):
         rng = random.Random(9)
         for _ in range(25):
@@ -181,6 +185,30 @@ class TestBurning:
                 assert is_recurrent_burning(g, c) == ((True, sigma) if recurrent
                                                       else (False, None))
                 assert group.is_recurrent(c) == recurrent
+
+    def test_free_function_is_the_group_test(self, monkeypatch):
+        # Stable and unstable inputs alike, on graphs and digraphs; the
+        # script is computed once per cached group, not once per call.
+        from sandpiles import dynamics
+
+        scripts = []
+        monkeypatch.setattr(dynamics, "burning_script",
+                            lambda g: scripts.append(g) or burning_script(g))
+        monkeypatch.setattr(dynamics, "_group_cache", {})
+        rng = random.Random(20)
+        graphs = [random_sinked_graph(rng, rng.randint(2, 4)) for _ in range(10)]
+        graphs += [random_sinked_digraph(rng, rng.randint(1, 3)) for _ in range(10)]
+        graphs += [thick_k2_cone(2, 5), cone(hypercube(2), 3)]
+        graphs = list(dict.fromkeys(graphs))
+        for g in graphs:
+            sigma = burning_script(g)[0]
+            group = SandpileGroup(g)
+            for c in itertools.product(*(range(d + 2) for d in g.out_degrees)):
+                recurrent = group.is_recurrent(c)
+                assert is_recurrent_burning(g, c) == ((True, sigma) if recurrent
+                                                      else (False, None))
+        # One script for each local group and one for each cached group.
+        assert len(scripts) == 2 * len(graphs)
 
 
 class TestSpeerBurning:
@@ -445,6 +473,14 @@ class TestAddRecurrent:
         b = identity(cone(cycle_graph(3)))
         with pytest.raises(GraphMismatch):
             add_recurrent(a, b)
+        with pytest.raises(GraphMismatch, match="belong to a different graph"):
+            sandpile_group(cone(k2())).add(b, b)
+
+    def test_non_recurrent_sum_refused(self):
+        g = cone(k2())
+        zero = RecurrentConfig(g, (0, 0), "input")
+        with pytest.raises(ValueError, match="is not recurrent"):
+            sandpile_group(g).add(zero, zero)
 
 
 class TestRepresentative:
@@ -452,10 +488,19 @@ class TestRepresentative:
         g = cone(cycle_graph(5))
         assert recurrent_representative(g, (0, 0, 0, 0, 0)).values == identity(g).values
 
-    def test_recurrent_is_its_own_representative(self):
-        g = cone(hypercube(2))
-        for c in sandpile_group(g).recurrents():
-            assert recurrent_representative(g, c).values == c
+    def test_recurrent_is_its_own_representative(self, monkeypatch):
+        # It passes the burning test and is returned as it stands: no lift
+        # and no stabilization run.
+        from sandpiles import dynamics
+
+        graphs = [cone(hypercube(2)), cone(cycle_graph(5)), thick_k2_cone(3, 5),
+                  cone(hypercube(2), 3)]
+        orbits = [sandpile_group(g).recurrents() for g in graphs]
+        monkeypatch.setattr(dynamics, "stabilize", None)
+        for g, orbit in zip(graphs, orbits):
+            for c in orbit:
+                rc = recurrent_representative(g, c)
+                assert rc.values == c and rc.certificate == "burning"
 
     def test_triple_cone_zero_class(self):
         g = cone(hypercube(1), 3)
@@ -489,6 +534,13 @@ class TestRepresentative:
         g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])
         with pytest.raises(SingularReducedLaplacian):
             recurrent_representative(SinkedGraph(g, "a"), (0, 0))
+        # Stable nonnegative vectors are refused too, not burned and returned.
+        g = SinkedGraph(
+            build_multigraph(["a", "b", "c", "s"], [("a", "b", 1), ("c", "s", 1)]), "s"
+        )
+        for c in all_stable_configs(g.out_degrees):
+            with pytest.raises(SingularReducedLaplacian):
+                recurrent_representative(g, c)
 
     def test_disconnected_refused_by_every_lattice_query(self):
         g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])

@@ -378,3 +378,19 @@ def test_hypercube_labels():
 def test_thick_pair_requires_positive_multiplicity():
     with pytest.raises(NonPositiveMultiplicity):
         thick_pair(0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: build_multigraph(["a", "a"], []), UnknownVertex, "duplicate vertex labels"),
+    (lambda: hypercube(-1), ValueError, "dimension must be nonnegative"),
+    (lambda: subcube(2, (1, 2)), ValueError, "mask must be a 0/1 tuple"),
+    (lambda: subcube(3, (1, 0)), ValueError, "mask length 2 != 3"),
+    (lambda: thick_k2_cone(0, 2), NonPositiveMultiplicity, "need r, t >= 1"),
+    (lambda: thick_k2_cone(2, 0), NonPositiveMultiplicity, "need r, t >= 1"),
+    (lambda: contract(cycle_graph(3), {"v1", "x"}), UnknownVertex, "^x$"),
+    (lambda: cycle_graph(2), ValueError, "at least 3 vertices"),
+], ids=["duplicate-labels", "negative-dimension", "mask-not-binary", "mask-length",
+        "thick-r", "thick-t", "contract-unknown", "short-cycle"])
+def test_constructors_refuse_bad_arguments(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

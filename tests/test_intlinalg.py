@@ -37,6 +37,7 @@ from sandpiles.intlinalg import (
     _factorize,
     cokernel_diagonal,
     determinant,
+    elementary_divisors_of,
     invariant_factors,
     laplacian,
     reduced_laplacian,
@@ -632,6 +633,22 @@ class TestFractionFreeLU:
         assert determinant(a) == 0
         with pytest.raises(InfiniteCokernel):
             LatticeSolver(a)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IntMatrix(-1, 0, ()), "dimensions must be nonnegative"),
+    (lambda: IntMatrix(1, 2, ((1,),)), "entry shape does not match dimensions"),
+    (lambda: IntMatrix.from_rows([[1, 2]]).mul_vector((1,)), "dimension mismatch"),
+    (lambda: LatticeSolver(IntMatrix.from_rows([[2]])).solve((1, 0)), "dimension mismatch"),
+    (lambda: LatticeSolver(IntMatrix.from_rows([[1, 2]])), "lattice solving needs a square"),
+    (lambda: determinant(IntMatrix.from_rows([[1, 2]])), "determinant needs a square"),
+    (lambda: invariant_factors(IntMatrix.from_rows([[1, 2]])), "invariant factors need a square"),
+    (lambda: elementary_divisors_of((3, 0)), "cyclic orders must be positive"),
+], ids=["negative-dimension", "entry-shape", "mul-vector", "solve", "solver-not-square",
+        "determinant-not-square", "invariant-factors-not-square", "cyclic-order"])
+def test_malformed_shapes_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestFactorize:

@@ -15,11 +15,14 @@ from sandpiles.errors import (
     ClauseViolation,
     NotBiregular,
     NotSurjective,
+    NotUndirected,
     PreconditionViolated,
+    UnknownVertex,
 )
 from sandpiles.graphs import (
     Multigraph,
     SinkedGraph,
+    build_digraph,
     build_multigraph,
     cartesian_product,
     cone,
@@ -192,6 +195,31 @@ class TestValidation:
         assert err.value.witness == witness
 
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda c3, ident: validate_hom(VertexMap(
+            build_digraph(c3.vertices, [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v1", 1)]),
+            c3, ident), c3.vertices, "uniform"),
+         NotUndirected, "need undirected multigraphs"),
+        (lambda c3, ident: validate_hom(VertexMap(c3, c3, ident), c3.vertices, "directed"),
+         NotUndirected, "to orient edges"),
+        (lambda c3, ident: VertexMap(c3, c3, {"v1": "v1", "v2": "v2"}),
+         UnknownVertex, "map is not total: 'v3' unmapped"),
+        (lambda c3, ident: VertexMap(c3, c3, {**ident, "x": "v1"}),
+         UnknownVertex, "map mentions unknown vertex 'x'"),
+        (lambda c3, ident: VertexMap(c3, c3, {**ident, "v3": "x"}),
+         UnknownVertex, "image vertex 'x' not in target"),
+        (lambda c3, ident: validate_hom(VertexMap(c3, c3, ident), c3.vertices, "strong"),
+         ValueError, "unknown kind 'strong'"),
+        (lambda c3, ident: validate_hom(VertexMap(c3, c3, ident), ["x"], "uniform"),
+         UnknownVertex, "subset vertex 'x' not in target"),
+    ], ids=["digraph-uniform", "multigraph-directed", "not-total", "unknown-vertex",
+            "image-outside-target", "unknown-kind", "subset-outside-target"])
+    def test_malformed_maps_are_refused(self, make, error, message):
+        c3 = cycle_graph(3)
+        with pytest.raises(error, match=message):
+            make(c3, {v: v for v in c3.vertices})
+
+
 class TestDegreeLaw:
     def test_blowup_degrees(self):
         rng = random.Random(2)
@@ -262,6 +290,11 @@ class TestPullback:
         for c in sandpile_group(hom.target).recurrents():
             img = induced_map(hom, RecurrentConfig(hom.target, c, "orbit"))
             assert g_src.is_recurrent(img.values)
+
+    def test_induced_map_refuses_a_configuration_of_another_graph(self):
+        hom = contraction_hom()
+        with pytest.raises(PreconditionViolated, match="different graph"):
+            induced_map(hom, sandpile_group(hom.source).identity)
 
     def test_preconditions_enforced(self):
         g = cycle_graph(4)
@@ -556,3 +589,6 @@ class TestBipartiteCollapse:
         path3 = build_multigraph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
         with pytest.raises(NotBiregular):
             bipartite_collapse_hom(path3, (["a", "b"], ["c"]))
+        for parts in ((["b"], ["a"]), (["a", "b"], ["b", "c"])):
+            with pytest.raises(NotBiregular, match="must partition"):
+                bipartite_collapse_hom(path3, parts)

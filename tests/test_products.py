@@ -8,6 +8,7 @@ import pytest
 from oracles import burning_order_by_sweeps
 from sandpiles.dynamics import (
     RecurrentConfig,
+    SandpileGroup,
     is_recurrent_burning,
     sandpile_group,
 )
@@ -125,12 +126,14 @@ class TestEmbedFactor:
         assert len(set(images.values())) == len(recs)
 
     def test_failed_burning_test_is_caught(self, monkeypatch):
-        from sandpiles import products
-
+        # Both factor identities are cached first, so only the product
+        # cone's representative meets the failing test.
         ctx = BoxContext(k3(), k2())
-        monkeypatch.setattr(products, "is_recurrent_burning", lambda g, c: (False, None))
-        with pytest.raises(ValidationFailed):
-            embed_factor(ctx, sandpile_group(ctx.cone_g).identity, "g")
+        a = sandpile_group(ctx.cone_g).identity
+        sandpile_group(ctx.cone_h).identity
+        monkeypatch.setattr(SandpileGroup, "is_recurrent", lambda self, c: False)
+        with pytest.raises(ValidationFailed, match="failed the burning test"):
+            embed_factor(ctx, a, "g")
 
     @pytest.mark.parametrize("factor, length", [("g", 4), ("h", 1)])
     def test_wrong_length_refused(self, factor, length):
