@@ -158,20 +158,15 @@ def cmd_product(args, fmt: str) -> int:
 
 
 def cmd_hypercube(args, fmt: str) -> int:
-    reports = []
-    mode = args.verify
-    if mode in ("structure", "all"):
-        reports.append(cubes.verify_structure(args.d, args.k, max_d=args.max_d))
-    if mode in ("decomposition", "all"):
-        reports.append(cubes.verify_decomposition(args.d, max_d=args.max_d))
-    if mode in ("even-counterexample", "all"):
-        reports.append(cubes.verify_even_cone_counterexample())
-    if mode in ("if-count", "all"):
-        reports.append(cubes.verify_invariant_factor_count(args.d, max_d=args.max_d))
-    payload = {"reports": [r.to_dict() for r in reports]}
+    checks = {
+        "structure": lambda: cubes.verify_structure(args.d, args.k),
+        "decomposition": lambda: cubes.verify_decomposition(args.d),
+        "even-counterexample": cubes.verify_even_cone_counterexample,
+        "if-count": lambda: cubes.verify_invariant_factor_count(args.d),
+    }
+    reports = [run() for mode, run in checks.items() if args.verify in (mode, "all")]
     passed = all(r.passed for r in reports)
-    payload["passed"] = passed
-    _emit(payload, fmt)
+    _emit({"reports": [r.to_dict() for r in reports], "passed": passed}, fmt)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -263,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("hypercube", help="cube-cone verification reports")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=2, help=f"cube dimension, 1..{cubes.MAX_D}")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--max-d", type=int, default=8, help="guard on the cube dimension")
     p.add_argument("--verify", required=True,
                    choices=("structure", "decomposition", "even-counterexample",
                             "if-count", "all"))

@@ -5,9 +5,9 @@ Bit masks play the role of coordinate subsets: a mask is a 0/1 tuple of
 length d, and a stripe assigns one value to the vertices whose masked bit
 count is even and another to the odd ones.  The stripe with values
 (d, d - weight) generates a cyclic subgroup of order 2*weight + 1 in the
-sandpile group of the cone, and those subgroups decompose the whole group;
-`verify_decomposition` proves it at every d with one certified order per
-weight, since the coordinate permutations of Q_d permute the stripes.
+sandpile group of the cone, and those subgroups decompose the whole group.
+The odd-cone reports all read one character proof, `_odd_cone_orders`, with
+no LU and no Smith form; the LU serves only `verify_even_cone_counterexample`.
 
 The two maps behind the generators are the other layers' maps, not copies:
 the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
@@ -27,6 +27,7 @@ from .dynamics import (
     Chips,
     RecurrentConfig,
     SandpileGroup,
+    _fire,
     sandpile_group,
 )
 from .errors import OutOfRange, ValidationFailed
@@ -39,16 +40,12 @@ from .graphs import (
     subcube,
     thick_pair,
 )
-from .intlinalg import (
-    IntMatrix,
-    cokernel_diagonal,
-    elementary_divisors_of,
-    reduced_laplacian,
-)
+from .intlinalg import elementary_divisors_of
 from .morphisms import UniformHom, bipartite_collapse_hom
 from .products import BoxContext
 
 BitMask = tuple[int, ...]
+MAX_D = 12  # the largest cube dimension of the odd-cone reports
 
 
 def cube_cone(d: int, n: int = 1) -> SinkedGraph:
@@ -202,10 +199,10 @@ def cone_stripe_subgroup(d: int, n: int, mask: Sequence[int]) -> StripeSubgroup:
     The generator on the pair cone is (ceil(w/n)*n, 0), the smallest positive
     multiple of n at or above the weight w; at n = 1 that is the classical
     (w, 0).  The patterns reproduce the printed representative lists; the
-    elements are the genuine subgroup.  Expected order 2w + n holds whenever
-    gcd(n, w) = 1 (always in the verified example range); the report carries
-    the actual order either way, and `odd_cone` flags that the direct-sum
-    decomposition claim needs n odd.
+    elements are the genuine subgroup.  The expected order is 2w + n; the
+    actual one, (2w + n)/gcd(ceil(w/n)*n, 2w + n), is below it in some cases
+    with gcd(n, w) = 1 too (9, not 27, at n = 5, w = 11), and the report
+    carries it.  `odd_cone` flags that the direct-sum claim needs n odd.
     """
     mask = tuple(mask)
     w = sum(mask)
@@ -260,15 +257,42 @@ def structure_formula_factors(d: int, k: int) -> list[int]:
     return [2 * i + 2 * k + 1 for i in range(d + 1) for _ in range(comb(d, i))]
 
 
-def verify_structure(d: int, k: int = 0, max_d: int = 8) -> StructureReport:
-    """Compare the computed elementary divisors of the (2k+1)-cone of the
-    d-cube with the closed-form direct sum."""
-    if not 1 <= d <= max_d:
-        raise OutOfRange(f"need 1 <= d <= {max_d}")
+def _odd_cone_orders(graph: SinkedGraph, d: int, n: int) -> list[int] | None:
+    """The cyclic orders 2|S| + n of K = Z^V / Im L, graph = cube_cone(d, n),
+    proved by characters for odd n; None for even n or a failed check.
+
+    chi_S(x) = (-1)^(S.x) has L chi_S = lambda_S chi_S, lambda_S = 2|S| + n
+    (Godsil-Royle on Cayley graphs of Z_2^d; Bai, "On the critical group of
+    the n-cube", 2003), checked for S the first w coordinates, w = 0..d.
+    (a) lambda_S chi_S = L chi_S is in Im L, so ord(chi_S) | lambda_S.
+    (b) Coordinate permutations fix the apex and permute the chi_S, so one
+        S per weight covers them all.
+    (c) sum_S chi_S = 2^d e_0 and translations x -> x xor a fix the apex,
+        so 2^d Z^V lies in the span of the chi_S.
+    (d) |K| = prod lambda_S is odd, so 2^d is invertible on K and the chi_S
+        generate K; |K| <= prod ord(chi_S) <= prod lambda_S = |K| makes every
+        order exact and the sum direct.
+    """
+    if n % 2 == 0:
+        return None
+    for w in range(d + 1):
+        low = (1 << w) - 1
+        chi = [-1 if (x & low).bit_count() % 2 else 1 for x in range(1 << d)]
+        if _fire(graph, chi) != [(2 * w + n) * c for c in chi]:
+            return None
+    return structure_formula_factors(d, n // 2)
+
+
+def verify_structure(d: int, k: int = 0) -> StructureReport:
+    """The elementary divisors that `_odd_cone_orders` proves for the
+    (2k+1)-cone of the d-cube (none if it fails) against the closed form."""
+    if not 1 <= d <= MAX_D:
+        raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     if k < 0:
         raise OutOfRange("k must be nonnegative")
-    group = sandpile_group(cube_cone(d, 2 * k + 1))
-    computed = group.structure.elementary_divisors
+    n = 2 * k + 1
+    orders = _odd_cone_orders(cube_cone(d, n), d, n)
+    computed = () if orders is None else elementary_divisors_of(orders)
     expected = elementary_divisors_of(structure_formula_factors(d, k))
     return StructureReport(d, k, computed == expected, computed, expected)
 
@@ -330,47 +354,24 @@ class DecompositionReport:
         }
 
 
-def all_masks(d: int) -> list[BitMask]:
-    return [tuple((m >> i) & 1 for i in range(d)) for m in range(1 << d)]
-
-
-def decomposition_rows(d: int) -> IntMatrix:
-    """Toppling rows of the cube cone stacked with every nonzero stripe generator."""
-    lap = reduced_laplacian(cube_cone(d))
-    rows = [list(r) for r in lap.entries]
-    for mask in all_masks(d):
-        w = sum(mask)
-        if w:
-            rows.append(list(parity_stripe(d, mask, d, d - w)))
-    return IntMatrix.from_rows(rows)
-
-
-def verify_decomposition(d: int, max_d: int = 8) -> DecompositionReport:
+def verify_decomposition(d: int) -> DecompositionReport:
     """Prove K = (+)_S <s_S> over the nonempty S, with |<s_S>| = 2|S| + 1.
 
-    Generation: the toppling rows stacked with the stripes have Smith
-    diagonal all ones.  Orders: a coordinate permutation pi of Q_d is an
-    automorphism of the cone that fixes the sink and carries s_S to
-    s_pi(S), so a stripe of weight w has the order of the one on the first
-    w coordinates, certified recurrent by burning and of order 2w + 1 by a
-    witness solve.  Directness: prod_w (2w + 1)^C(d, w) = |K|, so
-    |K| <= prod_S ord(s_S) = |K| and (+)_S <s_S> -> K is a bijection.
+    `_odd_cone_orders` at n = 1 gives K = (+)_S <chi_S>, ord(chi_S) = 2|S| + 1.
+    The stripe s_S = (d, d - w), w = |S|, has 2 s_S = (2d - w) 1 + w chi_S,
+    1 = chi_0 is 0 in K, and 2, w are prime to 2w + 1: s_S generates <chi_S>,
+    so L stacked with the stripes has Smith diagonal all ones.  Each weight's
+    stripe on the first w coordinates is burned on the proof's graph, so the
+    printed generators are recurrent; a failed check empties both tuples.
     """
-    if not 1 <= d <= max_d:
-        raise OutOfRange(f"need 1 <= d <= {max_d}")
-    group = sandpile_group(cube_cone(d))
-    # The rows include L, whose row lattice contains e * Z^(2^d) for the
-    # exponent e of K(cone(Q_d)), its largest invariant factor.
-    exponent = max(group.structure.invariant_factors, default=1)
-    diag = cokernel_diagonal(decomposition_rows(d), exponent)
-    lattice_ok = len(diag) == 1 << d and all(x == 1 for x in diag)
-    orders = tuple(
-        group.element_order(stripe_generator(d, (1,) * w + (0,) * (d - w)))
-        for w in range(1, d + 1)
-    )
-    passed = (lattice_ok and orders == tuple(range(3, 2 * d + 2, 2))
-              and prod(o ** comb(d, w) for w, o in enumerate(orders, 1)) == group.order)
-    return DecompositionReport(d, passed, diag, orders)
+    if not 1 <= d <= MAX_D:
+        raise OutOfRange(f"need 1 <= d <= {MAX_D}")
+    graph = cube_cone(d)
+    group = sandpile_group(graph)
+    stripes = (parity_stripe(d, (1,) * w + (0,) * (d - w), d, d - w) for w in range(1, d + 1))
+    if _odd_cone_orders(graph, d, 1) is None or not all(map(group.is_recurrent, stripes)):
+        return DecompositionReport(d, False, (), ())
+    return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 
 
 @dataclass(frozen=True)
@@ -400,9 +401,12 @@ def invariant_factor_count(d: int) -> int:
     return sum(comb(d, 1 + 3 * i) for i in range((d - 1) // 3 + 1))
 
 
-def verify_invariant_factor_count(d: int, max_d: int = 8) -> InvariantFactorReport:
-    if not 1 <= d <= max_d:
-        raise OutOfRange(f"need 1 <= d <= {max_d}")
-    computed = len(sandpile_group(cube_cone(d)).structure.invariant_factors)
+def verify_invariant_factor_count(d: int) -> InvariantFactorReport:
+    """The largest p-rank of the orders `_odd_cone_orders` proves, 0 if it fails
+    (a composite p never beats its primes), against the closed form."""
+    if not 1 <= d <= MAX_D:
+        raise OutOfRange(f"need 1 <= d <= {MAX_D}")
+    orders = _odd_cone_orders(cube_cone(d), d, 1) or []
+    computed = max(sum(o % p == 0 for o in orders) for p in range(2, 2 * d + 2))
     closed = invariant_factor_count(d)
     return InvariantFactorReport(d, closed == computed, closed, computed)

@@ -342,7 +342,7 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
             return InjectionReport(False, None, None, witness=(column,))
 
     # exponent * Z^n lies in the column lattice of L_src, so it is a valid
-    # modulus for the stack, as in cubes.verify_decomposition.
+    # modulus for the stack.
     exponent = max(g_src.structure.invariant_factors, default=1)
     stacked = IntMatrix.from_rows(l_src.transpose().entries + tuple(images))
     image_order = g_src.order // prod(cokernel_diagonal(stacked, exponent))

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
-from sandpiles.cubes import all_masks, cube_cone, stripe_subgroup
+from sandpiles.cubes import BitMask, cube_cone, stripe_subgroup
 from sandpiles.dynamics import sandpile_group, stabilize
 from sandpiles.graphs import Multigraph, SinkedGraph, cone, subcube
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
@@ -290,6 +290,11 @@ def recurrents_by_closure(g: SinkedGraph) -> frozenset[tuple[int, ...]]:
                     nxt.append(w)
         frontier = nxt
     return frozenset(seen)
+
+
+def all_masks(d: int) -> list[BitMask]:
+    """Every 0/1 mask of length d, in the order of their bit masks."""
+    return [tuple((m >> i) & 1 for i in range(d)) for m in range(1 << d)]
 
 
 def direct_sum_by_enumeration(d: int) -> tuple[int, int]:

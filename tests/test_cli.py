@@ -546,19 +546,19 @@ class TestCliCommands:
         assert payload["passed"] and len(payload["reports"]) == 4
 
     def test_hypercube_all_at_max_d(self, capsys):
-        assert main(["hypercube", "--d", "8", "--verify", "all"]) == 0
+        assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"]
         decomposition = next(r for r in payload["reports"] if r["check"] == "decomposition")
-        assert decomposition["stripe_orders"] == [3, 5, 7, 9, 11, 13, 15, 17]
+        assert decomposition["stripe_orders"] == list(range(3, 26, 2))
 
     def test_hypercube_guard(self, capsys):
-        assert main(["hypercube", "--d", "9", "--verify", "structure"]) == 1
+        assert main(["hypercube", "--d", "13", "--verify", "structure"]) == 1
+        assert main(["hypercube", "--d", "0", "--verify", "decomposition"]) == 1
 
     def test_hypercube_if_count_guard(self, capsys):
-        assert main(["hypercube", "--d", "9", "--verify", "if-count"]) == 1
+        assert main(["hypercube", "--d", "13", "--verify", "if-count"]) == 1
         assert capsys.readouterr().err.startswith("error: OutOfRange: ")
-        assert main(["hypercube", "--d", "3", "--max-d", "2", "--verify", "if-count"]) == 1
 
     def test_snf(self, tmp_path, capsys):
         m = write(tmp_path, "m.txt", "2 -1\n-1 2\n")

@@ -5,13 +5,12 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import direct_sum_by_enumeration, matmul, subcube_embeddings_by_bits
+from oracles import all_masks, direct_sum_by_enumeration, matmul, subcube_embeddings_by_bits
 import sandpiles.cubes as cubes
 from sandpiles.cubes import (
-    all_masks,
+    _odd_cone_orders,
     cone_stripe_subgroup,
     cube_cone,
-    decomposition_rows,
     invariant_factor_count,
     parity_collapse_hom,
     parity_stripe,
@@ -27,8 +26,14 @@ from sandpiles.cubes import (
 )
 from sandpiles.dynamics import SandpileGroup, sandpile_group
 from sandpiles.errors import OutOfRange
-from sandpiles.graphs import cone, subcube, thick_pair
-from sandpiles.intlinalg import IntMatrix, determinant, reduced_laplacian
+from sandpiles.graphs import build_multigraph, cone, hypercube, subcube, thick_pair
+from sandpiles.intlinalg import (
+    IntMatrix,
+    cokernel_diagonal,
+    determinant,
+    elementary_divisors_of,
+    reduced_laplacian,
+)
 from sandpiles.morphisms import verify_group_injection
 
 
@@ -358,6 +363,20 @@ class TestConeStripeSubgroups:
                 stripe_subgroup(2, mask).elements
             )
 
+    def test_pair_generator_order(self):
+        # The pair cone's generator (c, 0), c = ceil(w/n)*n, has order
+        # (2w + n) / gcd(c, 2w + n).  In 14 of these cases gcd(n, w) = 1 and
+        # the order is still below 2w + n, the first at n = 5, w = 11.
+        short = []
+        for n in range(1, 12, 2):
+            for w in range(1, 40):
+                c = -(-w // n) * n
+                order = sandpile_group(cone(thick_pair(w), n)).element_order((c, 0))
+                assert order == (2 * w + n) // gcd(c, 2 * w + n)
+                if order != 2 * w + n and gcd(n, w) == 1:
+                    short.append((n, w, order))
+        assert len(short) == 14 and short[0] == (5, 11, 9)
+
 
 class TestStructureReports:
     def test_small_cases(self):
@@ -371,8 +390,9 @@ class TestStructureReports:
         assert verify_structure(d, k).passed
 
     def test_guard(self):
-        with pytest.raises(OutOfRange):
-            verify_structure(9, 0)
+        for d in (0, 13):
+            with pytest.raises(OutOfRange, match="need 1 <= d <= 12"):
+                verify_structure(d, 0)
         with pytest.raises(OutOfRange, match="k must be nonnegative"):
             verify_structure(2, -1)
 
@@ -386,11 +406,55 @@ class TestEvenConeReport:
         assert report.orders_match
 
 
-class TestDecomposition:
-    def test_dimension_one_rows(self):
-        rows = decomposition_rows(1)
-        assert rows.entries == ((2, -1), (-1, 2), (1, 0))
+def cube_cone_with_extra_edge(d: int, n: int = 1):
+    cube = hypercube(d)
+    v = cube.vertices
+    return cone(build_multigraph(v, cube.edges() + [(v[0], v[3], 1)]), n)
 
+
+class TestOddConeCertificate:
+    """The character proof against the exact LU."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_matches_the_lu(self, d, n):
+        orders = _odd_cone_orders(cube_cone(d, n), d, n)
+        group = sandpile_group(cube_cone(d, n))
+        assert elementary_divisors_of(orders) == group.structure.elementary_divisors
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_cones_are_refused(self, n):
+        for d in range(1, 6):
+            assert _odd_cone_orders(cube_cone(d, n), d, n) is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_decomposition_matches_the_lu(self, d):
+        report = verify_decomposition(d)
+        group = sandpile_group(cube_cone(d))
+        stripes = [parity_stripe(d, mask, d, d - sum(mask)) for mask in all_masks(d)[1:]]
+        for mask, stripe in zip(all_masks(d)[1:], stripes):
+            assert group.element_order(stripe) == report.stripe_orders[sum(mask) - 1]
+        rows = [list(r) for r in group.reduced_laplacian.entries] + [list(s) for s in stripes]
+        exponent = max(group.structure.invariant_factors)
+        assert cokernel_diagonal(IntMatrix.from_rows(rows), exponent) == report.lattice_diagonal
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_invariant_factor_count_matches_the_lu(self, d):
+        structure = sandpile_group(cube_cone(d)).structure
+        assert verify_invariant_factor_count(d).computed == len(structure.invariant_factors)
+
+    def test_an_extra_edge_fails_every_report(self, monkeypatch):
+        monkeypatch.setattr(cubes, "cube_cone", cube_cone_with_extra_edge)
+        structure = verify_structure(3, 1)
+        assert not structure.passed and structure.computed == ()
+        decomposition = verify_decomposition(3)
+        assert not decomposition.passed
+        assert decomposition.lattice_diagonal == decomposition.stripe_orders == ()
+        count = verify_invariant_factor_count(3)
+        assert not count.passed and count.computed == 0
+
+
+class TestDecomposition:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_lattice_fills_out(self, d):
         report = verify_decomposition(d)
@@ -404,41 +468,18 @@ class TestDecomposition:
         assert sandpile_group(cube_cone(d)).order == order
         assert direct_sum_by_enumeration(d) == (order, order)
 
-    def test_a_non_generator_stripe_fails(self, monkeypatch):
-        # The last row is the full-mask stripe, the only one of order 7 at
-        # d = 3; the identity 3 * 1 in its place generates nothing.
-        rows = decomposition_rows(3).entries
-        swapped = IntMatrix.from_rows([list(r) for r in rows[:-1]] + [[3] * 8])
-        monkeypatch.setattr(cubes, "decomposition_rows", lambda d: swapped)
-        report = verify_decomposition(3)
-        assert not report.passed and report.lattice_diagonal[-1] == 7
-
-    # Tripled at weight 2; or swapped between weights 1 and 2, which keeps
-    # the product 3^3 5^3 7 = |K|.
-    @pytest.mark.parametrize("wrong", [{5: 15}, {3: 5, 5: 3}], ids=["tripled", "swapped"])
-    def test_a_wrong_stripe_order_fails(self, monkeypatch, wrong):
-        order = SandpileGroup.element_order
-
-        def wrong_order(self, c):
-            k = order(self, c)
-            return wrong.get(k, k)
-
-        monkeypatch.setattr(SandpileGroup, "element_order", wrong_order)
+    def test_a_non_recurrent_stripe_fails(self, monkeypatch):
+        monkeypatch.setattr(SandpileGroup, "is_recurrent", lambda self, values: False)
         report = verify_decomposition(3)
         assert not report.passed
-        assert report.stripe_orders == tuple(wrong.get(k, k) for k in (3, 5, 7))
+        assert report.lattice_diagonal == report.stripe_orders == ()
 
-    @pytest.mark.parametrize("d, max_d", [(0, 8), (9, 8), (3, 2)])
-    def test_guard(self, d, max_d):
-        with pytest.raises(OutOfRange, match=f"need 1 <= d <= {max_d}"):
-            verify_decomposition(d, max_d)
-
-    def test_orders_that_miss_the_group_order_fail(self, monkeypatch):
-        # Right orders whose product is not |K| leave the sum undecided.
-        order = SandpileGroup.order
-        monkeypatch.setattr(SandpileGroup, "order", property(lambda self: 3 * order.fget(self)))
-        report = verify_decomposition(3)
-        assert not report.passed and report.stripe_orders == (3, 5, 7)
+    @pytest.mark.parametrize("d", [0, 13])
+    def test_guard(self, d, monkeypatch):
+        # Refused before any graph is built.
+        monkeypatch.setattr(cubes, "cube_cone", None)
+        with pytest.raises(OutOfRange, match="need 1 <= d <= 12"):
+            verify_decomposition(d)
 
 
 class TestInvariantFactorCount:
@@ -449,7 +490,7 @@ class TestInvariantFactorCount:
 
     def test_closed_form_equals_prime_maximum(self):
         # the closed form is the max over odd primes of the multiplicity sum
-        for d in range(1, 9):
+        for d in range(1, 13):
             best = 0
             for p in range(3, 2 * d + 2, 2):
                 if smallest_prime(p) != p:
@@ -462,9 +503,8 @@ class TestInvariantFactorCount:
         assert verify_invariant_factor_count(d).passed
 
     def test_guard(self):
-        with pytest.raises(OutOfRange):
-            verify_invariant_factor_count(9)
-        with pytest.raises(OutOfRange):
-            verify_invariant_factor_count(3, max_d=2)
+        for d in (0, 13):
+            with pytest.raises(OutOfRange, match="need 1 <= d <= 12"):
+                verify_invariant_factor_count(d)
         with pytest.raises(OutOfRange, match="need d >= 1"):
             invariant_factor_count(0)

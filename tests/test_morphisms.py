@@ -7,9 +7,9 @@ import random
 import pytest
 
 from conftest import contracted_square, random_connected_multigraph, thick_triangle_target
-from oracles import image_order_by_enumeration, image_order_by_smith_form
+from oracles import all_masks, image_order_by_enumeration, image_order_by_smith_form
 import sandpiles.morphisms as morphisms
-from sandpiles.cubes import all_masks, parity_collapse_hom
+from sandpiles.cubes import parity_collapse_hom
 from sandpiles.dynamics import RecurrentConfig, sandpile_group, stabilize
 from sandpiles.errors import (
     ClauseViolation,
