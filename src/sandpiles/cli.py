@@ -5,6 +5,12 @@ check-hom, product, hypercube, snf.  Exit codes: 0 success, 1 input or
 validation error, 2 verification FAIL.  Output is deterministic JSON by
 default (sorted keys, big integers as decimal strings); --output text gives a
 human-readable fallback.  The format is set by --output alone.
+
+Each subcommand imports only the layers it runs: stabilize, identity,
+representative and add load errors, graphs, dynamics and jsonio; intlinalg
+loads with the first factorization (group, recurrents, snf), morphisms with
+check-hom, products with product, and cubes, which needs both, with
+hypercube.
 """
 
 from __future__ import annotations
@@ -12,11 +18,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cubes
 from .dynamics import DEFAULT_ORBIT_GUARD, RecurrentConfig, sandpile_group, stabilize
-from .errors import ClauseViolation, FormatError, NotSurjective, SandpileError
+from .errors import (
+    ClauseViolation,
+    FormatError,
+    InfiniteCokernel,
+    NotSurjective,
+    SandpileError,
+)
 from .graphs import Multigraph, SinkedGraph
-from .intlinalg import smith_normal_form
 from .jsonio import (
     config_to_list,
     dumps,
@@ -26,12 +36,12 @@ from .jsonio import (
     load_matrix,
     matrix_to_dict,
 )
-from .morphisms import verify_group_injection
-from .products import BoxContext
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
+# cubes.MAX_D, written out so that building the parser does not import cubes.
+_MAX_D = 12
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -111,6 +121,8 @@ def cmd_representative(args, fmt: str) -> int:
 
 
 def cmd_check_hom(args, fmt: str) -> int:
+    from .morphisms import verify_group_injection
+
     source = load_graph(args.source)
     target = load_graph(args.target)
     try:
@@ -139,6 +151,8 @@ def cmd_check_hom(args, fmt: str) -> int:
 
 
 def cmd_product(args, fmt: str) -> int:
+    from .products import BoxContext
+
     g = load_graph(args.graph_g)
     h = load_graph(args.graph_h)
     for name, graph in (("first", g), ("second", h)):
@@ -158,6 +172,8 @@ def cmd_product(args, fmt: str) -> int:
 
 
 def cmd_hypercube(args, fmt: str) -> int:
+    from . import cubes
+
     checks = {
         "structure": lambda: cubes.verify_structure(args.d, args.k),
         "decomposition": lambda: cubes.verify_decomposition(args.d),
@@ -171,7 +187,21 @@ def cmd_hypercube(args, fmt: str) -> int:
 
 
 def cmd_snf(args, fmt: str) -> int:
+    """Without --transforms, the diagonal of a square nonsingular matrix is
+    the invariant-factor chain of its cokernel padded with leading ones,
+    read from its LU; a singular or non-square matrix, or --transforms,
+    runs the full Smith elimination."""
+    from .intlinalg import invariant_factors, smith_normal_form
+
     a = load_matrix(args.matrix)
+    if not args.transforms and a.is_square():
+        try:
+            factors = invariant_factors(a).invariant_factors
+        except InfiniteCokernel:
+            pass
+        else:
+            _emit({"diagonal": [1] * (a.rows - len(factors)) + list(factors)}, fmt)
+            return EXIT_OK
     dec = smith_normal_form(a)
     payload = {"diagonal": [int(x) for x in dec.diagonal()]}
     if args.transforms:
@@ -258,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("hypercube", help="cube-cone verification reports")
-    p.add_argument("--d", type=int, default=2, help=f"cube dimension, 1..{cubes.MAX_D}")
+    p.add_argument("--d", type=int, default=2, help=f"cube dimension, 1..{_MAX_D}")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--verify", required=True,
                    choices=("structure", "decomposition", "even-counterexample",

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     GraphMismatch,
@@ -30,13 +30,11 @@ from .errors import (
     ValidationFailed,
 )
 from .graphs import SinkedGraph
-from .intlinalg import (
-    GroupStructure,
-    IntMatrix,
-    LatticeSolver,
-    invariant_factors,
-    reduced_laplacian,
-)
+
+# intlinalg loads when a group first factors its Laplacian, so stabilization,
+# burning and representatives run without it.
+if TYPE_CHECKING:
+    from .intlinalg import GroupStructure, IntMatrix, LatticeSolver
 
 Chips = tuple[int, ...]
 
@@ -183,6 +181,8 @@ class SandpileGroup:
     @property
     def reduced_laplacian(self) -> IntMatrix:
         if self._reduced is None:
+            from .intlinalg import reduced_laplacian
+
             self._reduced = reduced_laplacian(self.graph)
         return self._reduced
 
@@ -202,6 +202,8 @@ class SandpileGroup:
     @property
     def structure(self) -> GroupStructure:
         if self._structure is None:
+            from .intlinalg import invariant_factors
+
             self._structure = invariant_factors(self.solver)
         return self._structure
 
@@ -209,6 +211,8 @@ class SandpileGroup:
     def solver(self) -> LatticeSolver:
         """The LU of L^T, built once; a singular L is factored once too."""
         if self._solver is None and self._singular is None:
+            from .intlinalg import LatticeSolver
+
             try:
                 self._solver = LatticeSolver(self.reduced_laplacian)
             except InfiniteCokernel as exc:
@@ -348,12 +352,19 @@ class SandpileGroup:
         is certified congruent by one sparse product, result - x =
         L^T (k f_b - f), and recurrent by the burning test.  A recurrent x is
         the unique recurrent configuration of its class, so a nonnegative x
-        that passes the burning test is returned as it stands.
+        that passes the burning test is returned as it stands.  On an
+        undirected graph a recurrent configuration holds at least
+        |E(G - s)| chips, one per edge among the non-sink vertices (its
+        level is nonnegative; Merino 1997), so an x with fewer, the zero
+        vector of the identity among them, is lifted without that test.
         """
         x = _check_vector(self.graph, x)
         if not self.graph.connected:
             raise SingularReducedLaplacian(_SINGULAR)
-        if all(xi >= 0 for xi in x) and self.is_recurrent(x):
+        # 2 |E(G - s)| = sum(out) - sum(sink_mult) on an undirected graph.
+        graph = self.graph
+        burn = graph.directed or 2 * sum(x) >= sum(graph.out_degrees) - sum(graph.sink_mult)
+        if burn and all(xi >= 0 for xi in x) and self.is_recurrent(x):
             return RecurrentConfig(self.graph, tuple(x), "burning")
         if self._lift is None:
             a = [2 * d - 1 for d in self.graph.out_degrees]

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import FormatError
 from .graphs import Digraph, Multigraph, SinkedGraph, build_digraph, build_multigraph
-from .intlinalg import IntMatrix
-from .morphisms import HOM_KINDS, UniformHom, VertexMap, validate_hom
+
+# morphisms and intlinalg load in the readers that need them.
+if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
+    from .morphisms import UniformHom
 
 GRAPH_FORMAT = "sandpile-graph-v1"
 # A plain-text matrix entry: ASCII digits only, so neither an underscore nor
@@ -109,6 +112,8 @@ def load_config(path: str | Path) -> tuple[int, ...]:
 
 def load_hom(path: str | Path, source, target) -> UniformHom:
     """Parse and validate a homomorphism file against already-loaded graphs."""
+    from .morphisms import HOM_KINDS, VertexMap, validate_hom
+
     data = _load_json(path)
     if not isinstance(data, dict):
         raise FormatError("hom file must hold a JSON object")
@@ -129,6 +134,8 @@ def matrix_to_dict(a: IntMatrix) -> dict:
 
 def load_matrix(path: str | Path) -> IntMatrix:
     """JSON {"rows","cols","entries"} or plain text rows of integers."""
+    from .intlinalg import IntMatrix
+
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import sandpiles
 from conftest import contracted_square, grid_cone, thick_triangle_target
+from sandpiles import cubes
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
 from sandpiles.graphs import (
@@ -22,7 +24,7 @@ from sandpiles.graphs import (
     k2,
     thick_k2_cone,
 )
-from sandpiles.intlinalg import IntMatrix
+from sandpiles.intlinalg import IntMatrix, reduced_laplacian
 from sandpiles.jsonio import (
     dumps,
     graph_from_dict,
@@ -566,6 +568,36 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["diagonal"] == [1, 3]
         assert payload["u"]["entries"] and payload["v"]["entries"]
+
+    def test_hypercube_help_states_the_guard(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["hypercube", "--help"])
+        assert f"cube dimension, 1..{cubes.MAX_D}" in capsys.readouterr().out
+
+    def test_snf_diagonal_equals_the_transforms_path(self, tmp_path, capsys):
+        # Plain snf reads a square nonsingular diagonal from the invariant
+        # factors; it must print what the full elimination prints.
+        rng = random.Random(31)
+        matrices = [[[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [[2, -1], [-1, 2]],
+                    [list(r) for r in reduced_laplacian(cubes.cube_cone(3)).entries],
+                    [[0]], [[1]], [[-6]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [2, 4]]]
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, rng.randint(-20, 20))) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            matrices.append(rows)
+        singular = 0
+        for i, rows in enumerate([[]] + matrices):
+            m = write(tmp_path, f"m{i}.json", {"rows": len(rows), "cols": len(rows[0]) if rows
+                                               else 0, "entries": rows})
+            assert main(["snf", str(m), "--transforms"]) == 0
+            full = json.loads(capsys.readouterr().out)["diagonal"]
+            assert main(["snf", str(m)]) == 0
+            assert json.loads(capsys.readouterr().out) == {"diagonal": full}
+            singular += 0 in full
+        assert singular > 20
 
     def test_text_output(self, square_cone, capsys):
         assert main(["--output", "text", "identity", str(square_cone)]) == 0

@@ -502,6 +502,49 @@ class TestRepresentative:
                 rc = recurrent_representative(g, c)
                 assert rc.values == c and rc.certificate == "burning"
 
+    def test_fewest_recurrent_chips_is_the_inner_edge_count(self):
+        # Every recurrent configuration of an undirected graph holds at least
+        # |E(G - s)| chips, and the minimal ones hold exactly that many: the
+        # bound below which representative skips the burning test is tight.
+        rng = random.Random(23)
+        graphs = [cone(hypercube(2)), cone(cycle_graph(5)), cone(hypercube(2), 3),
+                  contracted_square(), *(random_sinked_graph(rng, rng.randint(2, 6))
+                                         for _ in range(12))]
+        for g in graphs:
+            inner = (sum(g.out_degrees) - sum(g.sink_mult)) // 2
+            assert min(map(sum, sandpile_group(g).recurrents())) == inner
+
+    @pytest.mark.parametrize("graph", [lambda: cone(hypercube(2)), lambda: cone(cycle_graph(5)),
+                                       contracted_square, lambda: thick_k2_cone(2, 3)],
+                             ids=["cone_q2", "cone_c5", "contracted_square", "thick_k2_digraph"])
+    def test_every_stable_input(self, graph):
+        # A stable input comes back as it stands exactly when it is
+        # recurrent; otherwise its representative is the recurrent one of its
+        # class.  Both carry the burning certificate.
+        group = SandpileGroup(graph())
+        for c in all_stable_configs(group.graph.out_degrees):
+            rc = group.representative(c)
+            assert rc.certificate == "burning"
+            assert (rc.values == tuple(c)) == group.is_recurrent(c)
+            assert group.is_recurrent(rc.values) and group.congruent(rc.values, c)
+
+    def test_zero_is_lifted_without_burning(self, monkeypatch):
+        burned = []
+        real = SandpileGroup.is_recurrent
+
+        def spy(self, values):
+            burned.append(tuple(values))
+            return real(self, values)
+
+        monkeypatch.setattr(SandpileGroup, "is_recurrent", spy)
+        e = SandpileGroup(cone(hypercube(3))).identity
+        # Only the lifted result is burned, never the zero vector.
+        assert burned == [e.values] and e.values == (3,) * 8
+        # Digraphs keep the burning test before the lift.
+        burned.clear()
+        SandpileGroup(thick_k2_cone(2, 3)).identity
+        assert burned[0] == (0, 0)
+
     def test_triple_cone_zero_class(self):
         g = cone(hypercube(1), 3)
         assert recurrent_representative(g, (0, 0)).values == (3, 3)
