@@ -18,11 +18,11 @@ Q_d = Q_S box Q_{S^c}, whose class is the cube cone group's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .dynamics import (
     Chips,
     RecurrentConfig,
@@ -40,9 +40,12 @@ from .graphs import (
     subcube,
     thick_pair,
 )
-from .intlinalg import elementary_divisors_of
-from .morphisms import UniformHom, bipartite_collapse_hom
-from .products import BoxContext
+
+# intlinalg, morphisms and products load in the functions that use them, so
+# the character-proof reports run without them.
+if TYPE_CHECKING:
+    from .morphisms import UniformHom
+    from .products import BoxContext
 
 BitMask = tuple[int, ...]
 MAX_D = 12  # the largest cube dimension of the odd-cone reports
@@ -75,8 +78,7 @@ def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     return RecurrentConfig(graph, values, "burning")
 
 
-@dataclass(frozen=True)
-class StripeSubgroup:
+class StripeSubgroup(Record):
     """A stripe-generated cyclic subgroup of a cube-cone sandpile group.
 
     `elements` are the actual recurrent configurations (closed under the group
@@ -87,14 +89,8 @@ class StripeSubgroup:
     elements.
     """
 
-    graph: SinkedGraph
-    n: int
-    mask: BitMask
-    order: int
-    expected_order: int
-    generator: Chips
-    elements: tuple[Chips, ...]
-    patterns: tuple[Chips, ...]
+    __slots__ = ("graph", "n", "mask", "order", "expected_order", "generator", "elements",
+                 "patterns")
 
     @property
     def odd_cone(self) -> bool:
@@ -129,7 +125,8 @@ def stripe_subgroup(d: int, mask: Sequence[int]) -> StripeSubgroup:
         raise ValidationFailed(
             f"stripe powers {sorted(set(sub.elements))} differ from the stripe family"
         )
-    return replace(sub, generator=sub.elements[0], patterns=sub.elements)
+    return StripeSubgroup(sub.graph, sub.n, sub.mask, sub.order, sub.expected_order,
+                          sub.elements[0], sub.elements, sub.elements)
 
 
 def thick_k2_power(r: int, k: int) -> tuple[int, int]:
@@ -146,6 +143,8 @@ def _embed_context(d: int, mask: BitMask, n: int) -> tuple[BoxContext, Chips, tu
     """The box context of Q_d = Q_S box Q_{S^c}, the identity of the
     complementary subcube's cone, and the product index of each cube vertex
     x, the product vertex (x & m, x & ~m); built once per (d, mask, n)."""
+    from .products import BoxContext
+
     m = mask_int(mask)
     ctx = BoxContext(subcube(d, mask), subcube(d, tuple(1 - b for b in mask)), n)
     label = [hypercube_label(x, d) for x in range(1 << d)]
@@ -179,6 +178,8 @@ def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
     """The surjective uniform homomorphism from the masked subcube's cone onto
     the thick two-vertex cone, v_x -> v1/v2 by masked parity, of degree
     2^(weight-1): the bipartite collapse of the weight-regular subcube."""
+    from .morphisms import bipartite_collapse_hom
+
     w = sum(mask)
     if w == 0:
         raise ValueError("the collapse needs a nonzero mask")
@@ -233,13 +234,8 @@ def cone_stripe_subgroup(d: int, n: int, mask: Sequence[int]) -> StripeSubgroup:
 # -- verification reports ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    d: int
-    k: int
-    passed: bool
-    computed: tuple[int, ...]
-    expected: tuple[int, ...]
+class StructureReport(Record):
+    __slots__ = ("d", "k", "passed", "computed", "expected")
 
     def to_dict(self) -> dict:
         return {
@@ -286,6 +282,8 @@ def _odd_cone_orders(graph: SinkedGraph, d: int, n: int) -> list[int] | None:
 def verify_structure(d: int, k: int = 0) -> StructureReport:
     """The elementary divisors that `_odd_cone_orders` proves for the
     (2k+1)-cone of the d-cube (none if it fails) against the closed form."""
+    from .intlinalg import elementary_divisors_of
+
     if not 1 <= d <= MAX_D:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     if k < 0:
@@ -297,13 +295,8 @@ def verify_structure(d: int, k: int = 0) -> StructureReport:
     return StructureReport(d, k, computed == expected, computed, expected)
 
 
-@dataclass(frozen=True)
-class EvenConeReport:
-    passed: bool
-    computed: tuple[int, ...]
-    formula_cyclic: tuple[int, ...]
-    formula_divisors: tuple[int, ...]
-    orders_match: bool
+class EvenConeReport(Record):
+    __slots__ = ("passed", "computed", "formula_cyclic", "formula_divisors", "orders_match")
 
     def to_dict(self) -> dict:
         return {
@@ -319,6 +312,8 @@ class EvenConeReport:
 def verify_even_cone_counterexample() -> EvenConeReport:
     """The 2-cone of the square: computed group Z8^2 + Z3, different from the
     formula's Z2 + Z4^2 + Z6 even though the orders agree (192)."""
+    from .intlinalg import elementary_divisors_of
+
     group = sandpile_group(cube_cone(2, 2))
     computed = group.structure.elementary_divisors
     formula_cyclic = (2, 4, 4, 6)
@@ -332,15 +327,11 @@ def verify_even_cone_counterexample() -> EvenConeReport:
     return EvenConeReport(passed, computed, formula_cyclic, formula_divisors, orders_match)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     """K(cone(Q_d)) = (+)_S <s_S> as `verify_decomposition` proves it, with no
     element enumerated; `stripe_orders[w - 1]` is the order at weight w."""
 
-    d: int
-    passed: bool
-    lattice_diagonal: tuple[int, ...]
-    stripe_orders: tuple[int, ...]
+    __slots__ = ("d", "passed", "lattice_diagonal", "stripe_orders")
     element_level = False
 
     def to_dict(self) -> dict:
@@ -374,12 +365,8 @@ def verify_decomposition(d: int) -> DecompositionReport:
     return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 
 
-@dataclass(frozen=True)
-class InvariantFactorReport:
-    d: int
-    passed: bool
-    closed_form: int
-    computed: int
+class InvariantFactorReport(Record):
+    __slots__ = ("d", "passed", "closed_form", "computed")
 
     def to_dict(self) -> dict:
         return {

@@ -16,11 +16,11 @@ and runs each avalanche from that chip inline.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .errors import (
     GraphMismatch,
     InfiniteCokernel,
@@ -44,14 +44,11 @@ _SINGULAR = "reduced Laplacian is singular (no global sink / disconnected)"
 _GROUP_CACHE_CAP = 64
 
 
-@dataclass(frozen=True)
-class RecurrentConfig:
+class RecurrentConfig(Record):
     """A configuration certified recurrent, with the name of the certificate
     that proved it: "burning" for the burning test."""
 
-    graph: SinkedGraph
-    values: Chips
-    certificate: str
+    __slots__ = ("graph", "values", "certificate")
 
     def __iter__(self):
         return iter(self.values)
@@ -141,6 +138,24 @@ def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     _, f = stabilize(graph, [d - 1 for d in indeg])
     sigma = tuple(1 + k for k in f)
     return sigma, tuple(_fire(graph, sigma))
+
+
+def _lift(graph: SinkedGraph) -> tuple[Chips, Chips]:
+    """A lattice vector b = L^T f >= 1 and its firing vector f, for lifting
+    any chip vector above the maximal stable configuration.
+
+    When firing every vertex once leaves b = L^T 1 >= 1, that is the pair:
+    on an undirected graph b is the sink multiplicities, n * 1 on an n-cone.
+    Otherwise, after Le Borgne and Rossin (2002), stabilizing a = 2m + 1,
+    m = out - 1, fires f and leaves b = a - stab(a) >= m + 1.
+    """
+    ones = (1,) * graph.n_nonsink
+    b = _fire(graph, ones)
+    if all(x >= 1 for x in b):
+        return tuple(b), ones
+    a = [2 * d - 1 for d in graph.out_degrees]
+    stable, f = stabilize(graph, a)
+    return tuple(p - q for p, q in zip(a, stable)), f
 
 
 class SandpileGroup:
@@ -346,9 +361,10 @@ class SandpileGroup:
 
         After Le Borgne and Rossin (2002): every configuration at or above
         the maximal stable one, m = out - 1, stabilizes to a recurrent one.
-        Once per group, stabilizing a = 2m + 1 fires f_b and leaves
-        b = a - stab(a) = L^T f_b >= m + 1.  The representative is
-        stab(x + k b), firing f, for the least k >= 0 with x + k b >= m.  It
+        Once per group, `_lift` finds a lattice vector b = L^T f_b >= 1:
+        L^T 1 when that is >= 1, as on every cone, else b = a - stab(a) for
+        a = 2m + 1.  The representative is stab(x + k b), firing f, for the
+        least k >= 0 with x + k b >= m; it does not depend on b.  It
         is certified congruent by one sparse product, result - x =
         L^T (k f_b - f), and recurrent by the burning test.  A recurrent x is
         the unique recurrent configuration of its class, so a nonnegative x
@@ -367,9 +383,7 @@ class SandpileGroup:
         if burn and all(xi >= 0 for xi in x) and self.is_recurrent(x):
             return RecurrentConfig(self.graph, tuple(x), "burning")
         if self._lift is None:
-            a = [2 * d - 1 for d in self.graph.out_degrees]
-            stable, f_b = stabilize(self.graph, a)
-            self._lift = tuple(p - q for p, q in zip(a, stable)), f_b
+            self._lift = _lift(self.graph)
         b, f_b = self._lift
         # k = max(0, ceil((m_i - x_i) / b_i)) over the coordinates i.
         k = max([0] + [-((xi + 1 - d) // bi) for xi, bi, d in zip(x, b, self.graph.out_degrees)])

@@ -8,6 +8,12 @@ and no n x n matrix exists here.  `intlinalg.laplacian` and
 `intlinalg.reduced_laplacian` are the only places that fill dense rows.  All
 graph values are immutable after construction, so Laplacians, determinants
 and lattice solvers can be cached per graph object.
+
+Labels and edges from outside enter only through the graph constructors,
+which check them.  The derived constructors (`cone`, `subcube` and so
+`hypercube`, `cartesian_product`) reuse the validated index rows of the
+graphs they start from and build the new rows by index arithmetic, with no
+label lookup and no second validation; only their labels are checked.
 """
 
 from __future__ import annotations
@@ -35,27 +41,55 @@ class _Graph:
 
     __slots__ = ("vertices", "_index", "_rows", "_hash")
     _noun = "edge"
+    _symmetric = False  # whether (u, v, m) is stored in v's row too
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]):
         """Multiplicities of repeated (u, v) entries accumulate."""
-        self.vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
-            raise UnknownVertex("duplicate vertex labels")
-        self._index = index
-        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        self._set_vertices(vertices)
+        index = self._index
+        rows: list[dict[int, int]] = [{} for _ in index]
+        symmetric = self._symmetric
         for u, v, m in edges:
-            if u not in index or v not in index:
-                raise UnknownVertex(
-                    f"{self._noun} endpoint {u if u not in index else v!r} not declared"
-                )
-            if u == v:
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
+                missing = u if i is None else v
+                raise UnknownVertex(f"{self._noun} endpoint {missing!r} not declared")
+            if i == j:
                 raise LoopEdge(f"loop at {u}")
             if m < 1:
                 raise NonPositiveMultiplicity(f"multiplicity {m} on {self._noun} ({u},{v})")
-            self._insert(rows, index[u], index[v], m)
-        self._rows = tuple({j: row[j] for j in sorted(row)} for row in rows)
-        self._hash = hash((self.vertices, tuple(tuple(row.items()) for row in self._rows)))
+            row = rows[i]
+            row[j] = row.get(j, 0) + m
+            if symmetric:
+                row = rows[j]
+                row[i] = row.get(i, 0) + m
+        self._set_rows([dict(sorted(row.items())) for row in rows])
+
+    @classmethod
+    def _from_rows(cls, vertices: Sequence[str], rows: list[dict[int, int]]):
+        """The graph with these labels and index rows.  The rows come from
+        graphs already built, so they are taken as they are: ascending, with
+        no loops and positive multiplicities (symmetric for a Multigraph).
+        Only the labels are checked, as __init__ checks them."""
+        graph = object.__new__(cls)
+        graph._set_vertices(vertices)
+        graph._set_rows(rows)
+        return graph
+
+    def _set_vertices(self, vertices: Sequence[str]) -> None:
+        self.vertices = tuple(vertices)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
+            raise UnknownVertex("duplicate vertex labels")
+
+    def _set_rows(self, rows: list[dict[int, int]]) -> None:
+        self._rows = tuple(rows)
+        # Equal graphs list equal rows in the same (ascending) order, so the
+        # rows' keys and values, taken apart, hash them without a pair tuple
+        # per entry.
+        self._hash = hash((self.vertices, tuple(map(tuple, rows)),
+                           tuple(tuple(row.values()) for row in rows)))
 
     @property
     def n(self) -> int:
@@ -101,11 +135,7 @@ class Multigraph(_Graph):
     """Loop-free undirected graph with integer edge multiplicities."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _insert(rows: list[dict[int, int]], i: int, j: int, m: int) -> None:
-        rows[i][j] = rows[i].get(j, 0) + m
-        rows[j][i] = rows[j].get(i, 0) + m
+    _symmetric = True
 
     multiplicity = _Graph._multiplicity
     degree = _Graph._degree
@@ -126,10 +156,6 @@ class Digraph(_Graph):
 
     __slots__ = ()
     _noun = "arc"
-
-    @staticmethod
-    def _insert(rows: list[dict[int, int]], i: int, j: int, m: int) -> None:
-        rows[i][j] = rows[i].get(j, 0) + m
 
     arc_multiplicity = _Graph._multiplicity
     out_degree = _Graph._degree
@@ -182,16 +208,17 @@ class SinkedGraph:
         self.sink = sink
         sink_i = graph.index(sink)
         self.directed = isinstance(graph, Digraph)
-        self.nonsink_order = tuple(v for v in graph.vertices if v != sink)
+        self.nonsink_order = graph.vertices[:sink_i] + graph.vertices[sink_i + 1:]
         self._nonsink_index = {v: i for i, v in enumerate(self.nonsink_order)}
-        # Non-sink index of graph index j is j, or j - 1 past the sink.
-        rows = [row for i, row in enumerate(graph._rows) if i != sink_i]
+        rows = graph._rows[:sink_i] + graph._rows[sink_i + 1:]
         self.out_degrees = tuple(sum(row.values()) for row in rows)
         self.sink_mult = tuple(row.get(sink_i, 0) for row in rows)
-        # Adjacency among non-sink vertices only; chips sent to the sink vanish.
+        # Adjacency among non-sink vertices only; chips sent to the sink
+        # vanish.  The non-sink index of graph index j is shift[j]: j, or
+        # j - 1 past the sink.
+        shift = [*range(sink_i), None, *range(sink_i, graph.n - 1)]
         self._adjacency = tuple(
-            tuple((j - (j > sink_i), m) for j, m in row.items() if j != sink_i)
-            for row in rows
+            tuple((shift[j], m) for j, m in row.items() if j != sink_i) for row in rows
         )
 
         if self.directed:
@@ -280,35 +307,43 @@ def fresh_label(base: str, taken: Iterable[str]) -> str:
 
 
 def cone(g: Multigraph, n: int = 1, sink_label: str = "s") -> SinkedGraph:
-    """The n-cone: a fresh sink joined to every vertex of g by n parallel edges."""
+    """The n-cone: a fresh sink joined to every vertex of g by n parallel edges.
+    The sink takes the last index, so appending it keeps each row of g ascending."""
+    if not isinstance(g, Multigraph):
+        raise TypeError(f"cone needs a Multigraph, got {type(g).__name__}")
     if n < 1:
         raise NonPositiveMultiplicity(f"cone needs n >= 1, got {n}")
     sink = fresh_label(sink_label, g.vertices)
-    vertices = g.vertices + (sink,)
-    edges = g.edges() + [(v, sink, n) for v in g.vertices]
-    return SinkedGraph(build_multigraph(vertices, edges), sink)
+    k = g.n
+    rows = [{**row, k: n} for row in g._rows]
+    rows.append(dict.fromkeys(range(k), n))
+    return SinkedGraph(Multigraph._from_rows(g.vertices + (sink,), rows), sink)
 
 
 def cartesian_product(g: Multigraph, h: Multigraph) -> Multigraph:
     """Cartesian product; vertex (u_i, v_j) sits at index j*|V(g)| + i.
 
     The first factor's index varies fastest, so iterated products of two-vertex
-    graphs enumerate bit tuples with coordinate 1 first.
+    graphs enumerate bit tuples with coordinate 1 first.  The row of (u_i, v_j)
+    lists the h-neighbours in earlier blocks, then the g-neighbours in block j,
+    then the h-neighbours in later blocks, which keeps it ascending.
     """
+    for factor in (g, h):
+        if not isinstance(factor, Multigraph):
+            raise TypeError(f"cartesian_product needs Multigraphs, got {type(factor).__name__}")
     gn = g.n
     vertices = [f"({u},{v})" for v in h.vertices for u in g.vertices]
-    g_edges = [(g.index(u), g.index(v), m) for u, v, m in g.edges()]
-    h_edges = [(h.index(u), h.index(v), m) for u, v, m in h.edges()]
-    edges = [
-        (vertices[j * gn + i], vertices[j * gn + i2], m)
-        for j in range(h.n)
-        for i, i2, m in g_edges
-    ] + [
-        (vertices[j * gn + i], vertices[j2 * gn + i], m)
-        for j, j2, m in h_edges
-        for i in range(gn)
-    ]
-    return Multigraph(vertices, edges)
+    rows = []
+    for j, h_row in enumerate(h._rows):
+        base = j * gn
+        before = [(j2 * gn, m) for j2, m in h_row.items() if j2 < j]
+        after = [(j2 * gn, m) for j2, m in h_row.items() if j2 > j]
+        for i, g_row in enumerate(g._rows):
+            row = {b + i: m for b, m in before}
+            row.update({base + i2: m for i2, m in g_row.items()})
+            row.update({b + i: m for b, m in after})
+            rows.append(row)
+    return Multigraph._from_rows(vertices, rows)
 
 
 def hypercube_label(x: int, d: int) -> str:
@@ -341,18 +376,19 @@ def subcube(d: int, mask: Sequence[int]) -> Multigraph:
 
     Isomorphic to hypercube(weight) by dropping the coordinates outside the
     mask's support; vertices keep their ambient labels, in induced order.
+    The vertex at index k is the one whose masked bits read k, so its
+    neighbours are the indices k xor 2^b, b < weight.
     """
     if len(mask) != d:
         raise ValueError(f"mask length {len(mask)} != {d}")
     m = mask_int(mask)
-    labels = {x: hypercube_label(x, d) for x in range(1 << d) if x & ~m == 0}
-    edges = [
-        (label, labels[x | 1 << i], 1)
-        for x, label in labels.items()
-        for i in range(d)
-        if (m & ~x) >> i & 1
-    ]
-    return Multigraph(labels.values(), edges)
+    xs = [0]  # the vertices inside the mask, ascending
+    for i in range(d):
+        if m >> i & 1:
+            xs += [x | 1 << i for x in xs]
+    bits = [1 << b for b in range(m.bit_count())]
+    rows = [dict.fromkeys(sorted([k ^ b for b in bits]), 1) for k in range(len(xs))]
+    return Multigraph._from_rows([hypercube_label(x, d) for x in xs], rows)
 
 
 def thick_pair(r: int, labels: tuple[str, str] = ("v1", "v2")) -> Multigraph:

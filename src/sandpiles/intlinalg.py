@@ -24,27 +24,27 @@ to a few hundred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
+from ._record import Record
 from .errors import InfiniteCokernel, ValidationFailed
 from .graphs import AnyGraph, SinkedGraph
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+class IntMatrix(Record):
+    """A rows x cols integer matrix, its entries a tuple of row tuples."""
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry shape does not match dimensions")
+        super().__init__(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -68,25 +68,21 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "d", "v")
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(Record):
     """A finite abelian group by its invariant factors d_1 | d_2 | ..., each
     above 1.  The order is their product.  The elementary divisors need
     every d_i factored, so they are computed when first read."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors", "__dict__")
 
     @cached_property
     def order(self) -> int:

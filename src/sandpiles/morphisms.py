@@ -25,11 +25,11 @@ chip vectors congruent in K(target) may pull back to classes that differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import prod
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .dynamics import Chips, RecurrentConfig, sandpile_group
 from .errors import (
     ClauseViolation,
@@ -67,24 +67,24 @@ def _arc_mult(g: GraphLike, u: str, v: str) -> int:
     )
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    source: GraphLike
-    target: GraphLike
-    mapping: Mapping[str, str]
+class VertexMap(Record):
+    """A total map from the source's vertices into the target's."""
 
-    def __post_init__(self):
-        src = set(_vertices(self.source))
-        tgt = set(_vertices(self.target))
-        missing = src - set(self.mapping)
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: GraphLike, target: GraphLike, mapping: Mapping[str, str]):
+        src = set(_vertices(source))
+        tgt = set(_vertices(target))
+        missing = src - set(mapping)
         if missing:
             raise UnknownVertex(f"map is not total: {sorted(missing)[0]!r} unmapped")
-        extra = set(self.mapping) - src
+        extra = set(mapping) - src
         if extra:
             raise UnknownVertex(f"map mentions unknown vertex {sorted(extra)[0]!r}")
-        bad_image = {self.mapping[v] for v in src} - tgt
+        bad_image = {mapping[v] for v in src} - tgt
         if bad_image:
             raise UnknownVertex(f"image vertex {sorted(bad_image)[0]!r} not in target")
+        super().__init__(source, target, mapping)
 
     def fiber(self, x: str) -> tuple[str, ...]:
         return tuple(v for v in _vertices(self.source) if self.mapping[v] == x)
@@ -93,15 +93,11 @@ class VertexMap:
         return self.mapping[v]
 
 
-@dataclass(frozen=True)
-class UniformHom:
-    """A vertex map certified to satisfy the uniform-homomorphism clauses."""
+class UniformHom(Record):
+    """A vertex map certified to satisfy the uniform-homomorphism clauses;
+    kind is one of HOM_KINDS."""
 
-    vertex_map: VertexMap
-    subset: frozenset[str]
-    kind: str  # one of HOM_KINDS
-    degree: int | None
-    surjective: bool
+    __slots__ = ("vertex_map", "subset", "kind", "degree", "surjective")
 
     @property
     def source(self) -> GraphLike:
@@ -277,15 +273,14 @@ def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
 # -- verification ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InjectionReport:
-    passed: bool
-    image_order: int | None
-    recurrent_images: bool | None
-    witness: tuple | None = None
-    note: str = ""
+class InjectionReport(Record):
+    __slots__ = ("passed", "image_order", "recurrent_images", "witness", "note")
     # The one route: every report is a lattice-index proof.
     mode = "lattice"
+
+    def __init__(self, passed: bool, image_order: int | None, recurrent_images: bool | None,
+                 witness: tuple | None = None, note: str = ""):
+        super().__init__(passed, image_order, recurrent_images, witness, note)
 
     def to_dict(self) -> dict:
         return {

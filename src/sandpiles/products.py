@@ -8,26 +8,24 @@ The class of a boxed configuration is read from the product cone group's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._record import Record
 from .dynamics import Chips, RecurrentConfig, sandpile_group
 from .errors import ContextMismatch, NonPositiveMultiplicity
 from .graphs import Multigraph, SinkedGraph, cartesian_product, cone
 
 
-@dataclass(frozen=True)
-class BoxContext:
+class BoxContext(Record):
     """Cones of g, h and g box h with aligned vertex orders."""
 
-    g: Multigraph
-    h: Multigraph
-    n: int = 1
+    __slots__ = ("g", "h", "n", "__dict__")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise NonPositiveMultiplicity(f"cone needs n >= 1, got {self.n}")
+    def __init__(self, g: Multigraph, h: Multigraph, n: int = 1):
+        if n < 1:
+            raise NonPositiveMultiplicity(f"cone needs n >= 1, got {n}")
+        super().__init__(g, h, n)
 
     @cached_property
     def product(self) -> Multigraph:

@@ -4,9 +4,10 @@ Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
-toppling schedule, burning orders by greedy sweeps, recurrent sets by a
-breadth-first closure, subcube embeddings by bit arithmetic, the stripe
-decomposition by summing one element of every stripe subgroup.
+toppling schedule, burning orders by greedy sweeps, representatives by the
+Le Borgne-Rossin lift, recurrent sets by a breadth-first closure, subcube
+embeddings by bit arithmetic, the stripe decomposition by summing one element
+of every stripe subgroup.
 """
 
 from __future__ import annotations
@@ -267,6 +268,25 @@ def stabilize_by_random_schedule(
         c = [x - t for x, t in zip(c, rows[i])]
         firings[i] += 1
     return tuple(c), tuple(firings)
+
+
+def lift_by_le_borgne_rossin(g: SinkedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lift (b, f) of Le Borgne and Rossin (2002): stabilizing
+    a = 2 out - 1 fires f and leaves b = a - stab(a) >= out."""
+    a = [2 * d - 1 for d in g.out_degrees]
+    stable, f = stabilize(g, a)
+    return tuple(p - q for p, q in zip(a, stable)), f
+
+
+def representative_by_le_borgne_rossin(g: SinkedGraph, x) -> tuple[int, ...]:
+    """The recurrent representative stab(x + k b), with b the lift of
+    `lift_by_le_borgne_rossin` and k the least count that makes
+    x + k b >= out - 1, found by trying k = 0, 1, ..."""
+    b, _ = lift_by_le_borgne_rossin(g)
+    k = 0
+    while any(xi + k * bi < d - 1 for xi, bi, d in zip(x, b, g.out_degrees)):
+        k += 1
+    return stabilize(g, [xi + k * bi for xi, bi in zip(x, b)])[0]
 
 
 def recurrents_by_closure(g: SinkedGraph) -> frozenset[tuple[int, ...]]:

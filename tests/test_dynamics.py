@@ -23,12 +23,15 @@ from oracles import (
     burning_order_by_sweeps,
     burning_script_by_fixed_point,
     det_by_permutation_expansion,
+    lift_by_le_borgne_rossin,
     recurrents_by_closure,
+    representative_by_le_borgne_rossin,
     stabilize_by_random_schedule,
 )
 from sandpiles.dynamics import (
     RecurrentConfig,
     SandpileGroup,
+    _fire,
     add_recurrent,
     burning_script,
     congruent,
@@ -663,6 +666,52 @@ class TestRepresentativeAgainstLattice:
             for x in _vectors(rng, g.n_nonsink):
                 assert _agrees_with_lattice(group, x)
             assert group.identity.values == group.representative((0,) * g.n_nonsink).values
+
+
+class TestLift:
+    """The lift behind representatives: L^T 1 with the firing vector 1 when
+    that is >= 1 everywhere, as on every cone, else Le Borgne-Rossin's.  The
+    recurrent representative is unique, so both give the same answers."""
+
+    @staticmethod
+    def _agrees_with_le_borgne_rossin(g: SinkedGraph, rng: random.Random) -> SandpileGroup:
+        group = SandpileGroup(g)
+        zero = (0,) * g.n_nonsink
+        assert group.identity.values == representative_by_le_borgne_rossin(g, zero)
+        for _ in range(4):
+            x = tuple(rng.randint(-20, 20) for _ in range(g.n_nonsink))
+            assert group.representative(x).values == representative_by_le_borgne_rossin(g, x)
+        return group
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_cube_cones_fire_every_vertex_once(self, d, n):
+        group = self._agrees_with_le_borgne_rossin(cone(hypercube(d), n), random.Random(d))
+        assert group._lift == ((n,) * (1 << d), (1,) * (1 << d))
+
+    def test_random_multigraph_cones_fire_every_vertex_once(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            g = cone(random_connected_multigraph(rng, rng.randint(1, 7), max_mult=3), n)
+            group = self._agrees_with_le_borgne_rossin(g, rng)
+            assert group._lift == ((n,) * g.n_nonsink, (1,) * g.n_nonsink)
+
+    @pytest.mark.parametrize("graph", [lambda: wired_grid(5), lambda: thick_k2_cone(3, 1),
+                                       lambda: thick_k2_cone(2, 5)],
+                             ids=["wired_grid5", "thick3-1", "thick2-5"])
+    def test_graphs_without_a_positive_firing_take_le_borgne_rossin(self, graph):
+        g = graph()
+        group = self._agrees_with_le_borgne_rossin(g, random.Random(7))
+        assert group._lift == lift_by_le_borgne_rossin(g)
+
+    def test_random_digraphs(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            g = random_sinked_digraph(rng, rng.randint(1, 6))
+            group = self._agrees_with_le_borgne_rossin(g, rng)
+            b, f = group._lift
+            assert min(b) >= 1 and tuple(_fire(g, f)) == b
 
 
 class TestLargeIdentities:

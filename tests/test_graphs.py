@@ -145,6 +145,90 @@ class TestCone:
             cone(k2(), 0)
 
 
+# Labels that a cone's sink must avoid: "s" and "s1" force the fresh label
+# past its first choices.
+_LABELS = ["s", "s1", "a", "b", "c", "d", "e"]
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 6):
+    """Multigraphs on up to max_vertices labels from _LABELS, in drawn
+    order, with edges listed either way round and pairs repeated."""
+    labels = draw(st.lists(st.sampled_from(_LABELS), unique=True, max_size=max_vertices))
+    if len(labels) < 2:
+        return build_multigraph(labels, [])
+    edge = st.tuples(st.sampled_from(labels), st.sampled_from(labels), st.integers(1, 3))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=12))
+    return build_multigraph(labels, edges)
+
+
+def _rows(g) -> list[list[tuple[int, int]]]:
+    return [list(g.row(i)) for i in range(g.n)]
+
+
+def _same_graph(a, b) -> bool:
+    """Equal, with equal hashes, labels and index rows in the same order."""
+    return a == b and hash(a) == hash(b) and a.vertices == b.vertices and _rows(a) == _rows(b)
+
+
+class TestIndexBuiltConstructors:
+    """cone, subcube, hypercube and cartesian_product build their rows from
+    the rows of graphs already built; each equals the graph its labelled
+    edge list builds."""
+
+    @given(multigraphs(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_cone_equals_its_labelled_build(self, g, n):
+        sink = next(x for x in ["s"] + [f"s{k}" for k in range(1, 9)] if x not in g.vertices)
+        edges = g.edges() + [(v, sink, n) for v in g.vertices]
+        expected = SinkedGraph(build_multigraph(g.vertices + (sink,), edges), sink)
+        got = cone(g, n)
+        assert got.sink == sink
+        assert _same_graph(got.graph, expected.graph)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.nonsink_order == expected.nonsink_order == g.vertices
+        assert got.adjacency() == expected.adjacency()
+        assert got.out_degrees == expected.out_degrees
+        assert got.sink_mult == expected.sink_mult == (n,) * g.n
+        assert got.connected and expected.connected
+
+    @given(multigraphs(4), multigraphs(4))
+    @settings(max_examples=150, deadline=None)
+    def test_cartesian_product_equals_its_labelled_build(self, g, h):
+        def label(u, v):
+            return f"({u},{v})"
+
+        vertices = [label(u, v) for v in h.vertices for u in g.vertices]
+        edges = [(label(u1, v), label(u2, v), m) for v in h.vertices for u1, u2, m in g.edges()]
+        edges += [(label(u, v1), label(u, v2), m) for v1, v2, m in h.edges() for u in g.vertices]
+        assert _same_graph(cartesian_product(g, h), build_multigraph(vertices, edges))
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_subcubes_equal_their_labelled_builds(self, d):
+        for m in range(1 << d):
+            mask = tuple(m >> i & 1 for i in range(d))
+            labels = {x: hypercube_label(x, d) for x in range(1 << d) if x & ~m == 0}
+            edges = [(labels[x], labels[x | 1 << i], 1)
+                     for x in labels for i in range(d) if (m & ~x) >> i & 1]
+            assert _same_graph(subcube(d, mask), build_multigraph(labels.values(), edges))
+        assert _same_graph(hypercube(d), subcube(d, (1,) * d))
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_sinked_graph_rows_at_every_sink(self, g):
+        # The adjacency shifts indices past the sink down by one.
+        for sink in g.vertices:
+            sg = SinkedGraph(g, sink)
+            order = [v for v in g.vertices if v != sink]
+            assert sg.nonsink_order == tuple(order)
+            for i, v in enumerate(order):
+                assert sg.adjacency()[i] == tuple(
+                    (order.index(u), g.multiplicity(v, u)) for u in order if g.multiplicity(v, u)
+                )
+                assert sg.sink_mult[i] == g.multiplicity(v, sink)
+                assert sg.out_degrees[i] == g.degree(v)
+
+
 class TestCartesianProduct:
     def test_square_from_two_edges(self):
         p = cartesian_product(k2(), k2())
@@ -389,8 +473,17 @@ def test_thick_pair_requires_positive_multiplicity():
     (lambda: thick_k2_cone(2, 0), NonPositiveMultiplicity, "need r, t >= 1"),
     (lambda: contract(cycle_graph(3), {"v1", "x"}), UnknownVertex, "^x$"),
     (lambda: cycle_graph(2), ValueError, "at least 3 vertices"),
+    (lambda: cone(build_digraph(["a", "b"], [("a", "b", 1)])), TypeError,
+     "cone needs a Multigraph"),
+    (lambda: cartesian_product(k2(), cone(k2())), TypeError,
+     "cartesian_product needs Multigraphs"),
+    # ("a,b", "c") and ("a", "b,c") would both be labelled "(a,b,c)".
+    (lambda: cartesian_product(build_multigraph(["a,b", "a"], []),
+                               build_multigraph(["c", "b,c"], [])),
+     UnknownVertex, "duplicate vertex labels"),
 ], ids=["duplicate-labels", "negative-dimension", "mask-not-binary", "mask-length",
-        "thick-r", "thick-t", "contract-unknown", "short-cycle"])
+        "thick-r", "thick-t", "contract-unknown", "short-cycle", "cone-of-digraph",
+        "product-of-sinked", "product-label-collision"])
 def test_constructors_refuse_bad_arguments(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -2,7 +2,8 @@
 
 `import sandpiles` loads no submodule, and the light subcommands (stabilize,
 identity, representative, add) never load intlinalg, cubes, morphisms or
-products; the other subcommands load what they run on demand.
+products; the other subcommands load what they run on demand.  The package
+never imports `dataclasses`, whose import pulls in `inspect`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from sandpiles.jsonio import dumps, save_graph
 
 SRC = str(Path(sandpiles.__file__).resolve().parent.parent)
 HEAVY = {"sandpiles.intlinalg", "sandpiles.cubes", "sandpiles.morphisms", "sandpiles.products"}
-LIGHT = {"sandpiles", "sandpiles.cli", "sandpiles.dynamics", "sandpiles.errors",
-         "sandpiles.graphs", "sandpiles.jsonio"}
+LIGHT = {"sandpiles", "sandpiles._record", "sandpiles.cli", "sandpiles.dynamics",
+         "sandpiles.errors", "sandpiles.graphs", "sandpiles.jsonio"}
 # The package's exports before they loaded on demand, submodules included.
 ALL = {
     "Digraph", "GroupStructure", "IntMatrix", "Multigraph", "RecurrentConfig",
@@ -113,6 +114,28 @@ def test_other_subcommands_load_what_they_run(files, argv, needs):
     status, loaded = run_main([files.get(a, a) for a in argv])
     assert status == 0
     assert f"sandpiles.{needs}" in loaded
+
+
+@pytest.mark.parametrize("verify, extra", [
+    ("decomposition", set()),
+    ("if-count", set()),
+    ("structure", {"sandpiles.intlinalg"}),
+], ids=["decomposition", "if-count", "structure"])
+def test_character_proof_reports_load_no_morphisms_or_products(verify, extra):
+    # The reports read the character proof; only structure factors the
+    # orders it proves, which needs intlinalg.
+    status, loaded = run_main(["hypercube", "--d", "3", "--verify", verify])
+    assert status == 0
+    assert loaded == LIGHT | {"sandpiles.cubes"} | extra
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    code = """
+before = set(sys.modules)
+import sandpiles.cli
+status = len({"dataclasses", "inspect"} & (set(sys.modules) - before))
+"""
+    assert fresh(code) == (0, LIGHT)
 
 
 def test_every_export_resolves():

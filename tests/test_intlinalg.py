@@ -32,8 +32,10 @@ from sandpiles.graphs import (
     to_sink_digraph,
 )
 from sandpiles.intlinalg import (
+    GroupStructure,
     IntMatrix,
     LatticeSolver,
+    SmithDecomposition,
     _factorize,
     cokernel_diagonal,
     determinant,
@@ -491,6 +493,38 @@ class TestElementaryDivisorsOnRead:
         assert time.perf_counter() - start < 5
         assert prod(factors) == group.order
         assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+
+
+class TestRecords:
+    """IntMatrix, SmithDecomposition and GroupStructure are read-only values:
+    equal and equally hashed when their fields are, never assigned."""
+
+    def test_equal_by_value(self):
+        a, b = IntMatrix.from_rows([[2, -1], [-1, 2]]), IntMatrix(2, 2, ((2, -1), (-1, 2)))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != IntMatrix.from_rows([[2, -1], [-1, 3]])
+        assert smith_normal_form(a) == smith_normal_form(b)
+        assert invariant_factors(a) == GroupStructure((3,)) != GroupStructure((4,))
+        assert a != (2, 2, ((2, -1), (-1, 2)))
+        assert repr(GroupStructure((3,))) == "GroupStructure(invariant_factors=(3,))"
+
+    def test_fields_are_read_only(self):
+        a = IntMatrix(1, 1, ((5,),))
+        structure = GroupStructure((2, 4))
+        for record, field in ((a, "rows"), (structure, "invariant_factors"),
+                              (structure, "order")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert a.rows == 1 and structure.invariant_factors == (2, 4)
+        assert structure.order == 8
+
+    def test_constructor_takes_every_field(self):
+        with pytest.raises(TypeError):
+            GroupStructure()
+        with pytest.raises(TypeError):
+            SmithDecomposition(IntMatrix(0, 0, ()))
 
 
 class TestLatticeMembership:

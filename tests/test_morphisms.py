@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -487,11 +486,15 @@ def star_collapse_hom() -> UniformHom:
     return bipartite_collapse_hom(star, (["c"], ["l1", "l2", "l3"]))
 
 
-def _remapped(hom: UniformHom, source=None, target=None, **changes) -> UniformHom:
+def _altered(hom: UniformHom, source=None, target=None, surjective=None,
+             **changes) -> UniformHom:
+    """hom with its source, target, surjectivity flag or images replaced, built
+    by the constructor and not validated, so the pullback's own checks refuse it."""
     vmap = hom.vertex_map
     mapping = {**vmap.mapping, **changes}
-    return dataclasses.replace(
-        hom, vertex_map=VertexMap(source or vmap.source, target or vmap.target, mapping)
+    return UniformHom(
+        VertexMap(source or vmap.source, target or vmap.target, mapping), hom.subset,
+        hom.kind, hom.degree, hom.surjective if surjective is None else surjective,
     )
 
 
@@ -504,10 +507,10 @@ class TestDirectedHoms:
     @pytest.mark.parametrize(
         "perturb, message",
         [
-            (lambda h: _remapped(h, source=h.source.graph), "source graph carries no sink"),
-            (lambda h: _remapped(h, target=h.target.graph), "target graph carries no sink"),
-            (lambda h: dataclasses.replace(h, surjective=False), "not surjective"),
-            (lambda h: _remapped(h, l1="s"), "sink fiber must be exactly the source sink"),
+            (lambda h: _altered(h, source=h.source.graph), "source graph carries no sink"),
+            (lambda h: _altered(h, target=h.target.graph), "target graph carries no sink"),
+            (lambda h: _altered(h, surjective=False), "not surjective"),
+            (lambda h: _altered(h, l1="s"), "sink fiber must be exactly the source sink"),
         ],
         ids=["unsinked-source", "unsinked-target", "not-surjective", "sink-fiber"],
     )
