@@ -233,7 +233,9 @@ class SinkedGraph:
                 raise NoGlobalSink(f"{sink} is not reachable from every vertex")
             self._connected = True
         else:
-            self._connected = graph.is_connected()
+            # A graph whose every vertex has an edge to the sink is
+            # connected, a cone among them, so only the others need the BFS.
+            self._connected = all(self.sink_mult) or graph.is_connected()
 
     @property
     def connected(self) -> bool:
@@ -306,14 +308,15 @@ def fresh_label(base: str, taken: Iterable[str]) -> str:
     return f"{base}{k}"
 
 
-def cone(g: Multigraph, n: int = 1, sink_label: str = "s") -> SinkedGraph:
+def cone(g: Multigraph, n: int = 1) -> SinkedGraph:
     """The n-cone: a fresh sink joined to every vertex of g by n parallel edges.
-    The sink takes the last index, so appending it keeps each row of g ascending."""
+    The sink is labelled "s", or the first of "s1", "s2", ... not taken; it
+    takes the last index, so appending it keeps each row of g ascending."""
     if not isinstance(g, Multigraph):
         raise TypeError(f"cone needs a Multigraph, got {type(g).__name__}")
     if n < 1:
         raise NonPositiveMultiplicity(f"cone needs n >= 1, got {n}")
-    sink = fresh_label(sink_label, g.vertices)
+    sink = fresh_label("s", g.vertices)
     k = g.n
     rows = [{**row, k: n} for row in g._rows]
     rows.append(dict.fromkeys(range(k), n))

@@ -13,9 +13,10 @@ object.  The other is one Smith pivot-and-clear loop, _smith_eliminate.  Run
 modulo a multiple of the group exponent, it gives the Smith diagonal of
 every cokernel.  For the group structure it runs on the core the LU's unit
 steps leave, modulo the smaller of E and |det|/E, with E the lcm of the
-class orders of two fixed vectors; the product of the diagonal certifies
-the answer.  Run over the integers on a matrix bordered by identities, it
-gives the Smith normal form with transforms of the `snf` command.
+class orders of two fixed vectors; modulo |det|/E it gives every invariant
+factor but the last, which is |det| over their product.  Run over the
+integers on a matrix bordered by identities, it gives the Smith normal form
+with transforms of the `snf` command.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -132,11 +133,6 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
 # -- the exact LU: determinant and lattice membership -------------------------
 
 
-# Matrices with fewer rows skip the unit steps of LatticeSolver: below about
-# a dozen rows their bookkeeping costs more than the Bareiss steps they save.
-_UNIT_PHASE_MIN = 12
-
-
 class LatticeSolver:
     """Exact LU of B = A^T for a square integer A, and the lattice Im A^T it
     decides: membership with witnesses, the orders of cokernel classes, det A
@@ -148,7 +144,7 @@ class LatticeSolver:
     records the nonzero entries u of row r in the columns not yet pivoted,
     its row of U.  The steps run in place on a copy of the rows of B.
 
-    Unit steps come first, from _UNIT_PHASE_MIN rows up, in the manner of
+    Unit steps come first, at every size, in the manner of
     Dumas-Saunders-Villard 2001.  A sweep visits the rows not yet pivoted in
     order and pivots each on its entry equal to +-1 whose column has the
     fewest nonzeros left (the first such on ties), which keeps fill-in down;
@@ -171,8 +167,8 @@ class LatticeSolver:
     divides every entry of w, and the quotient is the (unique) witness.
 
     core() is the Schur complement the unit steps leave: the rows and columns
-    not yet pivoted when the Bareiss steps start (all of B below
-    _UNIT_PHASE_MIN rows, none when every pivot is a unit).  Unit steps are
+    not yet pivoted when the Bareiss steps start (all of B when no entry is
+    +-1, none when every pivot is a unit).  Unit steps are
     unimodular row operations, after which the pivoted rows and columns form
     a triangular block with +-1 diagonal and the other rows are zero in the
     pivoted columns.  So B ~ diag(I, core), and the Smith diagonal of the
@@ -193,46 +189,45 @@ class LatticeSolver:
         cols = list(range(n))
         parity = 0
         steps = []
-        if n >= _UNIT_PHASE_MIN:
-            # count[j]: nonzeros of column j in the rows not yet pivoted.
-            count = [n - col.count(0) for col in zip(*rows)]
-            progress = True
-            while progress:
-                progress = False
-                for r in list(active):
-                    row = rows[r]
-                    if 1 not in row and -1 not in row:
-                        continue
-                    c = -1
-                    for j, x in enumerate(row):
-                        if (x == 1 or x == -1) and (c < 0 or count[j] < count[c]):
-                            c = j
-                    progress = True
-                    p = row[c]
-                    parity += active.index(r) + cols.index(c) + (p < 0)
-                    active.remove(r)
-                    cols.remove(c)
-                    urow = [(j, x) for j, x in enumerate(row) if x and j != c]
-                    for j, _ in urow:
-                        count[j] -= 1
-                    count[c] = 0
-                    elim = []
-                    for i in active:
-                        ri = rows[i]
-                        f = ri[c]
-                        if f:
-                            f *= p
-                            ri[c] = 0
-                            elim.append((i, f))
-                            for j, x in urow:
-                                y = ri[j]
-                                z = y - f * x
-                                ri[j] = z
-                                if not y:
-                                    count[j] += 1
-                                elif not z:
-                                    count[j] -= 1
-                    steps.append((r, c, p, True, elim, urow))
+        # count[j]: nonzeros of column j in the rows not yet pivoted.
+        count = [n - col.count(0) for col in zip(*rows)]
+        progress = True
+        while progress:
+            progress = False
+            for r in list(active):
+                row = rows[r]
+                if 1 not in row and -1 not in row:
+                    continue
+                c = -1
+                for j, x in enumerate(row):
+                    if (x == 1 or x == -1) and (c < 0 or count[j] < count[c]):
+                        c = j
+                progress = True
+                p = row[c]
+                parity += active.index(r) + cols.index(c) + (p < 0)
+                active.remove(r)
+                cols.remove(c)
+                urow = [(j, x) for j, x in enumerate(row) if x and j != c]
+                for j, _ in urow:
+                    count[j] -= 1
+                count[c] = 0
+                elim = []
+                for i in active:
+                    ri = rows[i]
+                    f = ri[c]
+                    if f:
+                        f *= p
+                        ri[c] = 0
+                        elim.append((i, f))
+                        for j, x in urow:
+                            y = ri[j]
+                            z = y - f * x
+                            ri[j] = z
+                            if not y:
+                                count[j] += 1
+                            elif not z:
+                                count[j] -= 1
+                steps.append((r, c, p, True, elim, urow))
         # The rows left, copied before the Bareiss steps change them; their
         # entries in the columns left are the core.
         self._core = ([rows[r][:] for r in active], cols)
@@ -602,13 +597,6 @@ def _factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-# Probe vectors that invariant_factors tries, past the first two, before an
-# r route short of the exponent falls back to the modulus-|det| pass.  A
-# probe misses a prime p of the exponent with chance about 1/p and costs one
-# class order: 25 ms at 150 rows on a 2-core VM, where that pass took 18 s.
-_MORE_PROBES = 8
-
-
 def _probe_vectors(n: int) -> Iterator[list[int]]:
     """Fixed vectors with entries in [-8, 8], from a linear congruential
     sequence."""
@@ -636,16 +624,13 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
       |det| exactly when E is a multiple of the exponent.  If it falls short
       by s, E * s is one (its p-adic valuation is mu + sum (a_i - mu)^+ >=
       max a_i for each prime p), and one more pass with it must give |det|.
-    - E^2 > |det|: the core is eliminated modulo the smaller r, its last
-      order is dropped and E appended.  Since prod_{i<n} gcd(d_i, r) <=
-      |det|/d_n and E <= d_n, the product equals |det| only when E = d_n,
-      and then every d_i with i < n divides d_1 ... d_{n-1} = r.  E divides
-      d_n, so r is a multiple of d_1 ... d_{n-1} and the orders kept are
-      d_1, ..., d_{n-1} even when E falls short: up to _MORE_PROBES further
-      class orders are folded into E until it reaches |det| over their
-      product.  If none gets there, one pass modulo |det| runs (scaling r
-      need not reach a multiple of the exponent).
-    A product other than |det| after these passes raises ValidationFailed.
+    - E^2 > |det|: the core is eliminated modulo the smaller r, and every
+      order but the last is kept.  E divides d_n, so r = d_1 ... d_{n-1} *
+      (d_n / E) is a multiple of each d_i with i < n, and the orders kept,
+      gcd(d_i, r), are d_1, ..., d_{n-1} even when E falls short of d_n.
+      d_n is then |det| over their product; it must be a multiple of E
+      whose gcd with r is the order dropped.
+    A failed check, or a product other than |det|, raises ValidationFailed.
     """
     if isinstance(a, LatticeSolver):
         solver = a
@@ -654,22 +639,17 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
     else:
         solver = LatticeSolver(a)
     order = abs(solver.determinant)
-    probes = _probe_vectors(solver.b.rows)
-    e = lcm(*(solver.class_order(x) for x in islice(probes, 2)))
+    e = lcm(*map(solver.class_order, islice(_probe_vectors(solver.b.rows), 2)))
     r = order // e
     if r == 1:
         return GroupStructure((order,) if order > 1 else ())
     core = solver.core()
     if e * e > order:
-        diag = cokernel_diagonal(core, r)[:-1]
+        *diag, last = cokernel_diagonal(core, r)
         exponent = order // prod(diag)
-        for x in islice(probes, _MORE_PROBES):
-            if e == exponent:
-                break
-            e = lcm(e, solver.class_order(x))
-        diag += (e,)
-        if prod(diag) != order:
-            diag = cokernel_diagonal(core, order)
+        if exponent % e or gcd(exponent, r) != last:
+            raise ValidationFailed("the orders modulo |det|/E do not fit |det|")
+        diag.append(exponent)
     else:
         diag = cokernel_diagonal(core, e)
         found = prod(diag)

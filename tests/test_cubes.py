@@ -16,6 +16,7 @@ from sandpiles.cubes import (
     parity_stripe,
     stripe_generator,
     stripe_subgroup,
+    structure_formula_factors,
     subcube_embed,
     subcube_embed_recurrent,
     thick_k2_power,
@@ -388,6 +389,18 @@ class TestStructureReports:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_formula_holds(self, d, k):
         assert verify_structure(d, k).passed
+
+    def test_one_list_is_factored(self, monkeypatch):
+        import sandpiles.intlinalg as intlinalg
+
+        factored = []
+        divisors = intlinalg.elementary_divisors_of
+        monkeypatch.setattr(
+            intlinalg, "elementary_divisors_of", lambda f: factored.append(f) or divisors(f)
+        )
+        report = verify_structure(4, 1)
+        assert report.passed and report.computed is report.expected
+        assert factored == [structure_formula_factors(4, 1)]
 
     def test_guard(self):
         for d in (0, 13):

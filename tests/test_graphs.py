@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fig_contraction_source, grid_cone, random_connected_multigraph
 from oracles import kronecker_sum
+import sandpiles.graphs as graphs
 from sandpiles.dynamics import is_recurrent_burning, stabilize
 from sandpiles.errors import (
     DisconnectedGraph,
@@ -143,6 +144,27 @@ class TestCone:
     def test_bad_n(self):
         with pytest.raises(NonPositiveMultiplicity):
             cone(k2(), 0)
+
+    def test_cone_runs_no_bfs(self, monkeypatch):
+        from sandpiles.cubes import cube_cone
+
+        searches = []
+        reach_count = graphs._reach_count
+        monkeypatch.setattr(
+            graphs, "_reach_count", lambda *args: searches.append(args) or reach_count(*args)
+        )
+        cones = [cone(cycle_graph(5)), cone(build_multigraph(["a", "b"], []), 2), cube_cone(4, 3)]
+        assert searches == []
+        assert all(g.connected for g in cones)
+
+    def test_component_away_from_the_sink_is_disconnected(self):
+        # "c" has an edge to the sink, "a" and "b" only to each other.
+        g = build_multigraph(["s", "a", "b", "c"], [("a", "b", 2), ("s", "c", 1)])
+        sinked = SinkedGraph(g, "s")
+        assert sinked.sink_mult == (0, 0, 1)
+        assert not sinked.connected
+        with pytest.raises(NoGlobalSink):
+            stabilize(sinked, (0, 3, 0))
 
 
 # Labels that a cone's sink must avoid: "s" and "s1" force the fresh label

@@ -250,6 +250,19 @@ def _spy_passes(monkeypatch) -> list[tuple[int, int]]:
     return passes
 
 
+def _spy_class_orders(monkeypatch) -> list:
+    """Record the vector of every class_order call."""
+    probed = []
+    class_order = LatticeSolver.class_order
+
+    def recorded(self, x):
+        probed.append(x)
+        return class_order(self, x)
+
+    monkeypatch.setattr(LatticeSolver, "class_order", recorded)
+    return probed
+
+
 def _probe_exponent(solver: LatticeSolver) -> int:
     probes = intlinalg._probe_vectors(solver.b.rows)
     return lcm(solver.class_order(next(probes)), solver.class_order(next(probes)))
@@ -367,8 +380,8 @@ class TestCoreDiagonal:
         passes = _spy_passes(monkeypatch)
         factors = invariant_factors(solver).invariant_factors
         monkeypatch.undo()
-        # Only the core is eliminated: half the rows from d = 4 up.
-        assert {rows for rows, _ in passes} <= {a.rows if d < 4 else a.rows // 2}
+        # Only the core is eliminated: half the rows at every d.
+        assert {rows for rows, _ in passes} <= {a.rows // 2}
         # At d = 8 a modulus-|det| pass on the 256 rows takes seconds, so the
         # reference is taken modulo the exponent, which presents the same
         # diagonal (cokernel_diagonal).
@@ -387,13 +400,11 @@ class TestCoreDiagonal:
     def test_unit_rich_matrices(self, kind, data):
         a = data.draw({"unit-rich": unit_rich_matrices,
                        "empty core": permuted_unit_triangular()}[kind])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intlinalg, "_UNIT_PHASE_MIN", 1)
-            if determinant(a) == 0:
-                with pytest.raises(InfiniteCokernel):
-                    invariant_factors(a)
-                return
-            solver = LatticeSolver(a)
+        if determinant(a) == 0:
+            with pytest.raises(InfiniteCokernel):
+                invariant_factors(a)
+            return
+        solver = LatticeSolver(a)
         if kind == "empty core":
             assert solver.core().rows == 0
         reference = cokernel_diagonal(a, abs(solver.determinant))
@@ -410,57 +421,59 @@ class TestCoreDiagonal:
             order = abs(solver.determinant)
             e = _probe_exponent(solver)
             passes = _spy_passes(monkeypatch)
+            probed = _spy_class_orders(monkeypatch)
             factors = invariant_factors(solver).invariant_factors
             monkeypatch.undo()
             reference = cokernel_diagonal(a, order)
             assert factors == tuple(x for x in reference if x != 1)
+            assert len(probed) == 2
             if e == order:
                 routes.add("cyclic")
                 assert passes == []
             else:
-                # One pass modulo r, also where the first two probes miss
-                # part of the exponent and further probes make it up.
+                # One pass modulo r, also where the two probes miss part of
+                # the exponent: |det| gives the last factor.
                 assert e * e > order
-                routes.add("r" if e == factors[-1] else "r, more probes")
+                routes.add("r" if e == factors[-1] else "r, short E")
                 assert [m for _, m in passes] == [order // e]
-        assert routes == {"cyclic", "r", "r, more probes"}
+        assert routes == {"cyclic", "r", "r, short E"}
 
-    def test_short_exponent_on_the_r_route_falls_back(self, monkeypatch):
-        # Z_2 + Z_48: E = 16 divides 48 and 16^2 > 96 = |det|, so the core is
-        # eliminated modulo r = 6.  That gives Z_2 + Z_6; its last order
-        # replaced by 16 multiplies to 32.  No further probe raises E, so the
-        # modulus-|det| pass runs.
+    def test_short_exponent_on_the_r_route(self, monkeypatch):
+        # Z_2 + Z_48: E = 16 divides 48 and 16^2 > 96 = |det|, so the core,
+        # two rows, is eliminated modulo r = 6.  That gives Z_2 + Z_6: the 2
+        # is kept, and 96 / 2 = 48 is a multiple of 16 with gcd(48, 6) = 6.
         a = reduced_laplacian(contracted_square())
         passes = _spy_passes(monkeypatch)
         probed = []
         monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: probed.append(x) or 16)
         assert invariant_factors(a).invariant_factors == (2, 48)
-        assert passes == [(4, 6), (4, 96)]
-        assert len(probed) == 2 + intlinalg._MORE_PROBES
+        assert passes == [(2, 6)]
+        assert len(probed) == 2
 
-    def test_corrupted_fallback_is_caught(self, monkeypatch):
+    def test_wrong_last_order_on_the_r_route_is_caught(self, monkeypatch):
+        # The pass modulo 6 gives (2, 6); a last order of 3 does not
+        # fit gcd(96 / 2, 6) = 6.
         a = reduced_laplacian(contracted_square())
         diagonal = intlinalg.cokernel_diagonal
-        first = []
-
-        def repeat_first(b, modulus):
-            if not first:
-                first.append(diagonal(b, modulus))
-            return first[0]
-
-        monkeypatch.setattr(intlinalg, "cokernel_diagonal", repeat_first)
+        monkeypatch.setattr(
+            intlinalg, "cokernel_diagonal", lambda b, modulus: diagonal(b, modulus)[:-1] + (3,)
+        )
         monkeypatch.setattr(LatticeSolver, "class_order", lambda self, x: 16)
         with pytest.raises(ValidationFailed):
             invariant_factors(a)
 
-    def test_random_graph_at_150_vertices(self):
+    def test_random_graph_at_150_vertices(self, monkeypatch):
         # The envelope: the structure of a 150-vertex random multigraph, LU
         # included.  Its group is Z_2 + Z_N with N of 1067 bits, so one pass
-        # modulo |det| alone would take about 20 s.
+        # modulo |det| alone would take about 20 s; the r route takes one
+        # pass modulo r = 2 after two class orders.
+        passes = _spy_passes(monkeypatch)
+        probed = _spy_class_orders(monkeypatch)
         start = time.perf_counter()
         structure = SandpileGroup(random_sinked_graph(random.Random(150), 150)).structure
         assert time.perf_counter() - start < 10
         assert [x.bit_length() for x in structure.invariant_factors] == [2, 1067]
+        assert [m for _, m in passes] == [2] and len(probed) == 2
 
 
 class TestElementaryDivisorsOnRead:
@@ -638,16 +651,13 @@ class TestFractionFreeLU:
         a = data.draw(strategy)
         x = data.draw(st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows))
         det = det_by_permutation_expansion(a)
-        with pytest.MonkeyPatch.context() as mp:
-            # These matrices are small enough to skip the unit steps.
-            mp.setattr(intlinalg, "_UNIT_PHASE_MIN", 1)
-            assert determinant(a) == det
-            if det == 0:
-                with pytest.raises(InfiniteCokernel) as err:
-                    LatticeSolver(a)
-                assert err.value.free_rank == smith_diagonal_by_minors(a).count(0)
-                return
-            solver = LatticeSolver(a)
+        assert determinant(a) == det
+        if det == 0:
+            with pytest.raises(InfiniteCokernel) as err:
+                LatticeSolver(a)
+            assert err.value.free_rank == smith_diagonal_by_minors(a).count(0)
+            return
+        solver = LatticeSolver(a)
         assert solver.determinant == det
         if kind == "unit-free":
             assert not any(unit for _, _, _, unit, _, _ in solver.steps)
