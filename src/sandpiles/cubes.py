@@ -185,7 +185,8 @@ def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
         raise ValueError("the collapse needs a nonzero mask")
     sub = subcube(d, mask)
     hom = bipartite_collapse_hom(
-        sub, tuple([v for v in sub.vertices if v.count("1") % 2 == p] for p in (0, 1))
+        sub, tuple([v for k, v in enumerate(sub.vertices) if k.bit_count() & 1 == p]
+                   for p in (0, 1))
     )
     if hom.degree != 1 << (w - 1):
         raise ValidationFailed(f"collapse degree {hom.degree} != 2^{w - 1}")
@@ -253,9 +254,10 @@ def structure_formula_factors(d: int, k: int) -> list[int]:
     return [2 * i + 2 * k + 1 for i in range(d + 1) for _ in range(comb(d, i))]
 
 
-def _odd_cone_orders(graph: SinkedGraph, d: int, n: int) -> list[int] | None:
-    """The cyclic orders 2|S| + n of K = Z^V / Im L, graph = cube_cone(d, n),
-    proved by characters for odd n; None for even n or a failed check.
+@lru_cache(maxsize=16)
+def _odd_cone_orders(d: int, n: int) -> tuple[int, ...] | None:
+    """The cyclic orders 2|S| + n of K = Z^V / Im L of cube_cone(d, n), proved
+    once per (d, n) by characters for odd n; None for even n or a failed check.
 
     chi_S(x) = (-1)^(S.x) has L chi_S = lambda_S chi_S, lambda_S = 2|S| + n
     (Godsil-Royle on Cayley graphs of Z_2^d; Bai, "On the critical group of
@@ -271,12 +273,13 @@ def _odd_cone_orders(graph: SinkedGraph, d: int, n: int) -> list[int] | None:
     """
     if n % 2 == 0:
         return None
+    graph = cube_cone(d, n)
     for w in range(d + 1):
         low = (1 << w) - 1
         chi = [-1 if (x & low).bit_count() % 2 else 1 for x in range(1 << d)]
         if _fire(graph, chi) != [(2 * w + n) * c for c in chi]:
             return None
-    return structure_formula_factors(d, n // 2)
+    return tuple(structure_formula_factors(d, n // 2))
 
 
 def verify_structure(d: int, k: int = 0) -> StructureReport:
@@ -288,11 +291,10 @@ def verify_structure(d: int, k: int = 0) -> StructureReport:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     if k < 0:
         raise OutOfRange("k must be nonnegative")
-    n = 2 * k + 1
     # A certificate that checks returns structure_formula_factors(d, k)
     # itself, so only the closed form is factored.
     expected = elementary_divisors_of(structure_formula_factors(d, k))
-    computed = () if _odd_cone_orders(cube_cone(d, n), d, n) is None else expected
+    computed = () if _odd_cone_orders(d, 2 * k + 1) is None else expected
     return StructureReport(d, k, computed == expected, computed, expected)
 
 
@@ -353,15 +355,14 @@ def verify_decomposition(d: int) -> DecompositionReport:
     The stripe s_S = (d, d - w), w = |S|, has 2 s_S = (2d - w) 1 + w chi_S,
     1 = chi_0 is 0 in K, and 2, w are prime to 2w + 1: s_S generates <chi_S>,
     so L stacked with the stripes has Smith diagonal all ones.  Each weight's
-    stripe on the first w coordinates is burned on the proof's graph, so the
+    stripe on the first w coordinates is burned on the cube cone, so the
     printed generators are recurrent; a failed check empties both tuples.
     """
     if not 1 <= d <= MAX_D:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
-    graph = cube_cone(d)
-    group = sandpile_group(graph)
     stripes = (parity_stripe(d, (1,) * w + (0,) * (d - w), d, d - w) for w in range(1, d + 1))
-    if _odd_cone_orders(graph, d, 1) is None or not all(map(group.is_recurrent, stripes)):
+    if (_odd_cone_orders(d, 1) is None
+            or not all(map(sandpile_group(cube_cone(d)).is_recurrent, stripes))):
         return DecompositionReport(d, False, (), ())
     return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 
@@ -394,7 +395,7 @@ def verify_invariant_factor_count(d: int) -> InvariantFactorReport:
     (a composite p never beats its primes), against the closed form."""
     if not 1 <= d <= MAX_D:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
-    orders = _odd_cone_orders(cube_cone(d), d, 1) or []
+    orders = _odd_cone_orders(d, 1) or ()
     computed = max(sum(o % p == 0 for o in orders) for p in range(2, 2 * d + 2))
     closed = invariant_factor_count(d)
     return InvariantFactorReport(d, closed == computed, closed, computed)

@@ -3,7 +3,8 @@ they induce.
 
 A validated homomorphism is the only way to obtain a UniformHom: every
 theorem hypothesis is enforced by the validator, so the induced maps never
-have to re-check them.
+have to re-check them.  The validator reads the map once and then only the
+graphs' index rows, in O(V + E).
 
 `pullback` is the one linear map behind every kind: each source coordinate
 copies the coordinate of its image, scaled by the degree over the
@@ -25,7 +26,6 @@ chip vectors congruent in K(target) may pull back to classes that differ.
 
 from __future__ import annotations
 
-from functools import partial
 from math import prod
 from typing import Mapping, Sequence
 
@@ -51,20 +51,24 @@ def _vertices(g: GraphLike) -> tuple[str, ...]:
     return g.graph.vertices if isinstance(g, SinkedGraph) else g.vertices
 
 
-def _undirected(g: GraphLike) -> Multigraph:
+def _rows(g: GraphLike, directed: bool) -> tuple[tuple[str, ...], list[dict[int, int]]]:
+    """The vertices and the index rows the clauses read: the multigraph's for
+    the uniform and weak kinds, the sandpile digraph view's for the directed
+    kind (an undirected sink's row is empty), which a plain Multigraph lacks."""
     base = g.graph if isinstance(g, SinkedGraph) else g
-    if not isinstance(base, Multigraph):
+    if not directed and not isinstance(base, Multigraph):
         raise NotUndirected("uniform/weak homomorphisms need undirected multigraphs")
-    return base
+    if directed and isinstance(g, Multigraph):
+        raise NotUndirected("directed validation needs a digraph or a sinked graph"
+                            " to orient edges")
+    rows = [dict(base.row(i)) for i in range(base.n)]
+    if directed and isinstance(g, SinkedGraph) and not g.directed:
+        rows[base.index(g.sink)] = {}
+    return base.vertices, rows
 
 
-def _arc_mult(g: GraphLike, u: str, v: str) -> int:
-    """Arc multiplicity in the sandpile digraph view of g."""
-    if isinstance(g, (SinkedGraph, Digraph)):
-        return g.arc_multiplicity(u, v)
-    raise NotUndirected(
-        "directed validation needs a digraph or a sinked graph to orient edges"
-    )
+def _differ(found: dict[int, int], wanted: dict[int, int]) -> list[int]:
+    return [y for y in found.keys() | wanted.keys() if found.get(y, 0) != wanted.get(y, 0)]
 
 
 class VertexMap(Record):
@@ -117,83 +121,77 @@ def validate_hom(
     kind: str,
     require_surjective: bool = False,
 ) -> UniformHom:
-    """Certify a vertex map as a subset-uniform homomorphism.
+    """Certify a vertex map as a subset-uniform homomorphism, in O(V + E).
 
     Raises ClauseViolation naming the first violated clause (fiber-size,
     identity-on-complement, stability, degree-count) with a witness, or
-    NotSurjective when surjectivity is requested and a fiber is empty.
+    NotSurjective when surjectivity is requested and a fiber is empty.  A
+    graph without the kind's rows (`_rows`) is refused before any clause.
     """
     if kind not in HOM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    # One pair of multiplicities serves every clause: edges for the uniform
-    # and weak kinds, arcs of the sandpile digraph view for the directed one.
     directed = kind == "directed"
-    if directed:
-        src_mult = partial(_arc_mult, vmap.source)
-        tgt_mult = partial(_arc_mult, vmap.target)
-    else:
-        src_mult = _undirected(vmap.source).multiplicity
-        tgt_mult = _undirected(vmap.target).multiplicity
-
-    src_vertices = _vertices(vmap.source)
-    tgt_vertices = _vertices(vmap.target)
+    src_vertices, src_rows = _rows(vmap.source, directed)
+    tgt_vertices, tgt_rows = _rows(vmap.target, directed)
+    tgt_index = {x: j for j, x in enumerate(tgt_vertices)}
     subset_v = frozenset(subset)
-    unknown = subset_v - set(tgt_vertices)
+    unknown = subset_v - tgt_index.keys()
     if unknown:
         raise UnknownVertex(f"subset vertex {sorted(unknown)[0]!r} not in target")
-    # Clauses visit the subset in target vertex order, so witnesses are
-    # deterministic.
-    subset_order = [x for x in tgt_vertices if x in subset_v]
-
-    fibers = {x: vmap.fiber(x) for x in tgt_vertices}
-    surjective = all(fibers[x] for x in tgt_vertices)
+    # The map read once: each source vertex's image, fiber and edges into each fiber.
+    image = [tgt_index[vmap.mapping[v]] for v in src_vertices]
+    fibers: list[list[int]] = [[] for _ in tgt_vertices]
+    tallies: list[dict[int, int]] = [{} for _ in src_vertices]
+    for i, row in enumerate(src_rows):
+        fibers[image[i]].append(i)
+        for k, m in row.items():
+            tallies[i][image[k]] = tallies[i].get(image[k], 0) + m
+    surjective = all(fibers)
     if require_surjective and not surjective:
-        empty = next(x for x in tgt_vertices if not fibers[x])
-        raise NotSurjective(f"fiber over {empty!r} is empty")
+        raise NotSurjective(f"fiber over {tgt_vertices[fibers.index([])]!r} is empty")
+    # Clauses visit the subset in target vertex order and each fiber in
+    # source vertex order, so witnesses are deterministic.
+    subset_order = [j for j, x in enumerate(tgt_vertices) if x in subset_v]
+    members = [(j, i) for j in subset_order for i in fibers[j]]
 
     # fiber-size: all fibers over the subset share one cardinality (the degree).
     # Directed fibers may differ, and then the map has no degree.
-    sizes = {len(fibers[x]) for x in subset_order if fibers[x]}
+    sizes = {len(fibers[j]) for j in subset_order if fibers[j]}
     if len(sizes) > 1 and not directed:
-        small = min(subset_order, key=lambda x: len(fibers[x]))
-        big = max(subset_order, key=lambda x: len(fibers[x]))
-        raise ClauseViolation("fiber-size", (small, len(fibers[small]), big, len(fibers[big])))
+        small = min(subset_order, key=lambda j: len(fibers[j]))
+        big = max(subset_order, key=lambda j: len(fibers[j]))
+        raise ClauseViolation("fiber-size", (tgt_vertices[small], len(fibers[small]),
+                                             tgt_vertices[big], len(fibers[big])))
     degree = sizes.pop() if len(sizes) == 1 else (None if directed else 0)
 
-    # identity-on-complement: the restriction away from the subset's fibers is a
-    # multiplicity-preserving bijection onto the target complement.
-    complement_src = [v for v in src_vertices if vmap(v) not in subset_v]
-    complement_tgt = [x for x in tgt_vertices if x not in subset_v]
-    images = [vmap(v) for v in complement_src]
-    if len(set(images)) != len(images) or (surjective and set(images) != set(complement_tgt)):
-        raise ClauseViolation("identity-on-complement", tuple(complement_src))
-    for u in complement_src:
-        for w in complement_src:
-            if u < w and any(src_mult(a, b) != tgt_mult(vmap(a), vmap(b))
-                             for a, b in ((u, w), (w, u))):
-                raise ClauseViolation("identity-on-complement", (u, w))
+    # identity-on-complement: away from the subset's fibers the map is injective and
+    # keeps multiplicities.  Witness: the least broken pair, label-smaller vertex first.
+    complement = [i for i, j in enumerate(image) if tgt_vertices[j] not in subset_v]
+    preimage = {image[i]: i for i in complement}
+    if len(preimage) != len(complement):
+        raise ClauseViolation("identity-on-complement", tuple(src_vertices[i] for i in complement))
+    broken = [sorted((i, preimage[y]), key=src_vertices.__getitem__) for i in complement
+              for y in _differ(tallies[i], tgt_rows[image[i]]) if y in preimage]
+    if broken:
+        raise ClauseViolation("identity-on-complement",
+                              tuple(src_vertices[i] for i in min(broken)))
 
     # stability: fibers over the subset are independent sets (uniform kind only;
     # the directed clause at y = x covers its own fibers).
     if kind == "uniform":
-        for x in subset_order:
-            members = fibers[x]
-            for u in members:
-                w = next((w for w in members if w != u and src_mult(u, w)), None)
-                if w is not None:
-                    raise ClauseViolation("stability", (x, u, w))
+        for j, i in members:
+            if j in tallies[i]:
+                w = next(src_vertices[k] for k in src_rows[i] if image[k] == j)
+                raise ClauseViolation("stability", (tgt_vertices[j], src_vertices[i], w))
 
-    # degree-count: every u in a subset fiber sees exactly m_{x,y} edges (arcs)
-    # inside each fiber S_y.
-    for x in subset_order:
-        for u in fibers[x]:
-            for y in tgt_vertices:
-                if y == x and not directed:
-                    continue
-                found = sum(src_mult(u, w) for w in fibers[y] if w != u)
-                wanted = tgt_mult(x, y)
-                if found != wanted:
-                    raise ClauseViolation("degree-count", (u, y, found, wanted))
+    # degree-count: every u in a subset fiber S_x sees exactly m_{x,y} edges
+    # (arcs) inside each fiber S_y, y != x for the uniform and weak kinds.
+    for j, i in members:
+        found, wanted = tallies[i], tgt_rows[j]
+        y = min((y for y in _differ(found, wanted) if directed or y != j), default=None)
+        if y is not None:
+            raise ClauseViolation("degree-count", (src_vertices[i], tgt_vertices[y],
+                                                   found.get(y, 0), wanted.get(y, 0)))
 
     return UniformHom(vmap, subset_v, kind, degree, surjective)
 
@@ -221,11 +219,9 @@ def _pullback_preconditions(hom: UniformHom) -> tuple[SinkedGraph, SinkedGraph]:
     if hom.kind != "directed":
         if tgt.sink in hom.subset:
             raise PreconditionViolated("target sink must lie outside the subset")
-        complement = [x for x in tgt.graph.vertices if x not in hom.subset]
-        for i, x in enumerate(complement):
-            for y in complement[i + 1 :]:
-                if tgt.graph.multiplicity(x, y):
-                    raise PreconditionViolated("target complement is not a stable set")
+        complement = {i for i, x in enumerate(tgt.graph.vertices) if x not in hom.subset}
+        if any(k in complement for i in complement for k, _ in tgt.graph.row(i)):
+            raise PreconditionViolated("target complement is not a stable set")
     return src, tgt
 
 
@@ -368,10 +364,12 @@ def bipartite_collapse_hom(
     if set(v1) | set(v2) != set(b.vertices) or set(v1) & set(v2):
         raise NotBiregular("bipartition must partition the vertex set")
     for part in (v1, v2):
-        for i, u in enumerate(part):
-            for w in part[i + 1 :]:
-                if b.multiplicity(u, w):
-                    raise NotBiregular(f"edge inside one class: {u}{w}")
+        indices = {b.index(u) for u in part}
+        for u in part:
+            inside = {k for k, _ in b.row(b.index(u)) if k in indices}
+            if inside:
+                w = next(w for w in part if b.index(w) in inside)
+                raise NotBiregular(f"edge inside one class: {u}{w}")
     degrees1 = {b.degree(u) for u in v1}
     degrees2 = {b.degree(u) for u in v2}
     if len(degrees1) != 1 or len(degrees2) != 1:

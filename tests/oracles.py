@@ -7,7 +7,7 @@ subset enumeration, group counts by brute force, stabilization by a random
 toppling schedule, burning orders by greedy sweeps, representatives by the
 Le Borgne-Rossin lift, recurrent sets by a breadth-first closure, subcube
 embeddings by bit arithmetic, the stripe decomposition by summing one element
-of every stripe subgroup.
+of every stripe subgroup, homomorphism clauses by looking up label pairs.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from math import gcd, prod
 
 from sandpiles.cubes import BitMask, cube_cone, stripe_subgroup
 from sandpiles.dynamics import sandpile_group, stabilize
+from sandpiles.errors import ClauseViolation, NotSurjective, NotUndirected, UnknownVertex
 from sandpiles.graphs import Multigraph, SinkedGraph, cone, subcube
 from sandpiles.intlinalg import IntMatrix, reduced_laplacian, smith_normal_form
-from sandpiles.morphisms import UniformHom, pullback
+from sandpiles.morphisms import UniformHom, VertexMap, pullback
 
 
 def det_by_permutation_expansion(a: IntMatrix) -> int:
@@ -394,3 +395,69 @@ def subcube_embeddings_by_bits(d: int, mask, configs, n: int = 1) -> list[tuple[
         tuple(c[sub[x & m]] + identity[comp[x & ~m & full]] for x in range(1 << d))
         for c in configs
     ]
+
+
+def hom_clauses_by_pairs(vmap: VertexMap, subset, kind: str, require_surjective: bool = False):
+    """The four clauses of `morphisms.validate_hom` by their definition, one
+    label pair at a time, in its order and with its witnesses; returns
+    (subset, kind, degree, surjective) or raises what validate_hom raises.
+
+    Multiplicities are edges of the multigraph for the uniform and weak
+    kinds, arcs of the sandpile digraph view for the directed kind; a plain
+    Multigraph has no such view and is refused before any clause."""
+    directed = kind == "directed"
+    mults, vertices = [], []
+    for g in (vmap.source, vmap.target):
+        base = g.graph if isinstance(g, SinkedGraph) else g
+        if not directed and not isinstance(base, Multigraph):
+            raise NotUndirected("uniform/weak homomorphisms need undirected multigraphs")
+        if directed and isinstance(g, Multigraph):
+            raise NotUndirected(
+                "directed validation needs a digraph or a sinked graph to orient edges")
+        mults.append(g.arc_multiplicity if directed else base.multiplicity)
+        vertices.append(base.vertices)
+    (src_mult, tgt_mult), (src_vertices, tgt_vertices) = mults, vertices
+    f = vmap.mapping
+    subset = set(subset)
+    unknown = subset - set(tgt_vertices)
+    if unknown:
+        raise UnknownVertex(f"subset vertex {sorted(unknown)[0]!r} not in target")
+    subset_order = [x for x in tgt_vertices if x in subset]
+    fibers = {x: [v for v in src_vertices if f[v] == x] for x in tgt_vertices}
+    surjective = all(fibers.values())
+    if require_surjective and not surjective:
+        empty = next(x for x in tgt_vertices if not fibers[x])
+        raise NotSurjective(f"fiber over {empty!r} is empty")
+
+    sizes = {len(fibers[x]) for x in subset_order if fibers[x]}
+    if len(sizes) > 1 and not directed:
+        small = min(subset_order, key=lambda x: len(fibers[x]))
+        big = max(subset_order, key=lambda x: len(fibers[x]))
+        raise ClauseViolation("fiber-size", (small, len(fibers[small]), big, len(fibers[big])))
+    degree = sizes.pop() if len(sizes) == 1 else (None if directed else 0)
+
+    complement = [v for v in src_vertices if f[v] not in subset]
+    if len({f[v] for v in complement}) != len(complement):
+        raise ClauseViolation("identity-on-complement", tuple(complement))
+    for u in complement:
+        for w in complement:
+            if u < w and (src_mult(u, w) != tgt_mult(f[u], f[w])
+                          or src_mult(w, u) != tgt_mult(f[w], f[u])):
+                raise ClauseViolation("identity-on-complement", (u, w))
+
+    if kind == "uniform":
+        for x in subset_order:
+            for u in fibers[x]:
+                for w in fibers[x]:
+                    if w != u and src_mult(u, w):
+                        raise ClauseViolation("stability", (x, u, w))
+
+    for x in subset_order:
+        for u in fibers[x]:
+            for y in tgt_vertices:
+                if y == x and not directed:
+                    continue
+                found = sum(src_mult(u, w) for w in fibers[y] if w != u)
+                if found != tgt_mult(x, y):
+                    raise ClauseViolation("degree-count", (u, y, found, tgt_mult(x, y)))
+    return frozenset(subset), kind, degree, surjective

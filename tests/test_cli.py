@@ -554,6 +554,17 @@ class TestCliCommands:
         decomposition = next(r for r in payload["reports"] if r["check"] == "decomposition")
         assert decomposition["stripe_orders"] == list(range(3, 26, 2))
 
+    def test_hypercube_all_runs_one_certificate(self, capsys, monkeypatch):
+        # structure, decomposition and if-count all read the proof on
+        # cube_cone(12, 1); it fires one character per weight w = 0..12, once.
+        fired = []
+        real_fire = cubes._fire
+        monkeypatch.setattr(cubes, "_fire", lambda g, y: fired.append(g) or real_fire(g, y))
+        cubes._odd_cone_orders.cache_clear()
+        assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert len(fired) == 13
+
     def test_hypercube_guard(self, capsys):
         assert main(["hypercube", "--d", "13", "--verify", "structure"]) == 1
         assert main(["hypercube", "--d", "0", "--verify", "decomposition"]) == 1

@@ -4,9 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import contracted_square, random_connected_multigraph, thick_triangle_target
-from oracles import all_masks, image_order_by_enumeration, image_order_by_smith_form
+from oracles import (
+    all_masks,
+    hom_clauses_by_pairs,
+    image_order_by_enumeration,
+    image_order_by_smith_form,
+)
 import sandpiles.morphisms as morphisms
 from sandpiles.cubes import parity_collapse_hom
 from sandpiles.dynamics import RecurrentConfig, sandpile_group, stabilize
@@ -31,6 +38,7 @@ from sandpiles.graphs import (
     thick_k2_cone,
 )
 from sandpiles.morphisms import (
+    HOM_KINDS,
     UniformHom,
     VertexMap,
     bipartite_collapse_hom,
@@ -217,6 +225,121 @@ class TestValidation:
         c3 = cycle_graph(3)
         with pytest.raises(error, match=message):
             make(c3, {v: v for v in c3.vertices})
+
+
+@st.composite
+def hom_cases(draw):
+    """A vertex map between small graphs, with a subset, a kind and a
+    surjectivity request.  Half are fiber-by-fiber covers of the target
+    (valid homomorphisms before an optional nudge), half are random maps
+    between random graphs.  Both graphs are digraphs or multigraphs, with or
+    without a sink; source labels are shuffled against vertex order, so the
+    label order of a witness pair differs from its vertex order."""
+    kind = draw(st.sampled_from(HOM_KINDS))
+    arcs = kind == "directed" and draw(st.booleans())
+    sinked = draw(st.booleans())
+    multiplicity = st.integers(0, 2)
+
+    def graph(labels, edges, sink):
+        if arcs and sink is not None:
+            # The sink sends no arcs and receives one from every vertex, so
+            # it is a global sink.
+            edges = [e for e in edges if e[0] != sink] + [
+                (v, sink, 1) for v in labels if v != sink]
+        g = (build_digraph if arcs else build_multigraph)(labels, edges)
+        return edges, g if sink is None else SinkedGraph(g, sink)
+
+    def pairs(labels):
+        return itertools.permutations(labels, 2) if arcs else itertools.combinations(labels, 2)
+
+    tgt = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    tgt_edges = [(x, y, m) for x, y in pairs(tgt) if (m := draw(multiplicity))]
+    tgt_sink = tgt[-1] if sinked else None
+    tgt_edges, target = graph(tgt, tgt_edges, tgt_sink)
+    subset = [x for x in tgt if draw(st.booleans())]
+
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 3))
+        sizes = [degree if x in subset else 1 for x in tgt]
+        names = draw(st.permutations([f"u{i}" for i in range(sum(sizes))]))
+        fibers, start = {}, 0
+        for x, size in zip(tgt, sizes):
+            fibers[x], start = names[start:start + size], start + size
+        edges = []
+        for x, y, m in tgt_edges:
+            fx, fy = fibers[x], fibers[y]
+            if len(fx) == len(fy):
+                for _ in range(m):
+                    perm = draw(st.permutations(range(len(fy))))
+                    edges += [(fx[i], fy[perm[i]], 1) for i in range(len(fx))]
+            else:
+                edges += [(u, w, m) for u in fx for w in fy]
+        labels = [v for x in tgt for v in fibers[x]]
+        if len(labels) > 1 and draw(st.booleans()):
+            edges.append((*draw(st.permutations(labels))[:2], 1))
+        mapping = {v: x for x in tgt for v in fibers[x]}
+        if draw(st.booleans()):
+            mapping[draw(st.sampled_from(labels))] = draw(st.sampled_from(tgt))
+        src_sink = fibers[tgt_sink][0] if sinked and len(fibers[tgt_sink]) == 1 else None
+    else:
+        labels = draw(st.permutations([f"u{i}" for i in range(draw(st.integers(1, 6)))]))
+        edges = [(u, w, m) for u, w in pairs(labels) if (m := draw(multiplicity))]
+        mapping = {v: draw(st.sampled_from(tgt)) for v in labels}
+        src_sink = labels[-1] if sinked else None
+    _, source = graph(labels, edges, src_sink)
+    return VertexMap(source, target, mapping), subset, kind, draw(st.booleans())
+
+
+def _outcome(check, *args):
+    """What a clause check gives: the hom's fields, the violated clause with
+    its witness, or the refusal."""
+    try:
+        result = check(*args)
+    except ClauseViolation as err:
+        return "clause", err.clause, err.witness
+    except (NotSurjective, NotUndirected, UnknownVertex) as err:
+        return type(err).__name__, str(err)
+    if isinstance(result, UniformHom):
+        return "hom", (result.subset, result.kind, result.degree, result.surjective)
+    return "hom", result
+
+
+class TestClausesAgainstPairs:
+    """validate_hom reads index rows; the oracle looks up every label pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hom_cases())
+    def test_same_result_clause_and_witness(self, case):
+        assert _outcome(validate_hom, *case) == _outcome(hom_clauses_by_pairs, *case)
+
+    def test_the_corpus_reaches_every_outcome(self):
+        # The cover half of the strategy gives valid homs of every kind, and
+        # the nudges and random maps break each clause.
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(hom_cases())
+        def collect(case):
+            outcome = _outcome(validate_hom, *case)
+            seen.add(outcome[:2] if outcome[0] == "clause" else (outcome[0], case[2]))
+
+        collect()
+        assert {("clause", c) for c in ("fiber-size", "identity-on-complement",
+                                        "stability", "degree-count")} <= seen
+        assert {("hom", kind) for kind in HOM_KINDS} <= seen
+
+    @pytest.mark.parametrize("subset", [[], ["x"], ["x", "y"]])
+    def test_directed_kind_refuses_a_plain_multigraph_up_front(self, subset):
+        # a-b onto x-y with both ends on x: the refusal no longer depends on
+        # which clause would have looked at a multiplicity first.
+        g = build_multigraph(["a", "b"], [("a", "b", 1)])
+        h = build_multigraph(["x", "y"], [("x", "y", 1)])
+        vmap = VertexMap(g, h, {"a": "x", "b": "x"})
+        with pytest.raises(NotUndirected, match="to orient edges"):
+            validate_hom(vmap, subset, "directed")
+        one = build_multigraph(["a"], [])
+        with pytest.raises(NotUndirected, match="to orient edges"):
+            validate_hom(VertexMap(one, one, {"a": "a"}), subset[:0], "directed")
 
 
 class TestDegreeLaw:
@@ -595,3 +718,19 @@ class TestBipartiteCollapse:
         for parts in ((["b"], ["a"]), (["a", "b"], ["b", "c"])):
             with pytest.raises(NotBiregular, match="must partition"):
                 bipartite_collapse_hom(path3, parts)
+
+    def test_independence_witness_follows_the_class_order(self):
+        # Both b-c and e-c lie inside the class [e, b, c].  The witness is
+        # the first class member with a neighbour in the class, paired with
+        # the neighbour that comes first in the class, as the label-pair loop
+        # over the class finds it; vertex order would name b-c.
+        g = build_multigraph(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("e", "c", 1), ("a", "e", 1)],
+        )
+        parts = (["e", "b", "c"], ["a", "d"])
+        expected = next(f"{u}{w}" for i, u in enumerate(parts[0]) for w in parts[0][i + 1:]
+                        if g.multiplicity(u, w))
+        assert expected == "ec"
+        with pytest.raises(NotBiregular, match=f"edge inside one class: {expected}$"):
+            bipartite_collapse_hom(g, parts)
