@@ -8,10 +8,10 @@ human-readable fallback.  The format is set by --output alone.
 
 Each subcommand imports only the layers it runs: stabilize, identity,
 representative and add load errors, graphs, dynamics and jsonio; intlinalg
-loads with the first factorization (group, recurrents, snf), morphisms with
-check-hom, products with product, and cubes with hypercube.  Of the
-hypercube reports, decomposition and if-count load none of intlinalg,
-morphisms and products, and structure loads intlinalg only.
+loads with the first factorization (group, recurrents, snf) or injection
+proof, morphisms with check-hom, products with product, and cubes with
+hypercube.  Of the hypercube reports, decomposition and if-count load none
+of intlinalg, morphisms and products, and structure loads intlinalg only.
 """
 
 from __future__ import annotations

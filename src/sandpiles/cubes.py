@@ -51,6 +51,7 @@ BitMask = tuple[int, ...]
 MAX_D = 12  # the largest cube dimension of the odd-cone reports
 
 
+@lru_cache(maxsize=8)
 def cube_cone(d: int, n: int = 1) -> SinkedGraph:
     return cone(hypercube(d), n)
 
@@ -72,7 +73,7 @@ def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     generating a cyclic subgroup of order 2*weight + 1 (order 1 for mask 0)."""
     w = sum(mask)
     values = parity_stripe(d, mask, d, d - w)
-    graph = cube_cone(d)
+    graph = cube_cone(d, 1)
     if not sandpile_group(graph).is_recurrent(values):
         raise ValidationFailed(f"stripe generator {values} is not recurrent")
     return RecurrentConfig(graph, values, "burning")
@@ -362,7 +363,7 @@ def verify_decomposition(d: int) -> DecompositionReport:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     stripes = (parity_stripe(d, (1,) * w + (0,) * (d - w), d, d - w) for w in range(1, d + 1))
     if (_odd_cone_orders(d, 1) is None
-            or not all(map(sandpile_group(cube_cone(d)).is_recurrent, stripes))):
+            or not all(map(sandpile_group(cube_cone(d, 1)).is_recurrent, stripes))):
         return DecompositionReport(d, False, (), ())
     return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 

@@ -26,12 +26,12 @@ to a few hundred.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
 from ._record import Record
-from .errors import InfiniteCokernel, ValidationFailed
+from .errors import InfiniteCokernel, OutOfRange, ValidationFailed
 from .graphs import AnyGraph, SinkedGraph
 
 
@@ -502,6 +502,7 @@ def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
 # n below this bound (Sorenson-Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+_RHO_STEPS = 2**20
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -530,12 +531,20 @@ def _strong_probable_prime(n: int) -> bool:
 def _pollard_brent(n: int) -> int:
     """A proper divisor of the odd composite n (Brent 1980), deterministic:
     the polynomials x^2 + c are tried for c = 1, 2, ...; each candidate is a
-    gcd with n, so the divisor is exact."""
-    c = 0
-    while True:
-        c += 1
+    gcd with n, so the divisor is exact.  It proves a split or refuses: once
+    the cycle lengths r, summed over the polynomials and checked once per
+    doubling, pass _RHO_STEPS = 2^20, it raises OutOfRange.  That is 8 times
+    the longest cycle any test or benchmark input needs (2^17).  Rho takes
+    about sqrt(p) steps for the least prime p of n, so an n whose least
+    prime is above about 40 bits is refused, in about a second."""
+    spent = 0
+    for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            spent += r
+            if spent > _RHO_STEPS:
+                raise OutOfRange(f"rho found no factor of a {n.bit_length()}-bit composite "
+                                 f"in {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -558,24 +567,13 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def _trial_division(n: int, factors: dict[int, int]) -> None:
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-
-
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e}, primes ascending.
+    """Prime factorization {p: e}, primes ascending; it proves or refuses.
 
-    Miller-Rabin separates primes from composites and Pollard-Brent rho
-    splits the composites.  A probable prime at or above _MR_BOUND, where
-    Miller-Rabin proves nothing, falls back to trial division, so every
-    reported prime is proven.
+    Miller-Rabin proves every prime below _MR_BOUND and Pollard-Brent rho
+    splits every composite within its budget _RHO_STEPS.  What they cannot
+    settle, a strong probable prime at or above the bound or a composite rho
+    does not split, raises OutOfRange, so no input runs on.
     """
     factors: dict[int, int] = {}
     if n <= 1:
@@ -593,7 +591,7 @@ def _factorize(n: int) -> dict[int, int]:
         elif m < _MR_BOUND:
             factors[m] = factors.get(m, 0) + 1
         else:
-            _trial_division(m, factors)
+            raise OutOfRange(f"{m.bit_length()}-bit probable prime above the Miller-Rabin bound")
     return dict(sorted(factors.items()))
 
 
@@ -666,8 +664,5 @@ def elementary_divisors_of(factors: Sequence[int]) -> tuple[int, ...]:
     for f in factors:
         if f <= 0:
             raise ValueError("cyclic orders must be positive")
-        if f == 1:
-            continue
-        for p, e in _factorize(f).items():
-            out.append(p**e)
+        out += [p**e for p, e in _factorize(f).items()]
     return tuple(sorted(out))

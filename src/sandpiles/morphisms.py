@@ -40,7 +40,6 @@ from .errors import (
     UnknownVertex,
 )
 from .graphs import Digraph, Multigraph, SinkedGraph, cone, thick_k2_cone
-from .intlinalg import IntMatrix, cokernel_diagonal
 
 GraphLike = Multigraph | Digraph | SinkedGraph
 
@@ -301,9 +300,9 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     Its image is then generated by the classes of P(e_1), ..., P(e_n) and has
     order |K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, one cokernel
     diagonal modulo the source exponent; the map is injective exactly when
-    that order is |K(target)|.  For the uniform kind the pullbacks of the
-    recurrent representatives of the target's unit vectors, which generate
-    K(target), must also pass the burning test.
+    that order is |K(target)|.  For the uniform kind `induced_map` must also
+    take the recurrent representatives of the target's unit vectors, which
+    generate K(target), to recurrents that pass the burning test.
 
     For the directed kind the classes are those of the column quotients
     Z^n / Im L (module docstring): the stack holds the columns of L_src, and
@@ -311,6 +310,8 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     K(target), so passed and image_order read the same, but on a digraph
     target its classes are not the chip classes of K(target).
     """
+    from .intlinalg import IntMatrix, cokernel_diagonal
+
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")
     g_src = sandpile_group(src)
@@ -342,9 +343,11 @@ def verify_group_injection(hom: UniformHom) -> InjectionReport:
     recurrent_images = None
     if hom.kind == "uniform":
         for u in units:
-            rep = g_tgt.representative(u).values
-            if not g_src.is_recurrent(pullback(hom, rep)):
-                return InjectionReport(False, image_order, False, witness=(rep,), note=note)
+            rep = g_tgt.representative(u)
+            try:
+                induced_map(hom, rep)
+            except PreconditionViolated:
+                return InjectionReport(False, image_order, False, witness=(rep.values,), note=note)
         recurrent_images = True
     return InjectionReport(image_order == g_tgt.order, image_order, recurrent_images, note=note)
 

@@ -11,7 +11,7 @@ import pytest
 
 import sandpiles
 from conftest import contracted_square, grid_cone, thick_triangle_target
-from sandpiles import cubes
+from sandpiles import cubes, morphisms
 from sandpiles.cli import main
 from sandpiles.errors import FormatError
 from sandpiles.graphs import (
@@ -403,6 +403,23 @@ class TestCliCommands:
         assert injection["passed"] and injection["image_order"] == image_order
         assert injection["mode"] == "lattice" and "checked_pairs" not in injection
 
+    def test_check_hom_failed_injection_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Doubled, the pullback of the weak projection onto cone(C3), with
+        # K = Z4 + Z4, has an image of order 4: the map is valid, the proof fails.
+        real = morphisms.pullback
+        monkeypatch.setattr(morphisms, "pullback", lambda h, x: tuple(2 * v for v in real(h, x)))
+        src = tmp_path / "src.json"
+        tgt = tmp_path / "tgt.json"
+        save_graph(cone(cartesian_product(cycle_graph(3), k2())), src)
+        save_graph(cone(cycle_graph(3)), tgt)
+        mapping = {"s": "s", **{f"({u},{v})": u for u in ("v1", "v2", "v3") for v in ("v1", "v2")}}
+        hom = write(tmp_path, "hom.json",
+                    {"map": mapping, "subset_V": ["v1", "v2", "v3"], "kind": "weak"})
+        assert main(["check-hom", str(src), str(tgt), str(hom), "--verify-injection"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] and payload["injection"]["passed"] is False
+        assert payload["injection"]["image_order"] == 4
+
     def test_check_hom_fail_exits_two(self, tmp_path, capsys):
         assert main(["check-hom", *c5_onto_c3_with_unequal_fibers(tmp_path)]) == 2
         payload = json.loads(capsys.readouterr().out)
@@ -564,6 +581,19 @@ class TestCliCommands:
         assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
         assert len(fired) == 13
+
+    def test_hypercube_all_builds_each_cone_once(self, capsys, monkeypatch):
+        # cone(Q_12, 1) serves the certificate and the stripe burning checks;
+        # the even counterexample builds cone(Q_2, 2).
+        built = []
+        real_cone = cubes.cone
+        monkeypatch.setattr(cubes, "cone",
+                            lambda g, n: built.append((len(g.vertices), n)) or real_cone(g, n))
+        cubes.cube_cone.cache_clear()
+        cubes._odd_cone_orders.cache_clear()
+        assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert built == [(4096, 1), (4, 2)]
 
     def test_hypercube_guard(self, capsys):
         assert main(["hypercube", "--d", "13", "--verify", "structure"]) == 1

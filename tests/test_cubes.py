@@ -421,11 +421,14 @@ class TestEvenConeReport:
 
 @pytest.fixture
 def fresh_certificates():
-    """The character certificate is cached per (d, n): a test that swaps the
-    cone must not read the true cone's proofs, nor leave its own behind."""
+    """The character certificate and the cube cones are cached per (d, n): a
+    test that swaps the cone must not read the true cone's proofs, nor leave
+    its own behind."""
     _odd_cone_orders.cache_clear()
+    cube_cone.cache_clear()
     yield
     _odd_cone_orders.cache_clear()
+    cube_cone.cache_clear()
 
 
 def cube_cone_with_extra_edge(d: int, n: int = 1):

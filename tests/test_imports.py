@@ -116,6 +116,14 @@ def test_other_subcommands_load_what_they_run(files, argv, needs):
     assert f"sandpiles.{needs}" in loaded
 
 
+def test_check_hom_loads_no_lattice_layer_without_the_proof(files):
+    # Validating a homomorphism reads index rows only; intlinalg loads with
+    # --verify-injection.
+    status, loaded = run_main(["check-hom", files["square"], files["square"], files["hom"]])
+    assert status == 0
+    assert loaded == LIGHT | {"sandpiles.morphisms"}
+
+
 @pytest.mark.parametrize("verify, extra", [
     ("decomposition", set()),
     ("if-count", set()),

@@ -20,7 +20,7 @@ from oracles import (
 import sandpiles.intlinalg as intlinalg
 from sandpiles.cubes import parity_collapse_hom, verify_decomposition
 from sandpiles.dynamics import SandpileGroup, sandpile_group
-from sandpiles.errors import InfiniteCokernel, ValidationFailed
+from sandpiles.errors import InfiniteCokernel, OutOfRange, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
     build_multigraph,
@@ -726,13 +726,31 @@ class TestFactorize:
         # Above the Miller-Rabin bound, composites are still split by rho.
         assert _factorize(primes[0] ** 3) == {primes[0]: 3}
 
-    def test_probable_prime_above_bound_is_proven(self, monkeypatch):
+    def test_probable_prime_above_bound_is_refused(self, monkeypatch):
         # A Miller-Rabin that passes every input stands in for a strong
-        # pseudoprime above the bound: trial division must still factor it.
+        # pseudoprime above the bound: it proves nothing, so it is refused.
         monkeypatch.setattr(intlinalg, "_MR_BOUND", 1000)
         monkeypatch.setattr(intlinalg, "_strong_probable_prime", lambda n: True)
         for n in (10007, 1009 * 1013, 43**3, 2 * 3 * 10007):
-            assert _factorize(n) == factor_by_trial_division(n)
+            with pytest.raises(OutOfRange, match="above the Miller-Rabin bound"):
+                _factorize(n)
+
+    def test_product_of_45_bit_primes_is_refused(self):
+        # Rho needs about 2^22 steps for a 45-bit factor, past its budget.
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="no factor of a 90-bit composite"):
+            _factorize(35184372088777 * 35184372088763)
+        assert time.perf_counter() - start < 5
+
+    def test_random_graph_with_a_hard_cofactor_is_refused(self):
+        # The last invariant factor leaves a 178-bit composite cofactor whose
+        # least prime is far past rho's budget.
+        structure = SandpileGroup(random_sinked_graph(random.Random(4), 40)).structure
+        assert [x.bit_length() for x in structure.invariant_factors] == [2, 198]
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="no factor of a 178-bit composite"):
+            structure.elementary_divisors
+        assert time.perf_counter() - start < 10
 
 
 def test_group_structure_serialization():
