@@ -10,8 +10,8 @@ Each subcommand imports only the layers it runs: stabilize, identity,
 representative and add load errors, graphs, dynamics and jsonio; intlinalg
 loads with the first factorization (group, recurrents, snf) or injection
 proof, morphisms with check-hom, products with product, and cubes with
-hypercube.  Of the hypercube reports, decomposition and if-count load none
-of intlinalg, morphisms and products, and structure loads intlinalg only.
+hypercube.  The hypercube reports load intlinalg for the character proof's
+spectrum, and neither morphisms nor products.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ count is even and another to the odd ones.  The stripe with values
 (d, d - weight) generates a cyclic subgroup of order 2*weight + 1 in the
 sandpile group of the cone, and those subgroups decompose the whole group.
 The odd-cone reports all read one character proof, `_odd_cone_orders`, with
-no LU and no Smith form; the LU serves only `verify_even_cone_counterexample`.
+no LU and no Smith form: the spectrum of `intlinalg.cayley_spectrum`.  The
+cone and its proof are built once per (d, n), in `_cube`, and every report,
+stripe and embedding on that cone reads its graph from there.
 
 The two maps behind the generators are the other layers' maps, not copies:
 the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
@@ -23,13 +25,7 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
-from .dynamics import (
-    Chips,
-    RecurrentConfig,
-    SandpileGroup,
-    _fire,
-    sandpile_group,
-)
+from .dynamics import Chips, RecurrentConfig, SandpileGroup, sandpile_group
 from .errors import OutOfRange, ValidationFailed
 from .graphs import (
     SinkedGraph,
@@ -42,7 +38,7 @@ from .graphs import (
 )
 
 # intlinalg, morphisms and products load in the functions that use them, so
-# the character-proof reports run without them.
+# the character-proof reports load neither morphisms nor products.
 if TYPE_CHECKING:
     from .morphisms import UniformHom
     from .products import BoxContext
@@ -51,9 +47,39 @@ BitMask = tuple[int, ...]
 MAX_D = 12  # the largest cube dimension of the odd-cone reports
 
 
-@lru_cache(maxsize=8)
 def cube_cone(d: int, n: int = 1) -> SinkedGraph:
     return cone(hypercube(d), n)
+
+
+@lru_cache(maxsize=8)
+def _cube(d: int, n: int) -> tuple[SinkedGraph, tuple[int, ...] | None]:
+    """cube_cone(d, n) and the cyclic orders 2|S| + n of K = Z^V / Im L that
+    the character proof gives for odd n (None for even n or a failed check),
+    built once per (d, n).
+
+    `cayley_spectrum` checks that row x of the cone is {x xor e_i}, so the
+    characters chi_S(x) = (-1)^(S.x) satisfy L chi_S = lambda_S chi_S
+    (Godsil-Royle on Cayley graphs of Z_2^d; Bai, "On the critical group of
+    the n-cube", 2003), and the eigenvalues it lists must be the closed form
+    lambda_S = 2|S| + n.  Then, as `intlinalg.invariant_factors` proves for
+    every Cayley cone with odd |det|:
+    (a) lambda_S chi_S = L chi_S is in Im L, so ord(chi_S) | lambda_S.
+    (b) sum_S chi_S = 2^d e_0 and translations x -> x xor a fix the apex,
+        so 2^d Z^V lies in the span of the chi_S.
+    (c) |K| = prod lambda_S is odd, so 2^d is invertible on K and the chi_S
+        generate K; |K| <= prod ord(chi_S) <= prod lambda_S = |K| makes every
+        order exact and the sum direct.
+    """
+    from .intlinalg import cayley_spectrum
+
+    graph = cube_cone(d, n)
+    if n % 2 == 0:
+        return graph, None
+    spectrum = cayley_spectrum(graph)
+    orders = tuple(structure_formula_factors(d, n // 2))
+    if spectrum is None or sorted(spectrum) != list(orders):
+        return graph, None
+    return graph, orders
 
 
 def parity_stripe(d: int, mask: Sequence[int], even_value: int, odd_value: int) -> Chips:
@@ -73,7 +99,7 @@ def stripe_generator(d: int, mask: Sequence[int]) -> RecurrentConfig:
     generating a cyclic subgroup of order 2*weight + 1 (order 1 for mask 0)."""
     w = sum(mask)
     values = parity_stripe(d, mask, d, d - w)
-    graph = cube_cone(d, 1)
+    graph = _cube(d, 1)[0]
     if not sandpile_group(graph).is_recurrent(values):
         raise ValidationFailed(f"stripe generator {values} is not recurrent")
     return RecurrentConfig(graph, values, "burning")
@@ -172,7 +198,7 @@ def subcube_embed_recurrent(
 ) -> RecurrentConfig:
     """The injective group map from the subcube cone into the full cube cone."""
     vec = subcube_embed(d, mask, tuple(c), n)
-    return sandpile_group(cube_cone(d, n)).representative(vec)
+    return sandpile_group(_cube(d, n)[0]).representative(vec)
 
 
 def parity_collapse_hom(d: int, mask: Sequence[int]) -> UniformHom:
@@ -209,7 +235,7 @@ def cone_stripe_subgroup(d: int, n: int, mask: Sequence[int]) -> StripeSubgroup:
     """
     mask = tuple(mask)
     w = sum(mask)
-    graph = cube_cone(d, n)
+    graph = _cube(d, n)[0]
     group = sandpile_group(graph)
     if w == 0:
         patterns = tuple(parity_stripe(d, mask, i, i) for i in range(n))
@@ -255,32 +281,9 @@ def structure_formula_factors(d: int, k: int) -> list[int]:
     return [2 * i + 2 * k + 1 for i in range(d + 1) for _ in range(comb(d, i))]
 
 
-@lru_cache(maxsize=16)
 def _odd_cone_orders(d: int, n: int) -> tuple[int, ...] | None:
-    """The cyclic orders 2|S| + n of K = Z^V / Im L of cube_cone(d, n), proved
-    once per (d, n) by characters for odd n; None for even n or a failed check.
-
-    chi_S(x) = (-1)^(S.x) has L chi_S = lambda_S chi_S, lambda_S = 2|S| + n
-    (Godsil-Royle on Cayley graphs of Z_2^d; Bai, "On the critical group of
-    the n-cube", 2003), checked for S the first w coordinates, w = 0..d.
-    (a) lambda_S chi_S = L chi_S is in Im L, so ord(chi_S) | lambda_S.
-    (b) Coordinate permutations fix the apex and permute the chi_S, so one
-        S per weight covers them all.
-    (c) sum_S chi_S = 2^d e_0 and translations x -> x xor a fix the apex,
-        so 2^d Z^V lies in the span of the chi_S.
-    (d) |K| = prod lambda_S is odd, so 2^d is invertible on K and the chi_S
-        generate K; |K| <= prod ord(chi_S) <= prod lambda_S = |K| makes every
-        order exact and the sum direct.
-    """
-    if n % 2 == 0:
-        return None
-    graph = cube_cone(d, n)
-    for w in range(d + 1):
-        low = (1 << w) - 1
-        chi = [-1 if (x & low).bit_count() % 2 else 1 for x in range(1 << d)]
-        if _fire(graph, chi) != [(2 * w + n) * c for c in chi]:
-            return None
-    return tuple(structure_formula_factors(d, n // 2))
+    """The cyclic orders that `_cube` proves for cube_cone(d, n), or None."""
+    return _cube(d, n)[1]
 
 
 def verify_structure(d: int, k: int = 0) -> StructureReport:
@@ -318,7 +321,7 @@ def verify_even_cone_counterexample() -> EvenConeReport:
     formula's Z2 + Z4^2 + Z6 even though the orders agree (192)."""
     from .intlinalg import elementary_divisors_of
 
-    group = sandpile_group(cube_cone(2, 2))
+    group = sandpile_group(_cube(2, 2)[0])
     computed = group.structure.elementary_divisors
     formula_cyclic = (2, 4, 4, 6)
     formula_divisors = elementary_divisors_of(formula_cyclic)
@@ -363,7 +366,7 @@ def verify_decomposition(d: int) -> DecompositionReport:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     stripes = (parity_stripe(d, (1,) * w + (0,) * (d - w), d, d - w) for w in range(1, d + 1))
     if (_odd_cone_orders(d, 1) is None
-            or not all(map(sandpile_group(cube_cone(d, 1)).is_recurrent, stripes))):
+            or not all(map(sandpile_group(_cube(d, 1)[0]).is_recurrent, stripes))):
         return DecompositionReport(d, False, (), ())
     return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 

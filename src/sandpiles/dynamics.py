@@ -34,7 +34,7 @@ from .graphs import SinkedGraph
 # intlinalg loads when a group first factors its Laplacian, so stabilization,
 # burning and representatives run without it.
 if TYPE_CHECKING:
-    from .intlinalg import GroupStructure, IntMatrix, LatticeSolver
+    from .intlinalg import GroupStructure, IntMatrix, LatticeSolver, WalshSolver
 
 Chips = tuple[int, ...]
 
@@ -165,18 +165,22 @@ class SandpileGroup:
     and add come from stabilization, certified by a sparse product with L^T
     and by the burning test with the script the group computes once, on
     graphs and digraphs alike.  Every lattice answer is read from one
-    cached factorization object, the LatticeSolver of L: the determinant
-    and order, congruence and membership witnesses, element orders and,
-    for the structure, |det L|, the probed exponent E and the core its unit
-    steps leave, whose Smith diagonal is taken modulo the smaller of E and
-    |det L|/E.  The solver refuses a singular L with its free rank; the
-    group keeps that refusal, so L is factored once and every later query
-    is refused again.  Only recurrents() enumerates the recurrent set: a
-    chain of cosets of the subgroups <e_0, ..., e_v>, one chip addition per
-    recurrent, each a plain increment or an avalanche from that one chip,
-    certified by its size |det L|.  Its orbit_guard refuses first on the floor
-    prod(out_v - e_v) that the identity e gives, before any factorization,
-    and only then on |det L|, on every call.
+    cached solver object: the determinant and order, congruence and
+    membership witnesses, element orders and the structure.  On a cone over
+    a Cayley graph of Z_2^d (`intlinalg.cayley_spectrum`, a property of the
+    graph and its vertex order) it is the WalshSolver of the characters,
+    whose structure is the chain of the eigenvalues for odd |det L|.  On
+    every other graph it is the LatticeSolver of L, and the structure reads
+    |det L|, the probed exponent E and the core its unit steps leave, whose
+    Smith diagonal is taken modulo the smaller of E and |det L|/E (the
+    WalshSolver's core for even |det L| is L).  The LU refuses a singular L
+    with its free rank; the group keeps that refusal, so L is factored once
+    and every later query is refused again.  Only recurrents() enumerates
+    the recurrent set: a chain of cosets of the subgroups <e_0, ..., e_v>,
+    one chip addition per recurrent, each a plain increment or an avalanche
+    from that one chip, certified by its size |det L|.  Its orbit_guard
+    refuses first on the floor prod(out_v - e_v) that the identity e gives,
+    before any factorization, and only then on |det L|, on every call.
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -184,7 +188,7 @@ class SandpileGroup:
         self.orbit_guard = orbit_guard
         self._reduced: IntMatrix | None = None
         self._structure: GroupStructure | None = None
-        self._solver: LatticeSolver | None = None
+        self._solver: LatticeSolver | WalshSolver | None = None
         self._singular: InfiniteCokernel | None = None
         self._identity: RecurrentConfig | None = None
         self._script: tuple[Chips, Chips] | None = None
@@ -223,15 +227,20 @@ class SandpileGroup:
         return self._structure
 
     @property
-    def solver(self) -> LatticeSolver:
-        """The LU of L^T, built once; a singular L is factored once too."""
+    def solver(self) -> LatticeSolver | WalshSolver:
+        """The WalshSolver of a Cayley cone, else the LU of L^T, built once;
+        a singular L is factored once too."""
         if self._solver is None and self._singular is None:
-            from .intlinalg import LatticeSolver
+            from .intlinalg import LatticeSolver, WalshSolver, cayley_spectrum
 
-            try:
-                self._solver = LatticeSolver(self.reduced_laplacian)
-            except InfiniteCokernel as exc:
-                self._singular = exc
+            spectrum = cayley_spectrum(self.graph)
+            if spectrum is not None:
+                self._solver = WalshSolver(self.graph, spectrum)
+            else:
+                try:
+                    self._solver = LatticeSolver(self.reduced_laplacian)
+                except InfiniteCokernel as exc:
+                    self._singular = exc
         if self._singular is not None:
             raise SingularReducedLaplacian(_SINGULAR) from self._singular
         return self._solver

@@ -2,14 +2,15 @@
 lattice membership.
 
 Two eliminations answer every question about the lattice Im L^T of a square
-L.  One is the factorization object LatticeSolver: an exact LU of L^T, a
+L, and a transform answers them on the cones of Cayley graphs of Z_2^d.  One
+elimination is the factorization object LatticeSolver: an exact LU of L^T, a
 single list of elimination steps (division-free steps on +-1 pivots, then
 Bareiss steps).  Its length is the rank, so a singular L is refused with its
 free rank; otherwise the solver holds det L, replays the steps on a vector
 v to give delta * (L^T)^-1 v with |delta| = |det L|, behind witnesses and
 class orders, and keeps the core its unit steps leave.  determinant(),
-invariant_factors and the group's lattice queries all read that one
-object.  The other is one Smith pivot-and-clear loop, _smith_eliminate.  Run
+invariant_factors and the lattice queries of every other group read that
+one object.  The other is one Smith pivot-and-clear loop, _smith_eliminate.  Run
 modulo a multiple of the group exponent, it gives the Smith diagonal of
 every cokernel.  For the group structure it runs on the core the LU's unit
 steps leave, modulo the smaller of E and |det|/E, with E the lcm of the
@@ -17,6 +18,15 @@ class orders of two fixed vectors; modulo |det|/E it gives every invariant
 factor but the last, which is |det| over their product.  Run over the
 integers on a matrix bordered by identities, it gives the Smith normal form
 with transforms of the `snf` command.
+
+The third route, the transform, needs no elimination.  `cayley_spectrum`
+recognises, in O(V + E), a cone whose index rows are those of a Cayley graph
+of Z_2^d; its characters diagonalise L, so WalshSolver answers the same
+queries as LatticeSolver by two Walsh-Hadamard transforms, and for odd |det|
+the structure is the divisibility chain of the eigenvalues, read off a
+coprime base with no factoring.  A group reads it whenever the recognizer
+accepts its graph; every other graph, and every matrix given as such
+(determinant, invariant_factors of an IntMatrix, snf), takes the LU.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -179,7 +189,7 @@ class LatticeSolver:
         if not a.is_square():
             raise ValueError("lattice solving needs a square matrix")
         self.b = a.transpose()
-        n = a.rows
+        n = self.size = a.rows
         rows = [list(r) for r in self.b.entries]
         # The rows and columns not yet pivoted, in order.  A pivot's position
         # among them counts the inversions it adds to the row or column
@@ -305,6 +315,147 @@ class LatticeSolver:
     def class_order(self, x: Sequence[int]) -> int:
         """Order of the class of x in the cokernel."""
         return abs(self.delta) // gcd(self.delta, *self._scaled_inverse(x))
+
+
+# -- Cayley cones of Z_2^d: the Walsh-Hadamard route -----------------------------
+
+
+def _walsh(v: list[int]) -> list[int]:
+    """H v for the Hadamard matrix H[a][x] = (-1)^(a.x) of order len(v) = 2^d,
+    by d passes of Good's (1958) factorization: each pass lists the sums and
+    then the differences of the pairs (v_2i, v_2i+1)."""
+    for _ in range(len(v).bit_length() - 1):
+        even, odd = v[::2], v[1::2]
+        v = [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]
+    return v
+
+
+def cayley_spectrum(graph: SinkedGraph) -> list[int] | None:
+    """The eigenvalues lambda_a of the reduced Laplacian L of a cone over a
+    Cayley graph of Z_2^d, in O(V + E); None for any other graph.
+
+    The graph qualifies when it is undirected with 2^d non-sink vertices,
+    each joined to the sink by the same n >= 1 edges, and index row x is
+    exactly {x xor s: m_s} for the multiset {s: m_s} of row 0.  Then
+    L chi_a = lambda_a chi_a for each character chi_a(x) = (-1)^(a.x), with
+    lambda_a = n + sum_s m_s (1 - (-1)^(a.s)) = out - (H m)_a (Godsil-Royle;
+    Bai 2003): the list is out - H m, every entry positive.  Vertex order is
+    part of the input: a Cayley graph under another labelling is refused.
+    """
+    size = graph.n_nonsink
+    sink = graph.sink_mult
+    if (graph.directed or not size or size & (size - 1) or sink[0] < 1
+            or sink.count(sink[0]) != size):
+        return None
+    adjacency = graph.adjacency()
+    gens = dict(adjacency[0])
+    for x, row in enumerate(adjacency):
+        if len(row) != len(gens):
+            return None
+        for y, m in row:
+            if gens.get(x ^ y) != m:
+                return None
+    m = [0] * size
+    for s, k in gens.items():
+        m[s] = k
+    out = graph.out_degrees[0]
+    return [out - x for x in _walsh(m)]
+
+
+class WalshSolver:
+    """The lattice Im L of a cone that `cayley_spectrum` accepts, with the
+    queries of LatticeSolver and no matrix built.
+
+    H chi-diagonalises L: L = H diag(lambda) H / 2^d, since the rows of H are
+    the characters and H^2 = 2^d I.  So with E = lcm(lambda_a) and
+    delta = 2^d E, delta L^-1 v = H diag(E / lambda_a) H v, two transforms:
+    v is in the lattice exactly when delta divides every entry, the quotient
+    is the witness, checked by one sparse product L y = v over the graph's
+    rows, and the class of x has order delta / gcd(delta, delta L^-1 x).
+    det L is the product of the lambda_a.  core() is L itself, for the
+    elimination of invariant_factors when |det| is even.
+    """
+
+    def __init__(self, graph: SinkedGraph, spectrum: Sequence[int]):
+        self.graph = graph
+        self.spectrum = tuple(spectrum)
+        self.size = len(spectrum)
+        self.determinant = prod(spectrum)
+        e = lcm(*set(spectrum))
+        self.delta = self.size * e
+        self._weights = [e // x for x in spectrum]
+
+    def core(self) -> IntMatrix:
+        return reduced_laplacian(self.graph)
+
+    def _scaled_inverse(self, v: Sequence[int]) -> list[int]:
+        """delta * L^-1 v, exactly."""
+        if len(v) != self.size:
+            raise ValueError("dimension mismatch")
+        return _walsh([w * x for w, x in zip(self._weights, _walsh(list(v)))])
+
+    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Integer y with L y = v, or None if v is outside the lattice."""
+        w = self._scaled_inverse(v)
+        if any(z % self.delta for z in w):
+            return None
+        y = tuple(z // self.delta for z in w)
+        adjacency = self.graph.adjacency()
+        product = [d * k - sum(m * y[j] for j, m in row)
+                   for d, k, row in zip(self.graph.out_degrees, y, adjacency)]
+        if product != list(v):
+            raise ValidationFailed("lattice witness does not solve L y = v")
+        return y
+
+    def class_order(self, x: Sequence[int]) -> int:
+        """Order of the class of x in the cokernel."""
+        return self.delta // gcd(self.delta, *self._scaled_inverse(x))
+
+
+def _cyclic_chain(orders: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors, each above 1, of the direct sum of the Z_o over
+    the positive orders o, with no factoring.
+
+    A coprime base (Bernstein 2005) of the distinct orders is a set of
+    pairwise coprime b > 1 of whose powers every order is a product; the
+    loop keeps the base coprime and splits x and b by g = gcd(x, b) into g,
+    b/g and x/g, which lowers the product of all the numbers held, so it
+    ends.  By CRT each Z_o is the sum of the Z_(b^e) of its base powers, and
+    for each b the exponents, largest first, go to the largest invariant
+    factors: d_n gets every b to its largest exponent, d_(n-1) the next.
+    """
+    counts: dict[int, int] = {}
+    for o in orders:
+        counts[o] = counts.get(o, 0) + 1
+    base: list[int] = []
+    todo = [o for o in counts if o > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    chain: list[int] = []
+    for b in base:
+        exponents = []
+        for o, c in counts.items():
+            e = 0
+            while o % b == 0:
+                o //= b
+                e += 1
+            if e:
+                exponents += [e] * c
+        exponents.sort(reverse=True)
+        chain += [1] * (len(exponents) - len(chain))
+        for k, e in enumerate(exponents):
+            chain[k] *= b**e
+    if prod(chain) != prod(orders):
+        raise ValidationFailed("the orders do not factor over their coprime base")
+    return tuple(reversed(chain))
 
 
 def determinant(a: IntMatrix) -> int:
@@ -607,12 +758,20 @@ def _probe_vectors(n: int) -> Iterator[list[int]]:
         yield v
 
 
-def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
+def invariant_factors(a: IntMatrix | LatticeSolver | WalshSolver) -> GroupStructure:
     """Cokernel structure of a square nonsingular integer matrix, or of the
-    matrix a LatticeSolver was built from (its LU is then reused).
+    matrix a solver was built for (its LU, or its spectrum, is then reused).
+
+    A WalshSolver with odd |det| gives K = (+)_a Z_(lambda_a): the characters
+    chi_a have orders dividing lambda_a, they span 2^d Z^V (their sum over a
+    is 2^d e_0, and translations are automorphisms that fix the sink), and
+    2^d is invertible on K, so they generate K; |K| = prod lambda_a then makes
+    every order exact and the sum direct.  The structure is _cyclic_chain of
+    the lambda_a.  Every other solver runs the steps below.
 
     |det| comes from the solver, and the Smith diagonal is taken of the
-    core its unit steps leave, since A^T ~ diag(I, core) (LatticeSolver).
+    core it gives: the one its unit steps leave, since A^T ~ diag(I, core)
+    (LatticeSolver), or L itself (WalshSolver).
     E, the lcm of the class orders of two fixed vectors
     (Eberly-Giesbrecht-Villard 2000), divides the exponent d_n of the
     cokernel G.  Elimination modulo m yields G/mG, the orders gcd(d_i, m).
@@ -630,14 +789,16 @@ def invariant_factors(a: IntMatrix | LatticeSolver) -> GroupStructure:
       whose gcd with r is the order dropped.
     A failed check, or a product other than |det|, raises ValidationFailed.
     """
-    if isinstance(a, LatticeSolver):
+    if isinstance(a, WalshSolver) and a.determinant % 2:
+        return GroupStructure(_cyclic_chain(a.spectrum))
+    if not isinstance(a, IntMatrix):
         solver = a
     elif not a.is_square():
         raise ValueError("invariant factors need a square matrix")
     else:
         solver = LatticeSolver(a)
     order = abs(solver.determinant)
-    e = lcm(*map(solver.class_order, islice(_probe_vectors(solver.b.rows), 2)))
+    e = lcm(*map(solver.class_order, islice(_probe_vectors(solver.size), 2)))
     r = order // e
     if r == 1:
         return GroupStructure((order,) if order > 1 else ())

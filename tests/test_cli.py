@@ -573,14 +573,17 @@ class TestCliCommands:
 
     def test_hypercube_all_runs_one_certificate(self, capsys, monkeypatch):
         # structure, decomposition and if-count all read the proof on
-        # cube_cone(12, 1); it fires one character per weight w = 0..12, once.
-        fired = []
-        real_fire = cubes._fire
-        monkeypatch.setattr(cubes, "_fire", lambda g, y: fired.append(g) or real_fire(g, y))
-        cubes._odd_cone_orders.cache_clear()
+        # cube_cone(12, 1): one Walsh-Hadamard spectrum of that cone, once.
+        from sandpiles import intlinalg
+
+        read = []
+        real_spectrum = intlinalg.cayley_spectrum
+        monkeypatch.setattr(intlinalg, "cayley_spectrum",
+                            lambda g: read.append(g.n_nonsink) or real_spectrum(g))
+        cubes._cube.cache_clear()
         assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
-        assert len(fired) == 13
+        assert read.count(4096) == 1
 
     def test_hypercube_all_builds_each_cone_once(self, capsys, monkeypatch):
         # cone(Q_12, 1) serves the certificate and the stripe burning checks;
@@ -589,8 +592,7 @@ class TestCliCommands:
         real_cone = cubes.cone
         monkeypatch.setattr(cubes, "cone",
                             lambda g, n: built.append((len(g.vertices), n)) or real_cone(g, n))
-        cubes.cube_cone.cache_clear()
-        cubes._odd_cone_orders.cache_clear()
+        cubes._cube.cache_clear()
         assert main(["hypercube", "--d", "12", "--verify", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
         assert built == [(4096, 1), (4, 2)]

@@ -789,8 +789,9 @@ class TestOneFactorization:
 
     def test_determinant_sign_survives_row_swaps(self, monkeypatch):
         # Reduced Laplacians never need a row swap; this matrix does, and
-        # its determinant is negative.
-        group = SandpileGroup(cone(k2()))
+        # its determinant is negative.  cone(C_3) has 3 non-sink vertices,
+        # so it is no Cayley cone of Z_2^d and its group takes the LU.
+        group = SandpileGroup(cone(cycle_graph(3)))
         a = IntMatrix.from_rows([[0, 2, 1], [1, 0, 0], [0, 1, 3]])
         monkeypatch.setattr(group, "_reduced", a)
         assert group.determinant == det_by_permutation_expansion(a) == -5
@@ -807,19 +808,25 @@ class TestOneFactorization:
         ["identity", "representative", "element_order", "structure", "structure then identity"],
     )
     def test_cold_query_factors_once(self, factorizations, query):
-        # The group law never factors L; lattice queries factor it once.
-        group = SandpileGroup(cone(hypercube(3)))
-        if query == "identity":
-            group.identity
-        elif query == "representative":
-            group.representative((-10**4, 3, 0, 0, 0, 0, 0, 7))
-        elif query == "element_order":
-            group.element_order(group.representative((1, 0, 0, 0, 0, 0, 0, 0)))
-        else:
-            assert group.structure.invariant_factors == (15, 15, 105)
-            if query == "structure then identity":
+        # The group law never factors L; lattice queries factor it once, and
+        # never on a Cayley cone of Z_2^d such as cone(Q_3), whose queries
+        # are transforms.  cone(C_7) is no Cayley cone, so it takes the LU.
+        for graph, structure, lu in ((cone(hypercube(3)), (15, 15, 105), []),
+                                     (cone(cycle_graph(7)), (29, 29), [7])):
+            factorizations.clear()
+            group = SandpileGroup(graph)
+            n = graph.n_nonsink
+            if query == "identity":
                 group.identity
-        assert factorizations == ([] if query in ("identity", "representative") else [8])
+            elif query == "representative":
+                group.representative((-10**4, 3) + (0,) * (n - 3) + (7,))
+            elif query == "element_order":
+                group.element_order(group.representative((1,) + (0,) * (n - 1)))
+            else:
+                assert group.structure.invariant_factors == structure
+                if query == "structure then identity":
+                    group.identity
+            assert factorizations == ([] if query in ("identity", "representative") else lu)
 
     def test_singular_laplacian_is_factored_once(self, factorizations):
         g = build_multigraph(["a", "b", "c"], [("a", "b", 1)])

@@ -124,17 +124,13 @@ def test_check_hom_loads_no_lattice_layer_without_the_proof(files):
     assert loaded == LIGHT | {"sandpiles.morphisms"}
 
 
-@pytest.mark.parametrize("verify, extra", [
-    ("decomposition", set()),
-    ("if-count", set()),
-    ("structure", {"sandpiles.intlinalg"}),
-], ids=["decomposition", "if-count", "structure"])
-def test_character_proof_reports_load_no_morphisms_or_products(verify, extra):
-    # The reports read the character proof; only structure factors the
-    # orders it proves, which needs intlinalg.
+@pytest.mark.parametrize("verify", ["decomposition", "if-count", "structure"])
+def test_character_proof_reports_load_no_morphisms_or_products(verify):
+    # The reports read the character proof, the spectrum that
+    # intlinalg.cayley_spectrum gives, and nothing more.
     status, loaded = run_main(["hypercube", "--d", "3", "--verify", verify])
     assert status == 0
-    assert loaded == LIGHT | {"sandpiles.cubes"} | extra
+    assert loaded == LIGHT | {"sandpiles.cubes", "sandpiles.intlinalg"}
 
 
 def test_cli_loads_neither_dataclasses_nor_inspect():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 import time
+from functools import reduce
 from math import gcd, lcm, prod
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,13 @@ from sandpiles.errors import InfiniteCokernel, OutOfRange, ValidationFailed
 from sandpiles.graphs import (
     SinkedGraph,
     build_multigraph,
+    cartesian_product,
     cone,
     cycle_graph,
     hypercube,
     k2,
     thick_k2_cone,
+    thick_pair,
     to_sink_digraph,
 )
 from sandpiles.intlinalg import (
@@ -36,7 +40,9 @@ from sandpiles.intlinalg import (
     IntMatrix,
     LatticeSolver,
     SmithDecomposition,
+    WalshSolver,
     _factorize,
+    cayley_spectrum,
     cokernel_diagonal,
     determinant,
     elementary_divisors_of,
@@ -767,3 +773,163 @@ def test_chain_normalization_collapses_coprime_orders():
     # 6 and 4 do not form a chain; the group Z6 + Z4 is Z2 + Z12.
     a = IntMatrix.from_rows([[6, 0], [0, 4]])
     assert invariant_factors(a).invariant_factors == (2, 12)
+
+
+# -- the Walsh-Hadamard route on Cayley cones of Z_2^d ---------------------------------
+
+
+def cayley_cone(d: int, gens: dict[int, int], n: int) -> SinkedGraph:
+    """The n-cone over Cay(Z_2^d, S), the generator s of multiplicity gens[s]
+    joining x and x xor s; vertex x at index x."""
+    labels = [f"x{x}" for x in range(1 << d)]
+    edges = [(labels[x], labels[x ^ s], m) for s, m in gens.items()
+             for x in range(1 << d) if x < x ^ s]
+    return cone(build_multigraph(labels, edges), n)
+
+
+def thick_pair_box(mults: Sequence[int], n: int) -> SinkedGraph:
+    """The n-cone over K_2^(m_1) box ... box K_2^(m_d), S = {e_i} with
+    multiplicities m_i."""
+    return cone(reduce(cartesian_product, [thick_pair(m) for m in mults]), n)
+
+
+cayley_cones = st.integers(0, 5).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.dictionaries(st.integers(1, max(1, (1 << d) - 1)), st.integers(1, 3),
+                    max_size=6 if d else 0),
+    st.integers(1, 4),
+)).map(lambda t: cayley_cone(*t))
+
+
+def separated_pairs(solver: LatticeSolver) -> list[tuple[list[int], list[int], bool]]:
+    """Pairs (x, y) that the class map must tell apart or join: y is x plus
+    j e_0 for j below the order q of e_0, and x plus q e_0 plus a relation;
+    the flag says whether they are congruent."""
+    size = solver.size
+    e0 = [1] + [0] * (size - 1)
+    q = solver.class_order(e0)
+    rng = random.Random(size * q)
+    x = [rng.randint(-4, 4) for _ in range(size)]
+    relation = solver.b.mul_vector([rng.randint(-2, 2) for _ in range(size)])
+    pairs = [(x, [a + j * b for a, b in zip(x, e0)], False) for j in range(1, min(q, 4))]
+    pairs.append((x, [a + q * b + r for a, b, r in zip(x, e0, relation)], True))
+    return pairs
+
+
+def assert_walsh_matches_lu(graph: SinkedGraph) -> None:
+    group = SandpileGroup(graph)
+    walsh = group.solver
+    assert isinstance(walsh, WalshSolver)
+    lu = LatticeSolver(reduced_laplacian(graph))
+    assert walsh.determinant == lu.determinant == group.determinant
+    assert group.structure == invariant_factors(lu)
+    for x, y, congruent in separated_pairs(lu):
+        v = [a - b for a, b in zip(x, y)]
+        assert (walsh.solve(v) is not None) is congruent
+        assert walsh.solve(v) == lu.solve(v)
+        assert walsh.class_order(x) == lu.class_order(x)
+        assert walsh.class_order(y) == lu.class_order(y)
+        assert group.congruent(x, y) is congruent
+
+
+class TestWalshSolver:
+    """The spectral solver of Cayley cones against the exact LU."""
+
+    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cube_cones(self, d, n):
+        assert_walsh_matches_lu(cone(hypercube(d), n))
+
+    @pytest.mark.parametrize("mults, n", [((2,), 1), ((1, 3), 2), ((2, 2, 1), 3),
+                                          ((3, 1, 2), 4), ((1, 2, 3, 2), 1), ((2,) * 5, 2)])
+    def test_thick_pair_boxes(self, mults, n):
+        assert_walsh_matches_lu(thick_pair_box(mults, n))
+
+    def test_thick_k2_cone(self):
+        assert_walsh_matches_lu(thick_k2_cone(5, 5))
+
+    @given(cayley_cones)
+    @settings(max_examples=80, deadline=None)
+    def test_random_cayley_cones(self, graph):
+        assert_walsh_matches_lu(graph)
+
+    def test_witness_is_checked(self, monkeypatch):
+        group = SandpileGroup(cone(hypercube(3)))
+        solver = group.solver
+        v = reduced_laplacian(cone(hypercube(3))).mul_vector([1, 0, 2, 0, 0, -1, 0, 3])
+        real = solver._scaled_inverse
+        monkeypatch.setattr(solver, "_scaled_inverse",
+                            lambda x: [z + solver.delta * (i == 0) for i, z in enumerate(real(x))])
+        with pytest.raises(ValidationFailed, match="does not solve"):
+            solver.solve(v)
+
+    def test_spectrum_of_the_cube(self):
+        # lambda_a = n + 2|a| on the n-cone of Q_d.
+        assert cayley_spectrum(cone(hypercube(3), 5)) == [5 + 2 * bin(a).count("1")
+                                                          for a in range(8)]
+
+    def test_odd_structure_needs_no_factoring(self, monkeypatch):
+        def refuse(n):
+            raise RuntimeError(f"factored {n}")
+
+        monkeypatch.setattr(intlinalg, "_factorize", refuse)
+        # The spectrum 3, 5^4, 7^6, 9^4, 11 over the base {3, 5, 7, 11}.
+        assert SandpileGroup(cone(hypercube(4), 3)).structure.invariant_factors == (
+            7, 21, 315, 315, 315, 3465)
+
+    @pytest.mark.parametrize("graph", [
+        to_sink_digraph(cone(hypercube(2)).graph, "s"),
+        cone(cycle_graph(3)),
+        cone(cycle_graph(5)),
+        SinkedGraph(build_multigraph(
+            hypercube(2).vertices + ("s",),
+            hypercube(2).edges() + [(v, "s", 1 + (i == 3)) for i, v in enumerate(hypercube(2).vertices)],
+        ), "s"),
+        cone(build_multigraph(hypercube(3).vertices, hypercube(3).edges() + [("v000", "v110", 1)])),
+        # Q_3 with the vertices at indices 2 and 3 swapped: row 0 reads
+        # S = {1, 3, 4}, but row 2 is {1, 3, 7}, not {3, 1, 6}.
+        cone(build_multigraph([hypercube(3).vertices[k] for k in (0, 1, 3, 2, 4, 5, 6, 7)],
+                              hypercube(3).edges())),
+    ], ids=["digraph", "2^2-1", "2^2+1", "unequal-sink", "extra-edge", "not-xor-closed"])
+    def test_refused_graphs_take_the_lu(self, graph):
+        assert cayley_spectrum(graph) is None
+        group = SandpileGroup(graph)
+        assert isinstance(group.solver, LatticeSolver)
+        lu = LatticeSolver(reduced_laplacian(graph))
+        assert group.determinant == lu.determinant
+        assert group.structure == invariant_factors(lu)
+        for x, y, congruent in separated_pairs(lu):
+            v = [a - b for a, b in zip(x, y)]
+            assert group.in_image(v) == lu.solve(v)
+            assert (lu.solve(v) is not None) is congruent
+            assert group.solver.class_order(x) == lu.class_order(x)
+
+
+class TestCayleyEnvelope:
+    """ROADMAP aim 3 at d = 12, where the LU cannot run: each query well
+    under a second."""
+
+    def timed(self, call):
+        start = time.perf_counter()
+        result = call()
+        assert time.perf_counter() - start < 1
+        return result
+
+    def test_cube_cone_12(self):
+        group = SandpileGroup(cone(hypercube(12), 1))
+        structure = self.timed(lambda: group.structure)
+        assert len(structure.invariant_factors) == 1365
+        assert structure.order == prod(2 * bin(a).count("1") + 1 for a in range(1 << 12))
+        # The stripe (12, 9) on the first three coordinates has order 7.
+        stripe = [12 if bin(x & 7).count("1") % 2 == 0 else 9 for x in range(1 << 12)]
+        assert self.timed(lambda: group.element_order(stripe)) == 7
+        # Firing vertex 5 once is a relation; one more chip is not.
+        fired = [c + 13 * (x == 5) - (bin(x ^ 5).count("1") == 1)
+                 for x, c in enumerate(stripe)]
+        assert self.timed(lambda: group.congruent(stripe, fired))
+        assert not self.timed(lambda: group.congruent(stripe, [stripe[0] + 1] + stripe[1:]))
+
+    def test_thick_pair_box_12(self):
+        graph = thick_pair_box((1, 2, 3) * 4, 1)
+        structure = self.timed(lambda: SandpileGroup(graph).structure)
+        assert structure.order == prod(cayley_spectrum(graph))
