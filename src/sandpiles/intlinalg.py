@@ -366,8 +366,8 @@ class WalshSolver:
     """The lattice Im L of a cone that `cayley_spectrum` accepts, with the
     queries of LatticeSolver and no matrix built.
 
-    H chi-diagonalises L: L = H diag(lambda) H / 2^d, since the rows of H are
-    the characters and H^2 = 2^d I.  So with E = lcm(lambda_a) and
+    The characters diagonalise L: L = H diag(lambda) H / 2^d, since they
+    are the rows of H and H^2 = 2^d I.  So with E = lcm(lambda_a) and
     delta = 2^d E, delta L^-1 v = H diag(E / lambda_a) H v, two transforms:
     v is in the lattice exactly when delta divides every entry, the quotient
     is the witness, checked by one sparse product L y = v over the graph's
