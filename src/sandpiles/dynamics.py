@@ -34,7 +34,7 @@ from .graphs import SinkedGraph
 # intlinalg loads when a group first factors its Laplacian, so stabilization,
 # burning and representatives run without it.
 if TYPE_CHECKING:
-    from .intlinalg import GroupStructure, IntMatrix, LatticeSolver, WalshSolver
+    from .intlinalg import GroupStructure, LatticeSolver, WalshSolver
 
 Chips = tuple[int, ...]
 
@@ -186,7 +186,6 @@ class SandpileGroup:
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
         self.graph = graph
         self.orbit_guard = orbit_guard
-        self._reduced: IntMatrix | None = None
         self._structure: GroupStructure | None = None
         self._solver: LatticeSolver | WalshSolver | None = None
         self._singular: InfiniteCokernel | None = None
@@ -196,14 +195,6 @@ class SandpileGroup:
         self._recurrents: frozenset[Chips] | None = None
 
     # -- algebra ---------------------------------------------------------
-
-    @property
-    def reduced_laplacian(self) -> IntMatrix:
-        if self._reduced is None:
-            from .intlinalg import reduced_laplacian
-
-            self._reduced = reduced_laplacian(self.graph)
-        return self._reduced
 
     @property
     def determinant(self) -> int:
@@ -231,14 +222,14 @@ class SandpileGroup:
         """The WalshSolver of a Cayley cone, else the LU of L^T, built once;
         a singular L is factored once too."""
         if self._solver is None and self._singular is None:
-            from .intlinalg import LatticeSolver, WalshSolver, cayley_spectrum
+            from .intlinalg import LatticeSolver, WalshSolver, cayley_spectrum, reduced_laplacian
 
             spectrum = cayley_spectrum(self.graph)
             if spectrum is not None:
                 self._solver = WalshSolver(self.graph, spectrum)
             else:
                 try:
-                    self._solver = LatticeSolver(self.reduced_laplacian)
+                    self._solver = LatticeSolver(reduced_laplacian(self.graph))
                 except InfiniteCokernel as exc:
                     self._singular = exc
         if self._singular is not None:

@@ -26,7 +26,8 @@ queries as LatticeSolver by two Walsh-Hadamard transforms, and for odd |det|
 the structure is the divisibility chain of the eigenvalues, read off a
 coprime base with no factoring.  A group reads it whenever the recognizer
 accepts its graph; every other graph, and every matrix given as such
-(determinant, invariant_factors of an IntMatrix, snf), takes the LU.
+(determinant, invariant_factors of an IntMatrix, snf), takes the LU.  Either
+solver's class map x -> delta * B^-1 x mod |delta| gives `subgroup_order`.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -35,6 +36,7 @@ to a few hundred.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from functools import cached_property
 from itertools import count, islice
 from math import gcd, lcm, prod
@@ -107,8 +109,13 @@ class GroupStructure(Record):
         return {
             "invariant_factors": list(self.invariant_factors),
             "elementary_divisors": list(self.elementary_divisors),
-            "order": str(self.order),
+            "order": decimal_string(self.order),
         }
+
+
+def decimal_string(n: int) -> str:
+    """n in decimal at any size: str(n) refuses over 4300 digits (Python 3.11+)."""
+    return str(Decimal(n))
 
 
 # -- Laplacians ---------------------------------------------------------------
@@ -639,7 +646,7 @@ def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
     cyclic orders gcd(d_i, modulus) present coker(a) / modulus coker(a).
     That is coker(a) itself under the hypothesis, which holds when the
     modulus is a multiple of the exponent of coker(a), as |det| is for a
-    nonsingular square matrix, or for any stack of rows that includes one.
+    nonsingular square matrix.
     """
     m = [[_balanced(x, modulus) for x in row] for row in a.entries]
     _smith_eliminate(m, a.rows, a.cols, modulus)
@@ -647,6 +654,15 @@ def cokernel_diagonal(a: IntMatrix, modulus: int) -> tuple[int, ...]:
     chain = [x for x in orders if x > 1]
     _divisibility_chain(chain)
     return (1,) * (len(orders) - len(chain)) + tuple(chain)
+
+
+def subgroup_order(solver: LatticeSolver | WalshSolver, vectors: Sequence[Sequence[int]]) -> int:
+    """The order of the span of the vectors' classes: the class map
+    x -> delta * B^-1 x mod |delta| has kernel Im B, so it is the product of
+    |delta| / x over the cokernel_diagonal of their images modulo |delta|."""
+    modulus = abs(solver.delta)
+    images = IntMatrix.from_rows([solver._scaled_inverse(v) for v in vectors])
+    return prod(modulus // x for x in cokernel_diagonal(images, modulus))
 
 
 # Miller-Rabin on the first 13 prime bases decides primality of every

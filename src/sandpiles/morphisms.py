@@ -11,9 +11,9 @@ copies the coordinate of its image, scaled by the degree over the
 complement of the subset for the uniform and weak kinds.  `induced_map`
 turns it into the map on recurrents, and verify_group_injection proves the
 paper's main theorem for one homomorphism: the pullback maps the target's
-relations into the source lattice, and the index of the source lattice in
-the lattice it spans together with the pulled-back unit vectors equals the
-order of the target group, so the induced map is injective.
+relations into the source lattice, and the source solver's class map, whose
+kernel is that lattice, sends the pulled-back unit vectors onto a subgroup
+of the order of the target group, so the induced map is injective.
 
 The classes.  SandpileGroup works in K = Z^n / Im L^T, the chip vectors
 modulo topplings (the rows of L).  The uniform and weak kinds need
@@ -26,7 +26,6 @@ chip vectors congruent in K(target) may pull back to classes that differ.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Mapping, Sequence
 
 from ._record import Record
@@ -270,7 +269,7 @@ def induced_map(hom: UniformHom, c: RecurrentConfig) -> RecurrentConfig:
 
 class InjectionReport(Record):
     __slots__ = ("passed", "image_order", "recurrent_images", "witness", "note")
-    # The one route: every report is a lattice-index proof.
+    # The one route: every report reads the source lattice's class map.
     mode = "lattice"
 
     def __init__(self, passed: bool, image_order: int | None, recurrent_images: bool | None,
@@ -290,55 +289,49 @@ class InjectionReport(Record):
 
 def verify_group_injection(hom: UniformHom) -> InjectionReport:
     """Prove that the induced map K(target) -> K(source) is an injective group
-    homomorphism, by one lattice index.
+    homomorphism, by the source solver's class map.
 
-    Let P be `pullback`, the one linear map for every kind.  P is a
-    well-defined homomorphism on classes once it sends every relation of the
-    target into the source lattice: for the directed kind
-    P(L_tgt e_j) = L_src P(e_j) exactly, for the uniform and weak kinds
-    P(L_tgt e_j) has a witness in Im L_src^T.
-    Its image is then generated by the classes of P(e_1), ..., P(e_n) and has
-    order |K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, one cokernel
-    diagonal modulo the source exponent; the map is injective exactly when
-    that order is |K(target)|.  For the uniform kind `induced_map` must also
-    take the recurrent representatives of the target's unit vectors, which
-    generate K(target), to recurrents that pass the burning test.
+    Let P be `pullback`.  P is well defined on classes once it sends every
+    target relation into the source lattice: P(L_tgt e_j) = L_src P(e_j)
+    exactly for the directed kind, over the source's index rows, and
+    P(L_tgt e_j) in Im L_src^T for the uniform and weak kinds.  The class
+    map x -> delta * B^-1 x mod |delta| of the source's solver has kernel
+    its lattice Im B, so the image order is the order of the span of the
+    mapped P(e_j) in Z_|delta|^N (`intlinalg.subgroup_order`); the map is
+    injective exactly when it is |K(target)|.  The uniform kind also needs
+    `induced_map` to take the recurrent representatives of the target's
+    unit vectors, which generate K(target), to recurrents.
 
-    For the directed kind the classes are those of the column quotients
-    Z^n / Im L (module docstring): the stack holds the columns of L_src, and
-    the injection proved is of Z^n / Im L_tgt.  That has the order of
-    K(target), so passed and image_order read the same, but on a digraph
-    target its classes are not the chip classes of K(target).
+    The directed kind works in the column quotients Z^n / Im L, which have
+    the order of K but not its classes on a digraph (module docstring), so
+    a digraph source takes the LU of B = L_src, not its group's L_src^T.
     """
-    from .intlinalg import IntMatrix, cokernel_diagonal
+    from .intlinalg import LatticeSolver, decimal_string, reduced_laplacian, subgroup_order
 
     src = _sinked(hom.source, "source")
     tgt = _sinked(hom.target, "target")
-    g_src = sandpile_group(src)
     g_tgt = sandpile_group(tgt)
-    directed = hom.kind == "directed"
-    l_src = g_src.reduced_laplacian
+    solver = (LatticeSolver(reduced_laplacian(src).transpose()) if src.directed
+              else sandpile_group(src).solver)
     n = tgt.n_nonsink
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     images = [pullback(hom, u) for u in units]
 
-    # Columns of L are its rows on the undirected graphs that the uniform
-    # and weak kinds require, so one column lattice serves every kind.
-    for column, image in zip(g_tgt.reduced_laplacian.transpose().entries, images):
+    # Columns of L are its rows on undirected graphs, so these relations serve every kind.
+    out, adjacency = src.out_degrees, src.adjacency()
+    for column, image in zip(reduced_laplacian(tgt).transpose().entries, images):
         relation = pullback(hom, column)
-        if directed:
-            held = relation == l_src.mul_vector(image)
+        if hom.kind == "directed":
+            held = relation == tuple(d * k - sum(m * image[j] for j, m in row)
+                                     for d, k, row in zip(out, image, adjacency))
         else:
-            held = g_src.in_image(relation) is not None
+            held = solver.solve(relation) is not None
         if not held:
             return InjectionReport(False, None, None, witness=(column,))
 
-    # exponent * Z^n lies in the column lattice of L_src, so it is a valid
-    # modulus for the stack.
-    exponent = max(g_src.structure.invariant_factors, default=1)
-    stacked = IntMatrix.from_rows(l_src.transpose().entries + tuple(images))
-    image_order = g_src.order // prod(cokernel_diagonal(stacked, exponent))
-    note = f"image is a subgroup of order {image_order} inside order {g_src.order}"
+    image_order = subgroup_order(solver, images)
+    note = (f"image is a subgroup of order {decimal_string(image_order)}"
+            f" inside order {decimal_string(abs(solver.determinant))}")
 
     recurrent_images = None
     if hom.kind == "uniform":

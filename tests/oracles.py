@@ -351,14 +351,21 @@ def factor_by_trial_division(n: int) -> dict[int, int]:
     return factors
 
 
+def subgroup_order_by_smith_form(a: IntMatrix, vectors) -> int:
+    """The order of the span of the classes of the vectors in Z^n / Im A^T,
+    for a nonsingular square A: |det A| / |coker [A; vectors]|, both from the
+    full Smith normal form with transforms instead of a modular diagonal."""
+    stacked = IntMatrix.from_rows(list(a.entries) + [list(v) for v in vectors])
+    return prod(smith_normal_form(a).diagonal()) // prod(smith_normal_form(stacked).diagonal())
+
+
 def image_order_by_smith_form(hom: UniformHom) -> int:
-    """|K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|, both from the full
-    Smith normal form with transforms instead of a modular diagonal."""
+    """|K(source)| / |coker [L_src; P(e_1); ...; P(e_n)]|: the span of the
+    pulled-back unit vectors in the column quotient Z^m / Im L_src."""
     lap = reduced_laplacian(hom.source)
     n = hom.target.n_nonsink
     images = [pullback(hom, [int(i == j) for i in range(n)]) for j in range(n)]
-    stacked = IntMatrix.from_rows(list(lap.transpose().entries) + images)
-    return prod(smith_normal_form(lap).diagonal()) // prod(smith_normal_form(stacked).diagonal())
+    return subgroup_order_by_smith_form(lap.transpose(), images)
 
 
 def image_order_by_enumeration(hom: UniformHom) -> int:

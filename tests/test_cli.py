@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -285,6 +287,18 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["invariant_factors"] == [11, 11]
         assert payload["order"] == "121"
+
+    def test_group_order_past_the_int_string_limit(self, tmp_path, capsys):
+        # |K(cone(Q_12))| = prod_w (2w + 1)^C(12, w) has 4492 digits, more
+        # than str(int) converts by default since Python 3.11.
+        path = tmp_path / "cube12.json"
+        save_graph(cubes.cube_cone(12, 1), path)
+        assert main(["group", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["invariant_factors"]) == 1365
+        order = prod((2 * w + 1) ** comb(12, w) for w in range(13))
+        assert len(payload["order"]) == 4492
+        assert Decimal(payload["order"]) == Decimal(order)
 
     def test_group_with_sink_flag(self, tmp_path, capsys):
         path = tmp_path / "c3.json"

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contracted_square, random_connected_multigraph, random_sinked_graph
+from conftest import (
+    contracted_square,
+    random_connected_multigraph,
+    random_sinked_digraph,
+    random_sinked_graph,
+)
 from oracles import (
     det_by_permutation_expansion,
     factor_by_trial_division,
@@ -18,6 +23,7 @@ from oracles import (
     membership_by_rational_solve,
     smith_diagonal_by_minors,
     spanning_tree_count,
+    subgroup_order_by_smith_form,
 )
 import sandpiles.intlinalg as intlinalg
 from sandpiles.cubes import parity_collapse_hom, verify_decomposition
@@ -50,6 +56,7 @@ from sandpiles.intlinalg import (
     laplacian,
     reduced_laplacian,
     smith_normal_form,
+    subgroup_order,
 )
 from sandpiles.morphisms import verify_group_injection
 
@@ -903,6 +910,57 @@ class TestWalshSolver:
             assert group.in_image(v) == lu.solve(v)
             assert (lu.solve(v) is not None) is congruent
             assert group.solver.class_order(x) == lu.class_order(x)
+
+
+def vector_sets(rng: random.Random, a: IntMatrix) -> list[list[list[int]]]:
+    """Vector sets for subgroup_order on the lattice Im A^T: random vectors,
+    a vector with its shift by a row of A (one class), the zero vector, the
+    unit vectors (the whole cokernel) and no vectors at all."""
+    n = a.rows
+    v = [rng.randint(-3, 3) for _ in range(n)]
+    row = a.entries[rng.randrange(n)]
+    return [
+        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))],
+        [v, [x + y for x, y in zip(v, row)]],
+        [[0] * n],
+        [[int(i == j) for i in range(n)] for j in range(n)],
+        [],
+    ]
+
+
+def assert_subgroup_orders(solver: LatticeSolver | WalshSolver, a: IntMatrix, seed: int) -> None:
+    """subgroup_order on the solver of Im A^T against the Smith form oracle."""
+    spans = vector_sets(random.Random(seed), a)
+    for vectors in spans:
+        assert subgroup_order(solver, vectors) == subgroup_order_by_smith_form(a, vectors)
+    _, shifted, zero, units, empty = spans
+    assert subgroup_order(solver, shifted) == solver.class_order(shifted[0])
+    assert subgroup_order(solver, zero) == subgroup_order(solver, empty) == 1
+    assert subgroup_order(solver, units) == abs(solver.determinant)
+
+
+class TestSubgroupOrder:
+    """The order of a span of classes through the class map, on both solvers."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cones_take_the_lu(self, seed):
+        rng = random.Random(seed)
+        graph = cone(random_connected_multigraph(rng, rng.randint(1, 9)), rng.randint(1, 2))
+        a = reduced_laplacian(graph)
+        assert_subgroup_orders(LatticeSolver(a), a, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_digraphs_in_both_orientations(self, seed):
+        a = reduced_laplacian(random_sinked_digraph(random.Random(seed), 1 + seed % 6))
+        for b in (a, a.transpose()):
+            assert_subgroup_orders(LatticeSolver(b), b, seed)
+
+    @given(cayley_cones, st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_random_cayley_cones_take_the_transform(self, graph, seed):
+        solver = SandpileGroup(graph).solver
+        assert isinstance(solver, WalshSolver)
+        assert_subgroup_orders(solver, reduced_laplacian(graph), seed)
 
 
 class TestCayleyEnvelope:

@@ -37,6 +37,8 @@ from sandpiles.graphs import (
     k2,
     thick_k2_cone,
 )
+import sandpiles.intlinalg as intlinalg
+from sandpiles.intlinalg import reduced_laplacian
 from sandpiles.morphisms import (
     HOM_KINDS,
     UniformHom,
@@ -539,27 +541,27 @@ class TestInjectionVerification:
         report = verify_group_injection(hom)
         assert not report.passed and report.image_order is None
         (relation,) = report.witness
-        assert relation in sandpile_group(hom.target).reduced_laplacian.transpose().entries
+        assert relation in reduced_laplacian(hom.target).transpose().entries
         assert sandpile_group(hom.source).in_image(shifted(hom, relation)) is None
 
     def test_directed_pullback_must_intertwine(self, monkeypatch):
         # Adding x_0 times a source toppling keeps every relation in the
         # lattice, but the directed kind needs P(L_tgt e_j) = L_src P(e_j).
         hom = star_collapse_hom()
-        toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
+        toppling = reduced_laplacian(hom.source).entries[0]
         monkeypatch.setattr(
             morphisms, "pullback",
             lambda h, x: tuple(a + x[0] * b for a, b in zip(pullback(h, x), toppling)),
         )
         report = verify_group_injection(hom)
         assert not report.passed and report.image_order is None
-        assert report.witness == (sandpile_group(hom.target).reduced_laplacian.transpose().entries[0],)
+        assert report.witness == (reduced_laplacian(hom.target).transpose().entries[0],)
 
     def test_non_recurrent_pullback_is_refused(self, monkeypatch):
         # Adding a fixed toppling keeps every class, so only the burning test
         # of the images can refuse this map.
         hom = contraction_hom()
-        toppling = sandpile_group(hom.source).reduced_laplacian.entries[0]
+        toppling = reduced_laplacian(hom.source).entries[0]
         monkeypatch.setattr(
             morphisms, "pullback",
             lambda h, x: tuple(a + b for a, b in zip(pullback(h, x), toppling)),
@@ -572,6 +574,25 @@ class TestInjectionVerification:
     def test_full_parity_collapse_at_d7(self):
         report = verify_group_injection(parity_collapse_hom(7, (1,) * 7))
         assert report.passed and report.image_order == 15
+
+    def test_parity_collapse_at_d12_reads_only_the_class_map(self, monkeypatch):
+        # cone(Q_12) is a Cayley cone: the witnesses and the image order come
+        # from its WalshSolver, with no dense source Laplacian and no Smith
+        # form of the source group.
+        hom = parity_collapse_hom(12, (1,) * 12)
+        built = []
+        real = intlinalg.reduced_laplacian
+        monkeypatch.setattr(intlinalg, "reduced_laplacian",
+                            lambda g: built.append(g) or real(g))
+
+        def refuse(a):
+            raise AssertionError("invariant_factors was called")
+
+        monkeypatch.setattr(intlinalg, "invariant_factors", refuse)
+        report = verify_group_injection(hom)
+        assert report.passed and report.image_order == 25
+        assert report.recurrent_images is True
+        assert hom.source not in built
 
 
 class TestWeakHoms:
@@ -621,6 +642,30 @@ def _altered(hom: UniformHom, source=None, target=None, surjective=None,
     )
 
 
+def fibred_digraph_hom(seed: int) -> UniformHom:
+    """The directed hom of a seeded digraph onto thick_k2_cone(r, t), r != t.
+    The source has fibres A over v1 and B over v2, of 1 to 4 vertices each;
+    every vertex of A sends r arcs into B and every vertex of B sends t arcs
+    into A, to heads drawn at random, and every vertex has one arc to the
+    sink.  Drawn again while L = L^T, as it can be when r = 1, B is one
+    vertex and t = |A|."""
+    rng = random.Random(seed)
+    while True:
+        r, t = rng.sample(range(1, 4), 2)
+        fibres = {"v1": [f"a{i}" for i in range(rng.randint(1, 4))],
+                  "v2": [f"b{i}" for i in range(rng.randint(1, 4))]}
+        arcs = [(u, "s", 1) for part in fibres.values() for u in part]
+        for x, y, k in (("v1", "v2", r), ("v2", "v1", t)):
+            arcs += [(u, rng.choice(fibres[y]), 1) for u in fibres[x] for _ in range(k)]
+        source = SinkedGraph(build_digraph([*fibres["v1"], *fibres["v2"], "s"], arcs), "s")
+        lap = reduced_laplacian(source)
+        if lap != lap.transpose():
+            break
+    mapping = {u: x for x, part in fibres.items() for u in part}
+    vmap = VertexMap(source, thick_k2_cone(r, t), {**mapping, "s": "s"})
+    return validate_hom(vmap, ["v1", "v2"], "directed", require_surjective=True)
+
+
 class TestDirectedHoms:
     def test_pullback_chips_of_zero(self):
         hom = star_collapse_hom()
@@ -648,7 +693,7 @@ class TestDirectedHoms:
     def test_columns_pull_into_source_lattice(self):
         hom = star_collapse_hom()
         g_src = sandpile_group(hom.source)
-        lap_t = sandpile_group(hom.target).reduced_laplacian.transpose()
+        lap_t = reduced_laplacian(hom.target).transpose()
         for row in lap_t.entries:
             assert g_src.in_image(pullback(hom, row)) is not None
 
@@ -660,7 +705,7 @@ class TestDirectedHoms:
         # and the injection report still passes.
         hom = star_collapse_hom()
         g_src, g_tgt = sandpile_group(hom.source), sandpile_group(hom.target)
-        toppling = g_tgt.reduced_laplacian.entries[0]
+        toppling = reduced_laplacian(hom.target).entries[0]
         assert toppling == (4, -3) and g_tgt.congruent((0, 0), toppling)
         assert pullback(hom, (0, 0)) == (0, 0, 0, 0)
         assert pullback(hom, toppling) == (4, -3, -3, -3)
@@ -685,6 +730,32 @@ class TestDirectedHoms:
         star = build_multigraph(["c", "l1"], [("c", "l1", 1)])
         hom = bipartite_collapse_hom(star, (["c"], ["l1"]))
         assert hom.kind == "uniform"  # degrees agree here, so it is undirected
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_digraph_source_injection_against_smith_form(self, seed):
+        # On a digraph source the directed kind works in Z^m / Im L_src, a
+        # different quotient from the group's Z^m / Im L_src^T: proving it
+        # with the group's own solver gives wrong image orders here.
+        hom = fibred_digraph_hom(seed)
+        lap = reduced_laplacian(hom.source)
+        assert hom.kind == "directed" and lap != lap.transpose()
+        report = verify_group_injection(hom)
+        assert report.image_order == image_order_by_smith_form(hom)
+        assert report.passed and report.image_order == sandpile_group(hom.target).order
+        assert report.recurrent_images is None
+
+    def test_digraph_source_must_intertwine(self, monkeypatch):
+        # Adding x_0 times a column of L_src keeps every relation in Im L_src,
+        # but the intertwining is exact, read over the digraph's own rows.
+        hom = fibred_digraph_hom(0)
+        toppling = reduced_laplacian(hom.source).transpose().entries[0]
+        monkeypatch.setattr(
+            morphisms, "pullback",
+            lambda h, x: tuple(a + x[0] * b for a, b in zip(pullback(h, x), toppling)),
+        )
+        report = verify_group_injection(hom)
+        assert not report.passed and report.image_order is None
+        assert report.witness == (reduced_laplacian(hom.target).transpose().entries[0],)
 
 
 class TestBipartiteCollapse:
