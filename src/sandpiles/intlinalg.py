@@ -114,7 +114,7 @@ class GroupStructure(Record):
 
 
 def decimal_string(n: int) -> str:
-    """n in decimal at any size: str(n) refuses over 4300 digits (Python 3.11+)."""
+    """n in decimal at any size: str(n) refuses over 4300 digits (CPython 3.10.7+)."""
     return str(Decimal(n))
 
 

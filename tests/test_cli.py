@@ -290,7 +290,7 @@ class TestCliCommands:
 
     def test_group_order_past_the_int_string_limit(self, tmp_path, capsys):
         # |K(cone(Q_12))| = prod_w (2w + 1)^C(12, w) has 4492 digits, more
-        # than str(int) converts by default since Python 3.11.
+        # than str(int) converts by default since CPython 3.10.7.
         path = tmp_path / "cube12.json"
         save_graph(cubes.cube_cone(12, 1), path)
         assert main(["group", str(path)]) == 0
