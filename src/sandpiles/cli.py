@@ -29,7 +29,6 @@ from .errors import (
 )
 from .graphs import Multigraph, SinkedGraph
 from .jsonio import (
-    config_to_list,
     dumps,
     load_config,
     load_graph,
@@ -75,14 +74,14 @@ def cmd_stabilize(args, fmt: str) -> int:
     if min(values, default=0) < 0 and not args.allow_negative:
         raise FormatError("negative entries need --allow-negative")
     stable, firings = stabilize(graph, values)
-    _emit({"stable": config_to_list(stable), "firings": config_to_list(firings)}, fmt)
+    _emit({"stable": list(stable), "firings": list(firings)}, fmt)
     return EXIT_OK
 
 
 def cmd_identity(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
     rc = sandpile_group(graph).identity
-    _emit({"identity": config_to_list(rc.values), "certificate": rc.certificate}, fmt)
+    _emit({"identity": list(rc.values), "certificate": rc.certificate}, fmt)
     return EXIT_OK
 
 
@@ -90,10 +89,7 @@ def cmd_recurrents(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
     group = sandpile_group(graph, args.max_orbit)
     recs = sorted(group.recurrents())
-    _emit(
-        {"count": len(recs), "recurrents": [config_to_list(c) for c in recs]},
-        fmt,
-    )
+    _emit({"count": len(recs), "recurrents": [list(c) for c in recs]}, fmt)
     return EXIT_OK
 
 
@@ -107,17 +103,14 @@ def cmd_add(args, fmt: str) -> int:
     result = group.add(
         RecurrentConfig(graph, c1, "input"), RecurrentConfig(graph, c2, "input")
     )
-    _emit({"sum": config_to_list(result.values)}, fmt)
+    _emit({"sum": list(result.values)}, fmt)
     return EXIT_OK
 
 
 def cmd_representative(args, fmt: str) -> int:
     graph = _sinked(load_graph(args.graph), args.sink)
     rc = sandpile_group(graph).representative(load_config(args.config))
-    _emit(
-        {"representative": config_to_list(rc.values), "certificate": rc.certificate},
-        fmt,
-    )
+    _emit({"representative": list(rc.values), "certificate": rc.certificate}, fmt)
     return EXIT_OK
 
 
@@ -163,7 +156,7 @@ def cmd_product(args, fmt: str) -> int:
     a = load_config(args.config_a)
     b = load_config(args.config_b)
     vec = ctx.box(a, b)
-    payload = {"box": config_to_list(vec), "vertices": list(ctx.product.vertices)}
+    payload = {"box": list(vec), "vertices": list(ctx.product.vertices)}
     if args.certify:
         payload["recurrent"] = (
             min(vec, default=0) >= 0 and sandpile_group(ctx.cone_product).is_recurrent(vec)

@@ -6,10 +6,10 @@ length d, and a stripe assigns one value to the vertices whose masked bit
 count is even and another to the odd ones.  The stripe with values
 (d, d - weight) generates a cyclic subgroup of order 2*weight + 1 in the
 sandpile group of the cone, and those subgroups decompose the whole group.
-The odd-cone reports all read one character proof, `_odd_cone_orders`, with
-no LU and no Smith form: the spectrum of `intlinalg.cayley_spectrum`.  The
-cone and its proof are built once per (d, n), in `_cube`, and every report,
-stripe and embedding on that cone reads its graph from there.
+The odd-cone reports all read one character proof, with no LU and no Smith
+form: the spectrum of `intlinalg.cayley_spectrum`.  The cone and the orders
+its proof gives are built once per (d, n), in `_cube`, and every report,
+stripe and embedding on that cone reads them from there.
 
 The two maps behind the generators are the other layers' maps, not copies:
 the parity collapse is `morphisms.bipartite_collapse_hom` of the masked
@@ -281,14 +281,9 @@ def structure_formula_factors(d: int, k: int) -> list[int]:
     return [2 * i + 2 * k + 1 for i in range(d + 1) for _ in range(comb(d, i))]
 
 
-def _odd_cone_orders(d: int, n: int) -> tuple[int, ...] | None:
-    """The cyclic orders that `_cube` proves for cube_cone(d, n), or None."""
-    return _cube(d, n)[1]
-
-
 def verify_structure(d: int, k: int = 0) -> StructureReport:
-    """The elementary divisors that `_odd_cone_orders` proves for the
-    (2k+1)-cone of the d-cube (none if it fails) against the closed form."""
+    """The elementary divisors that `_cube` proves for the (2k+1)-cone of
+    the d-cube (none if it fails) against the closed form."""
     from .intlinalg import elementary_divisors_of
 
     if not 1 <= d <= MAX_D:
@@ -298,7 +293,7 @@ def verify_structure(d: int, k: int = 0) -> StructureReport:
     # A certificate that checks returns structure_formula_factors(d, k)
     # itself, so only the closed form is factored.
     expected = elementary_divisors_of(structure_formula_factors(d, k))
-    computed = () if _odd_cone_orders(d, 2 * k + 1) is None else expected
+    computed = () if _cube(d, 2 * k + 1)[1] is None else expected
     return StructureReport(d, k, computed == expected, computed, expected)
 
 
@@ -355,7 +350,7 @@ class DecompositionReport(Record):
 def verify_decomposition(d: int) -> DecompositionReport:
     """Prove K = (+)_S <s_S> over the nonempty S, with |<s_S>| = 2|S| + 1.
 
-    `_odd_cone_orders` at n = 1 gives K = (+)_S <chi_S>, ord(chi_S) = 2|S| + 1.
+    `_cube(d, 1)` proves K = (+)_S <chi_S>, ord(chi_S) = 2|S| + 1.
     The stripe s_S = (d, d - w), w = |S|, has 2 s_S = (2d - w) 1 + w chi_S,
     1 = chi_0 is 0 in K, and 2, w are prime to 2w + 1: s_S generates <chi_S>,
     so L stacked with the stripes has Smith diagonal all ones.  Each weight's
@@ -365,8 +360,8 @@ def verify_decomposition(d: int) -> DecompositionReport:
     if not 1 <= d <= MAX_D:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
     stripes = (parity_stripe(d, (1,) * w + (0,) * (d - w), d, d - w) for w in range(1, d + 1))
-    if (_odd_cone_orders(d, 1) is None
-            or not all(map(sandpile_group(_cube(d, 1)[0]).is_recurrent, stripes))):
+    graph, orders = _cube(d, 1)
+    if orders is None or not all(map(sandpile_group(graph).is_recurrent, stripes)):
         return DecompositionReport(d, False, (), ())
     return DecompositionReport(d, True, (1,) * (1 << d), tuple(range(3, 2 * d + 2, 2)))
 
@@ -395,11 +390,11 @@ def invariant_factor_count(d: int) -> int:
 
 
 def verify_invariant_factor_count(d: int) -> InvariantFactorReport:
-    """The largest p-rank of the orders `_odd_cone_orders` proves, 0 if it fails
+    """The largest p-rank of the orders `_cube` proves, 0 if it fails
     (a composite p never beats its primes), against the closed form."""
     if not 1 <= d <= MAX_D:
         raise OutOfRange(f"need 1 <= d <= {MAX_D}")
-    orders = _odd_cone_orders(d, 1) or ()
+    orders = _cube(d, 1)[1] or ()
     computed = max(sum(o % p == 0 for o in orders) for p in range(2, 2 * d + 2))
     closed = invariant_factor_count(d)
     return InvariantFactorReport(d, closed == computed, closed, computed)

@@ -107,18 +107,6 @@ def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
     return tuple(c), tuple(firings)
 
 
-def _fire(graph: SinkedGraph, y: Sequence[int]) -> list[int]:
-    """L^T y, the chips that firing each vertex v y_v times removes from v
-    (net of what it receives), by one pass over the arcs."""
-    moved = [d * k for d, k in zip(graph.out_degrees, y)]
-    for i, row in enumerate(graph.adjacency()):
-        k = y[i]
-        if k:
-            for j, m in row:
-                moved[j] -= m * k
-    return moved
-
-
 def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
     """Speer's burning script sigma and burning configuration beta = L^T sigma.
 
@@ -137,7 +125,7 @@ def burning_script(graph: SinkedGraph) -> tuple[Chips, Chips]:
             indeg[j] += m
     _, f = stabilize(graph, [d - 1 for d in indeg])
     sigma = tuple(1 + k for k in f)
-    return sigma, tuple(_fire(graph, sigma))
+    return sigma, tuple(graph.fire(sigma))
 
 
 def _lift(graph: SinkedGraph) -> tuple[Chips, Chips]:
@@ -150,7 +138,7 @@ def _lift(graph: SinkedGraph) -> tuple[Chips, Chips]:
     m = out - 1, fires f and leaves b = a - stab(a) >= m + 1.
     """
     ones = (1,) * graph.n_nonsink
-    b = _fire(graph, ones)
+    b = graph.fire(ones)
     if all(x >= 1 for x in b):
         return tuple(b), ones
     a = [2 * d - 1 for d in graph.out_degrees]
@@ -168,19 +156,17 @@ class SandpileGroup:
     cached solver object: the determinant and order, congruence and
     membership witnesses, element orders and the structure.  On a cone over
     a Cayley graph of Z_2^d (`intlinalg.cayley_spectrum`, a property of the
-    graph and its vertex order) it is the WalshSolver of the characters,
-    whose structure is the chain of the eigenvalues for odd |det L|.  On
-    every other graph it is the LatticeSolver of L, and the structure reads
-    |det L|, the probed exponent E and the core its unit steps leave, whose
-    Smith diagonal is taken modulo the smaller of E and |det L|/E (the
-    WalshSolver's core for even |det L| is L).  The LU refuses a singular L
-    with its free rank; the group keeps that refusal, so L is factored once
-    and every later query is refused again.  Only recurrents() enumerates
-    the recurrent set: a chain of cosets of the subgroups <e_0, ..., e_v>,
-    one chip addition per recurrent, each a plain increment or an avalanche
-    from that one chip, certified by its size |det L|.  Its orbit_guard
-    refuses first on the floor prod(out_v - e_v) that the identity e gives,
-    before any factorization, and only then on |det L|, on every call.
+    graph and its vertex order) it is the WalshSolver of the characters; on
+    every other graph it is the LatticeSolver of L.  How each one gives the
+    structure is said in `intlinalg.invariant_factors`.  The LU refuses a
+    singular L with its free rank; the group keeps that refusal, so L is
+    factored once and every later query is refused again.  Only
+    recurrents() enumerates the recurrent set: a chain of cosets of the
+    subgroups <e_0, ..., e_v>, one chip addition per recurrent, each a plain
+    increment or an avalanche from that one chip, certified by its size
+    |det L|.  Its orbit_guard refuses first on the floor prod(out_v - e_v)
+    that the identity e gives, before any factorization, and only then on
+    |det L|, on every call.
     """
 
     def __init__(self, graph: SinkedGraph, orbit_guard: int = DEFAULT_ORBIT_GUARD):
@@ -389,7 +375,7 @@ class SandpileGroup:
         k = max([0] + [-((xi + 1 - d) // bi) for xi, bi, d in zip(x, b, self.graph.out_degrees)])
         stable, f = stabilize(self.graph, [xi + k * bi for xi, bi in zip(x, b)])
         y = [k * p - q for p, q in zip(f_b, f)]
-        if _fire(self.graph, y) != [s - xi for s, xi in zip(stable, x)]:
+        if self.graph.fire(y) != [s - xi for s, xi in zip(stable, x)]:
             raise ValidationFailed(f"firing vector does not carry {tuple(x)} to {stable}")
         if not self.is_recurrent(stable):
             raise ValidationFailed(f"representative {stable} failed the burning test")

@@ -254,6 +254,16 @@ class SinkedGraph:
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return self._adjacency
 
+    def fire(self, y: Sequence[int]) -> list[int]:
+        """L^T y, the chips that firing each vertex v y_v times removes from v
+        (net of what it receives), by one pass over the arcs."""
+        moved = [d * k for d, k in zip(self.out_degrees, y)]
+        for k, row in zip(y, self._adjacency):
+            if k:
+                for j, m in row:
+                    moved[j] -= m * k
+        return moved
+
     def arc_multiplicity(self, u: str, v: str) -> int:
         """Arc multiplicity in the sandpile digraph of this graph.
 
@@ -394,11 +404,11 @@ def subcube(d: int, mask: Sequence[int]) -> Multigraph:
     return Multigraph._from_rows([hypercube_label(x, d) for x in xs], rows)
 
 
-def thick_pair(r: int, labels: tuple[str, str] = ("v1", "v2")) -> Multigraph:
-    """Two vertices joined by r parallel edges."""
+def thick_pair(r: int) -> Multigraph:
+    """Two vertices v1, v2 joined by r parallel edges."""
     if r < 1:
         raise NonPositiveMultiplicity(f"need r >= 1, got {r}")
-    return build_multigraph(list(labels), [(labels[0], labels[1], r)])
+    return build_multigraph(["v1", "v2"], [("v1", "v2", r)])
 
 
 def thick_k2_cone(r: int, t: int) -> SinkedGraph:

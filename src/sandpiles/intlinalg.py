@@ -24,10 +24,16 @@ recognises, in O(V + E), a cone whose index rows are those of a Cayley graph
 of Z_2^d; its characters diagonalise L, so WalshSolver answers the same
 queries as LatticeSolver by two Walsh-Hadamard transforms, and for odd |det|
 the structure is the divisibility chain of the eigenvalues, read off a
-coprime base with no factoring.  A group reads it whenever the recognizer
+coprime base with no factoring; for even |det| it is one Smith pass of L
+modulo the solver's delta.  A group reads it whenever the recognizer
 accepts its graph; every other graph, and every matrix given as such
-(determinant, invariant_factors of an IntMatrix, snf), takes the LU.  Either
-solver's class map x -> delta * B^-1 x mod |delta| gives `subgroup_order`.
+(determinant, invariant_factors of an IntMatrix, snf), takes the LU.
+
+Both solvers are engines of one interface on the lattice Im B: `size`,
+`delta` (delta * B^-1 integral; negative on the LU at times), `determinant`,
+`_scaled_inverse(v)` = delta * B^-1 v, `_times(y)` = B y for the witness
+check, and `core()` for the Smith diagonal.  `solve`, `class_order` (bound
+into both classes) and `subgroup_order` are written once over it.
 
 Everything runs over Python's arbitrary-precision integers; the algorithms are
 deterministic so test expectations are bit-stable.  Desk scale: dimensions up
@@ -147,7 +153,25 @@ def reduced_laplacian(g: SinkedGraph) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-# -- the exact LU: determinant and lattice membership -------------------------
+# -- the lattice queries of both engines, and the exact LU --------------------
+
+
+def _solve(solver: LatticeSolver | WalshSolver, v: Sequence[int]) -> tuple[int, ...] | None:
+    """Integer y with B y = v, or None if v is outside the lattice Im B: the
+    (unique) y = B^-1 v is integral, checked by the engine's product B y."""
+    w = solver._scaled_inverse(v)
+    delta = solver.delta
+    if any(z % delta for z in w):
+        return None
+    y = tuple(z // delta for z in w)
+    if list(solver._times(y)) != list(v):
+        raise ValidationFailed("lattice witness does not solve B y = v")
+    return y
+
+
+def _class_order(solver: LatticeSolver | WalshSolver, x: Sequence[int]) -> int:
+    """Order of the class of x in the cokernel Z^n / Im B."""
+    return abs(solver.delta) // gcd(solver.delta, *solver._scaled_inverse(x))
 
 
 class LatticeSolver:
@@ -179,9 +203,9 @@ class LatticeSolver:
     delta, the last Bareiss pivot (1 without Bareiss steps), satisfies
     |delta| = |det A|, and determinant is det A with its sign.
 
-    Each query replays the steps on v and back-substitutes, which gives
-    w = delta * B^-1 v exactly: v lies in the lattice exactly when delta
-    divides every entry of w, and the quotient is the (unique) witness.
+    _scaled_inverse replays the steps on v and back-substitutes, which gives
+    w = delta * B^-1 v exactly, for the shared `solve` and `class_order`;
+    a witness is checked by the dense product B y.
 
     core() is the Schur complement the unit steps leave: the rows and columns
     not yet pivoted when the Bareiss steps start (all of B when no entry is
@@ -196,6 +220,7 @@ class LatticeSolver:
         if not a.is_square():
             raise ValueError("lattice solving needs a square matrix")
         self.b = a.transpose()
+        self._times = self.b.mul_vector
         n = self.size = a.rows
         rows = [list(r) for r in self.b.entries]
         # The rows and columns not yet pivoted, in order.  A pivot's position
@@ -287,7 +312,7 @@ class LatticeSolver:
 
         The steps replay forward on w = v, then back substitution from the
         last step gives p x_c = delta w_r - sum u x_j."""
-        if len(v) != self.b.rows:
+        if len(v) != self.size:
             raise ValueError("dimension mismatch")
         w = list(v)
         prev = 1
@@ -309,19 +334,8 @@ class LatticeSolver:
             x[c] = acc // p
         return x
 
-    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer y with A^T y = v, or None if v is outside the lattice."""
-        w = self._scaled_inverse(v)
-        if any(z % self.delta for z in w):
-            return None
-        y = tuple(z // self.delta for z in w)
-        if self.b.mul_vector(y) != tuple(v):
-            raise ValidationFailed("lattice witness does not solve A^T y = v")
-        return y
-
-    def class_order(self, x: Sequence[int]) -> int:
-        """Order of the class of x in the cokernel."""
-        return abs(self.delta) // gcd(self.delta, *self._scaled_inverse(x))
+    solve = _solve
+    class_order = _class_order
 
 
 # -- Cayley cones of Z_2^d: the Walsh-Hadamard route -----------------------------
@@ -375,16 +389,16 @@ class WalshSolver:
 
     The characters diagonalise L: L = H diag(lambda) H / 2^d, since they
     are the rows of H and H^2 = 2^d I.  So with E = lcm(lambda_a) and
-    delta = 2^d E, delta L^-1 v = H diag(E / lambda_a) H v, two transforms:
-    v is in the lattice exactly when delta divides every entry, the quotient
-    is the witness, checked by one sparse product L y = v over the graph's
-    rows, and the class of x has order delta / gcd(delta, delta L^-1 x).
-    det L is the product of the lambda_a.  core() is L itself, for the
-    elimination of invariant_factors when |det| is even.
+    delta = 2^d E, delta L^-1 v = H diag(E / lambda_a) H v, two transforms,
+    for the shared `solve` and `class_order`; a witness is checked by the
+    graph's own sparse product, `SinkedGraph.fire` (L^T = L here).  det L is
+    the product of the lambda_a.  core() is L itself, for the one Smith pass
+    of invariant_factors modulo delta when |det| is even.
     """
 
     def __init__(self, graph: SinkedGraph, spectrum: Sequence[int]):
         self.graph = graph
+        self._times = graph.fire
         self.spectrum = tuple(spectrum)
         self.size = len(spectrum)
         self.determinant = prod(spectrum)
@@ -401,22 +415,8 @@ class WalshSolver:
             raise ValueError("dimension mismatch")
         return _walsh([w * x for w, x in zip(self._weights, _walsh(list(v)))])
 
-    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer y with L y = v, or None if v is outside the lattice."""
-        w = self._scaled_inverse(v)
-        if any(z % self.delta for z in w):
-            return None
-        y = tuple(z // self.delta for z in w)
-        adjacency = self.graph.adjacency()
-        product = [d * k - sum(m * y[j] for j, m in row)
-                   for d, k, row in zip(self.graph.out_degrees, y, adjacency)]
-        if product != list(v):
-            raise ValidationFailed("lattice witness does not solve L y = v")
-        return y
-
-    def class_order(self, x: Sequence[int]) -> int:
-        """Order of the class of x in the cokernel."""
-        return self.delta // gcd(self.delta, *self._scaled_inverse(x))
+    solve = _solve
+    class_order = _class_order
 
 
 def _cyclic_chain(orders: Sequence[int]) -> tuple[int, ...]:
@@ -783,11 +783,12 @@ def invariant_factors(a: IntMatrix | LatticeSolver | WalshSolver) -> GroupStruct
     is 2^d e_0, and translations are automorphisms that fix the sink), and
     2^d is invertible on K, so they generate K; |K| = prod lambda_a then makes
     every order exact and the sum direct.  The structure is _cyclic_chain of
-    the lambda_a.  Every other solver runs the steps below.
+    the lambda_a.  With even |det| its core, L itself, takes one Smith pass
+    modulo its delta = 2^d lcm(lambda_a): delta L^-1 = H diag(delta / (2^d
+    lambda_a)) H is integral, so delta kills the cokernel.
 
-    |det| comes from the solver, and the Smith diagonal is taken of the
-    core it gives: the one its unit steps leave, since A^T ~ diag(I, core)
-    (LatticeSolver), or L itself (WalshSolver).
+    Every LatticeSolver runs the steps below on |det| and the core its unit
+    steps leave, whose Smith diagonal is that of A^T less leading ones.
     E, the lcm of the class orders of two fixed vectors
     (Eberly-Giesbrecht-Villard 2000), divides the exponent d_n of the
     cokernel G.  Elimination modulo m yields G/mG, the orders gcd(d_i, m).
@@ -814,22 +815,25 @@ def invariant_factors(a: IntMatrix | LatticeSolver | WalshSolver) -> GroupStruct
     else:
         solver = LatticeSolver(a)
     order = abs(solver.determinant)
-    e = lcm(*map(solver.class_order, islice(_probe_vectors(solver.size), 2)))
-    r = order // e
-    if r == 1:
-        return GroupStructure((order,) if order > 1 else ())
-    core = solver.core()
-    if e * e > order:
-        *diag, last = cokernel_diagonal(core, r)
-        exponent = order // prod(diag)
-        if exponent % e or gcd(exponent, r) != last:
-            raise ValidationFailed("the orders modulo |det|/E do not fit |det|")
-        diag.append(exponent)
+    if isinstance(solver, WalshSolver):
+        diag = cokernel_diagonal(solver.core(), solver.delta)
     else:
-        diag = cokernel_diagonal(core, e)
-        found = prod(diag)
-        if found != order and order % found == 0:
-            diag = cokernel_diagonal(core, e * (order // found))
+        e = lcm(*map(solver.class_order, islice(_probe_vectors(solver.size), 2)))
+        r = order // e
+        if r == 1:
+            return GroupStructure((order,) if order > 1 else ())
+        core = solver.core()
+        if e * e > order:
+            *diag, last = cokernel_diagonal(core, r)
+            exponent = order // prod(diag)
+            if exponent % e or gcd(exponent, r) != last:
+                raise ValidationFailed("the orders modulo |det|/E do not fit |det|")
+            diag.append(exponent)
+        else:
+            diag = cokernel_diagonal(core, e)
+            found = prod(diag)
+            if found != order and order % found == 0:
+                diag = cokernel_diagonal(core, e * (order // found))
     if prod(diag) != order:
         raise ValidationFailed("invariant factors do not multiply to |det|")
     return GroupStructure(tuple(x for x in diag if x != 1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import FormatError
 from .graphs import Digraph, Multigraph, SinkedGraph, build_digraph, build_multigraph
@@ -97,10 +97,6 @@ def load_graph(path: str | Path) -> Multigraph | Digraph | SinkedGraph:
 
 def save_graph(g, path: str | Path) -> None:
     Path(path).write_text(dumps(graph_to_dict(g)) + "\n")
-
-
-def config_to_list(values: Sequence[int]) -> list[int]:
-    return [int(x) for x in values]
 
 
 def load_config(path: str | Path) -> tuple[int, ...]:

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import all_masks, direct_sum_by_enumeration, matmul, subcube_embeddings_by_bits
 import sandpiles.cubes as cubes
+import sandpiles.morphisms as morphisms
 from sandpiles.cubes import (
-    _odd_cone_orders,
+    _cube,
     cone_stripe_subgroup,
     cube_cone,
     invariant_factor_count,
@@ -25,8 +27,8 @@ from sandpiles.cubes import (
     verify_invariant_factor_count,
     verify_structure,
 )
-from sandpiles.dynamics import SandpileGroup, sandpile_group
-from sandpiles.errors import OutOfRange
+from sandpiles.dynamics import RecurrentConfig, SandpileGroup, sandpile_group
+from sandpiles.errors import OutOfRange, ValidationFailed
 from sandpiles.graphs import build_multigraph, cone, hypercube, subcube, thick_pair
 from sandpiles.intlinalg import (
     IntMatrix,
@@ -449,14 +451,14 @@ class TestOddConeCertificate:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 3, 5, 9])
     def test_matches_the_lu(self, d, n):
-        orders = _odd_cone_orders(d, n)
+        orders = _cube(d, n)[1]
         structure = invariant_factors(lu(d, n))
         assert elementary_divisors_of(orders) == structure.elementary_divisors
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_cones_are_refused(self, n):
         for d in range(1, 6):
-            assert _odd_cone_orders(d, n) is None
+            assert _cube(d, n)[1] is None
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_decomposition_matches_the_lu(self, d):
@@ -541,3 +543,58 @@ class TestInvariantFactorCount:
                 verify_invariant_factor_count(d)
         with pytest.raises(OutOfRange, match="need d >= 1"):
             invariant_factor_count(0)
+
+
+class TestCertificateRaises:
+    """Each check of the stripe and collapse constructions refuses a
+    corrupted input instead of returning it."""
+
+    def test_stripe_generator_must_burn(self, monkeypatch):
+        monkeypatch.setattr(cubes, "parity_stripe", lambda d, mask, even, odd: (0,) * (1 << d))
+        with pytest.raises(ValidationFailed, match="is not recurrent"):
+            stripe_generator(2, (1, 0))
+
+    def test_powers_must_close(self):
+        # A law that reaches the identity only after |K| + 1 steps.
+        group = SandpileGroup(cube_cone(2))
+        gen = stripe_generator(2, (1, 0)).values
+        steps = iter([gen] * group.order + [group.identity.values])
+        group.add_values = lambda c1, c2: next(steps)
+        with pytest.raises(ValidationFailed, match="failed to close"):
+            cubes._cyclic_powers(group, gen)
+
+    def test_stripe_powers_must_match_the_family(self, monkeypatch):
+        monkeypatch.setattr(cubes, "thick_k2_power", lambda r, k: (r, r))
+        with pytest.raises(ValidationFailed, match="differ from the stripe family"):
+            stripe_subgroup(2, (1, 1))
+
+    def test_collapse_degree_is_checked(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "bipartite_collapse_hom",
+                            lambda sub, parts: SimpleNamespace(degree=1))
+        with pytest.raises(ValidationFailed, match="collapse degree 1 != 2"):
+            parity_collapse_hom(2, (1, 1))
+
+    def test_constant_classes_must_differ(self, monkeypatch):
+        monkeypatch.setattr(SandpileGroup, "representative",
+                            lambda self, x: RecurrentConfig(self.graph, (1,) * len(x), "burning"))
+        with pytest.raises(ValidationFailed, match="constant classes collided"):
+            cone_stripe_subgroup(2, 2, (0, 0))
+
+    def test_pair_generator_must_burn(self, monkeypatch):
+        monkeypatch.setattr(SandpileGroup, "is_recurrent", lambda self, values: False)
+        with pytest.raises(ValidationFailed, match="not recurrent on the pair cone"):
+            cone_stripe_subgroup(2, 1, (1, 0))
+
+    def test_stripe_lifts_must_differ(self, monkeypatch):
+        # Only the cube cone's classes collapse; the pair cone's powers stay true.
+        graph = cube_cone(2)
+        real = SandpileGroup.representative
+
+        def collapsed(self, x):
+            if self.graph != graph:
+                return real(self, x)
+            return RecurrentConfig(graph, (1,) * len(x), "burning")
+
+        monkeypatch.setattr(SandpileGroup, "representative", collapsed)
+        with pytest.raises(ValidationFailed, match="stripe lifts collided"):
+            cone_stripe_subgroup(2, 1, (1, 0))

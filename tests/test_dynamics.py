@@ -31,7 +31,6 @@ from oracles import (
 from sandpiles.dynamics import (
     RecurrentConfig,
     SandpileGroup,
-    _fire,
     add_recurrent,
     burning_script,
     congruent,
@@ -711,7 +710,7 @@ class TestLift:
             g = random_sinked_digraph(rng, rng.randint(1, 6))
             group = self._agrees_with_le_borgne_rossin(g, rng)
             b, f = group._lift
-            assert min(b) >= 1 and tuple(_fire(g, f)) == b
+            assert min(b) >= 1 and tuple(g.fire(f)) == b
 
 
 class TestLargeIdentities:
@@ -753,6 +752,14 @@ class TestElementOrder:
         order = group.solver.class_order
         monkeypatch.setattr(group.solver, "class_order", lambda x: 2 * order(x))
         with pytest.raises(ValidationFailed, match="order 96 is not minimal: 48"):
+            group.element_order((1, 2, 2, 3))
+
+    def test_short_order_fails_the_solve(self, monkeypatch):
+        # 24 (c - e) is outside Im L^T, since c - e has order 48.
+        group = SandpileGroup(contracted_square())
+        order = group.solver.class_order
+        monkeypatch.setattr(group.solver, "class_order", lambda x: order(x) // 2)
+        with pytest.raises(ValidationFailed, match="24 times .* is not in Im L"):
             group.element_order((1, 2, 2, 3))
 
     def test_orders_divide_group_order(self):

@@ -563,6 +563,15 @@ class TestLatticeMembership:
         witness = LatticeSolver(a).solve((2, -1))
         assert witness == (1, 0)
 
+    def test_witness_is_checked(self, monkeypatch):
+        solver = LatticeSolver(reduced_laplacian(cone(cycle_graph(5))))
+        v = solver.b.mul_vector([1, 0, 2, 0, -1])
+        real = solver._scaled_inverse
+        monkeypatch.setattr(solver, "_scaled_inverse",
+                            lambda x: [z + solver.delta * (i == 0) for i, z in enumerate(real(x))])
+        with pytest.raises(ValidationFailed, match="does not solve"):
+            solver.solve(v)
+
     def test_generator_class_has_no_witness(self):
         a = reduced_laplacian(cone(k2()))
         assert LatticeSolver(a).solve((1, 0)) is None
@@ -776,6 +785,14 @@ def test_group_structure_serialization():
     }
 
 
+def test_cyclic_chain_checks_its_product(monkeypatch):
+    # With every gcd read as 1 the base {4, 2} is not coprime, and the chain
+    # counts the prime 2 twice: (2, 16), of product 32, for Z_2 + Z_4.
+    monkeypatch.setattr(intlinalg, "gcd", lambda *args: 1)
+    with pytest.raises(ValidationFailed, match="coprime base"):
+        intlinalg._cyclic_chain((2, 4))
+
+
 def test_chain_normalization_collapses_coprime_orders():
     # 6 and 4 do not form a chain; the group Z6 + Z4 is Z2 + Z12.
     a = IntMatrix.from_rows([[6, 0], [0, 4]])
@@ -869,6 +886,24 @@ class TestWalshSolver:
                             lambda x: [z + solver.delta * (i == 0) for i, z in enumerate(real(x))])
         with pytest.raises(ValidationFailed, match="does not solve"):
             solver.solve(v)
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 4), (4, 2)])
+    def test_even_determinant_takes_one_pass_modulo_delta(self, d, n, monkeypatch):
+        solver = SandpileGroup(cone(hypercube(d), n)).solver
+        assert isinstance(solver, WalshSolver) and solver.determinant % 2 == 0
+        passes = _spy_passes(monkeypatch)
+        probed = []
+        monkeypatch.setattr(WalshSolver, "class_order", lambda self, x: probed.append(x))
+        structure = invariant_factors(solver)
+        assert passes == [(solver.size, solver.delta)] and probed == []
+        monkeypatch.undo()
+        assert structure == invariant_factors(reduced_laplacian(cone(hypercube(d), n)))
+
+    def test_short_delta_pass_is_caught(self, monkeypatch):
+        solver = SandpileGroup(cone(hypercube(2), 2)).solver
+        monkeypatch.setattr(intlinalg, "cokernel_diagonal", lambda a, modulus: (1, 1, 8, 8))
+        with pytest.raises(ValidationFailed, match="do not multiply"):
+            invariant_factors(solver)
 
     def test_spectrum_of_the_cube(self):
         # lambda_a = n + 2|a| on the n-cone of Q_d.
