@@ -8,15 +8,25 @@ maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
 burning test (Dhar's on undirected graphs, Speer's on digraphs) decides
 recurrence on both kinds of graph, and it is one stabilization too.  That
 test lives in `SandpileGroup.is_recurrent` alone, with its script computed
-once per group; every other layer asks the group.  A single toppling kernel
-runs every stabilization; the recurrent enumeration adds one chip at a time
-and runs each avalanche from that chip inline.
+once per group; every other layer asks the group.  A single toppling kernel,
+a FIFO queue, runs every stabilization; the recurrent enumeration adds one
+chip at a time and runs each avalanche from that chip inline.
+
+On an undirected graph a stabilization that the kernel has not finished
+within the cost of a dilation ladder, (rungs) x (n + |E|) pops with one rung
+per bit of max c, takes the ladder and keeps the firings made so far: it
+stabilizes c >> j for j = rungs - 1, ..., 0, extrapolates each odometer from
+the two before it, topples up from that guess and burns down to the exact
+odometer.  Least action (Fey, Levine and Peres 2010) and Dhar's forbidden
+subconfigurations prove the result equal to the kernel's; `stabilize` gives
+the gate, the ladder and the proof.  Digraphs keep the kernel alone, because
+the proof needs symmetric edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
@@ -69,21 +79,29 @@ def _require_global_sink(graph: SinkedGraph) -> None:
         raise NoGlobalSink("graph is disconnected; stabilization need not terminate")
 
 
-def _topple(c: list[int], out: Sequence[int], adj) -> list[int]:
+def _topple(c: list[int], out: Sequence[int], adj, pops: int | None = None,
+            firings: list[int] | None = None) -> list[int] | None:
     """Topple c in place until stable; returns the firing vector.
 
     The schedule processes a FIFO queue and batches repeated topplings of
     the same vertex; by the abelian property every schedule gives the same
     result.  A vertex is queued only when unstable, at most once at a time,
     and only gains chips until it is popped, so it is unstable when popped.
+
+    With pops the kernel pops at most that many vertices, and returns None
+    if c is not stable by then, leaving c partly toppled.  firings, when
+    given, is added to in place, so a second call resumes the first.
     """
     n = len(c)
-    firings = [0] * n
+    if firings is None:
+        firings = [0] * n
     queue = deque(i for i in range(n) if c[i] >= out[i])
     queued = [False] * n
     for i in queue:
         queued[i] = True
-    while queue:
+    for _ in repeat(None) if pops is None else repeat(None, pops):
+        if not queue:
+            return firings
         i = queue.popleft()
         queued[i] = False
         oi = out[i]
@@ -96,14 +114,123 @@ def _topple(c: list[int], out: Sequence[int], adj) -> list[int]:
             if cj >= out[j] and not queued[j]:
                 queued[j] = True
                 queue.append(j)
-    return firings
+    return None if queue else firings
+
+
+def _unburnt(s: Sequence[int], live: list[int], adj) -> list[int]:
+    """Dhar's burning of s restricted to live: every vertex outside live,
+    the sink among them, starts burnt, and a live vertex burns once its
+    chips cover its edges to the unburnt ones.  What is left is the largest
+    forbidden subconfiguration U of s inside live, with s_v < deg_U(v) for
+    every v in U: a forbidden set never burns, and the unburnt set is one."""
+    unburnt = [False] * len(s)
+    for v in live:
+        unburnt[v] = True
+    # need[v]: v's edges to unburnt vertices.
+    need = [0] * len(s)
+    for v in live:
+        need[v] = sum([m for u, m in adj[v] if unburnt[u]])
+    stack = [v for v in live if s[v] >= need[v]]
+    for v in stack:
+        unburnt[v] = False
+    while stack:
+        for u, m in adj[stack.pop()]:
+            if unburnt[u]:
+                need[u] -= m
+                if s[u] >= need[u]:
+                    unburnt[u] = False
+                    stack.append(u)
+    return [v for v in live if unburnt[v]]
+
+
+def _settle(graph: SinkedGraph, c: list[int], guess: list[int], floor: list[int]):
+    """(stable, odometer) of c from a guess >= 0 and a floor the odometer
+    is known to reach (see `stabilize`): topple c - L^T guess up, then, while
+    the burning restricted to {w > floor} leaves an unburnt set U, untopple
+    U once.  Each untoppling lowers sum(w - floor), so the loop is bounded."""
+    out, adj = graph.out_degrees, graph.adjacency()
+    s = [x - y for x, y in zip(c, graph.fire(guess))]
+    w = [g + k for g, k in zip(guess, _topple(s, out, adj))]
+    live = [v for v, (a, b) in enumerate(zip(w, floor)) if a > b]
+    while live:
+        forbidden = _unburnt(s, live, adj)
+        if not forbidden:
+            break
+        for v in forbidden:
+            w[v] -= 1
+            s[v] += out[v]
+            for u, m in adj[v]:
+                s[u] -= m
+        live = [v for v in live if w[v] > floor[v]]
+    return s, w
+
+
+def _ladder(graph: SinkedGraph, c: list[int], legal: list[int]) -> tuple[list[int], list[int]]:
+    """(stable, odometer) of c by the dilation ladder c_j = c >> j, coarsest
+    rung first, given firings legal from c; see `stabilize`."""
+    w1 = w2 = None
+    for j in reversed(range(max(1, max(c)).bit_length())):
+        floor = [0] * len(c) if w1 is None else [2 * a for a in w1]
+        guess = floor if w2 is None else [max(0, 3 * a - 2 * b) for a, b in zip(w1, w2)]
+        if not j:
+            floor, guess = list(map(max, floor, legal)), list(map(max, guess, legal))
+        s, w = _settle(graph, [x >> j for x in c], guess, floor)
+        w1, w2 = w, w1
+    return s, w1
 
 
 def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
-    """Topple until stable; returns (stable, firings) with c - L^T f = stable."""
+    """Topple until stable; returns (stable, firings) with c - L^T f = stable.
+
+    The FIFO kernel runs every digraph to the end.  On an undirected graph
+    it gets the pops that a dilation ladder costs, (rungs) x (n + |E|), with
+    one rung per bit of max c and |E| = `SinkedGraph.n_arcs`: first one
+    rung's pops, so that an input done within them is read once, then the
+    rest.  A c it has not stabilized by then takes the ladder (`_ladder`),
+    which keeps the cut run's firings P.  Rung j stabilizes c_j = c >> j,
+    from the coarsest rung down to c_0 = c, with w_i the odometer of rung i
+    and the floor F = 2 w_{j+1} (0 on the first rung).  It starts from a
+    guess G: 0 on the first rung, F on the second and
+    max(0, 3 w_{j+1} - 2 w_{j+2}) after that; on c_0 both F and G are
+    raised to at least P.  It topples c_j - L^T G up to a stable s with
+    w = G + f, then burns down (`_settle`): while Dhar's burning restricted
+    to {w > F} leaves an unburnt set U, it untopples U once, w_U -= 1,
+    s += L^T 1_U.
+
+    The answer is exact, so it equals the kernel's:
+      - Least action: a w >= 0 with c - L^T w stable is at least the
+        odometer, and any legal toppling sequence is at most it.
+      - c_j >= 2 c_{j+1}, and firing the odometer of c_{j+1} twice is legal
+        from c_j, so the odometer o of c_j is at least F.  P is legal from
+        c_0, so o >= P there.
+      - Untoppling a forbidden set U keeps s stable: a vertex of U gains
+        out_v - deg_U(v) <= out_v - 1 - s_v, the others lose.  U lies in
+        {w > F}, so w stays >= F >= 0 and, by least action, >= o.
+      - If w != o, the set A where w - o takes its maximum M > 0 lies in
+        {w > F} and is forbidden: for v in A the edges are symmetric and
+        w - o <= M - 1 off A, so s_v <= t_v - out_v + deg_A(v) < deg_A(v),
+        with t = c_j - L^T o stable.
+      - At w = o nothing is left unburnt.  In a set of vertices that fired,
+        the one whose last firing came earliest gets a chip along every
+        edge from the others afterwards, so its chips cover those edges.
+    So the burn-down stops exactly at the odometer.  The last three steps
+    read each edge from both ends.  On a digraph they fail, and the
+    burn-down can end below the odometer, at a w whose s is not stable.
+    """
     _require_global_sink(graph)
     c = _check_vector(graph, values)
-    firings = _topple(c, graph.out_degrees, graph.adjacency())
+    out, adj = graph.out_degrees, graph.adjacency()
+    if graph.directed:
+        firings = _topple(c, out, adj)
+    else:
+        # One rung's pops, then the other rungs': max c is read only by an
+        # input that outruns the first.
+        cost = graph.n_nonsink + graph.n_arcs
+        firings = [0] * len(c)
+        if _topple(c, out, adj, cost, firings) is None:
+            original = _check_vector(graph, values)
+            if _topple(c, out, adj, (max(original).bit_length() - 1) * cost, firings) is None:
+                c, firings = _ladder(graph, original, firings)
     return tuple(c), tuple(firings)
 
 
@@ -267,7 +394,9 @@ class SandpileGroup:
         by one chip addition.  A chip added below out_v - 1 leaves the
         configuration stable; any other starts an avalanche from v alone.
         Each copy is built from the last in one pass, and only its first
-        element is looked up among the old coset.
+        element is looked up among the old coset.  The first coset, the
+        orbit of m under e_0, has one-element copies, so it grows in one
+        loop that stops when it is back at m.
 
         Recurrents form an up-set of the stable box, so the identity e alone
         shows |K| >= prod(out_v - e_v); the guard refuses on that floor,
@@ -324,18 +453,29 @@ class SandpileGroup:
                     return tuple(w)
 
                 base = len(chain)
-                copy = chain
-                while True:
-                    # The first element of the next copy: back in the old
-                    # coset after h_v copies, or one more coset.
-                    first = add_chip(copy[0])
-                    if first in seen:
-                        break
-                    if len(chain) + base > size:
-                        raise ValidationFailed(
-                            f"recurrent orbit has more than {size} elements")
-                    copy = [first, *map(add_chip, copy[1:])]
-                    chain += copy
+                if v == 0:
+                    # Each copy of the coset {m} is one element: the orbit
+                    # of m under e_0 grows in one loop, back at m after h_0.
+                    c = add_chip(m)
+                    while c != m:
+                        if len(chain) + base > size:
+                            raise ValidationFailed(
+                                f"recurrent orbit has more than {size} elements")
+                        chain.append(c)
+                        c = add_chip(c)
+                else:
+                    copy = chain
+                    while True:
+                        # The first element of the next copy: back in the
+                        # old coset after h_v copies, or one more coset.
+                        first = add_chip(copy[0])
+                        if first in seen:
+                            break
+                        if len(chain) + base > size:
+                            raise ValidationFailed(
+                                f"recurrent orbit has more than {size} elements")
+                        copy = [first, *map(add_chip, copy[1:])]
+                        chain += copy
                 seen.update(islice(chain, base, None))
             if len(seen) != size:
                 raise ValidationFailed(f"recurrent orbit has {len(seen)} elements, not {size}")

@@ -198,6 +198,7 @@ class SinkedGraph:
         "directed",
         "out_degrees",
         "sink_mult",
+        "n_arcs",
         "_adjacency",
         "_nonsink_index",
         "_connected",
@@ -220,6 +221,9 @@ class SinkedGraph:
         self._adjacency = tuple(
             tuple((shift[j], m) for j, m in row.items() if j != sink_i) for row in rows
         )
+        # The entries of adjacency(): an edge between non-sink vertices
+        # counts once from each end.
+        self.n_arcs = sum(map(len, self._adjacency))
 
         if self.directed:
             if graph._rows[sink_i]:

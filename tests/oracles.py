@@ -4,8 +4,9 @@ Each oracle deliberately takes a different route than the implementation:
 determinants by permutation expansion, lattice membership by rational
 elimination, Smith diagonals by determinantal divisors, spanning trees by
 subset enumeration, group counts by brute force, stabilization by a random
-toppling schedule, burning orders by greedy sweeps, representatives by the
-Le Borgne-Rossin lift, recurrent sets by a breadth-first closure, subcube
+toppling schedule, burning orders by greedy sweeps, forbidden
+subconfigurations by trying every subset, representatives by the Le
+Borgne-Rossin lift, recurrent sets by a breadth-first closure, subcube
 embeddings by bit arithmetic, the stripe decomposition by summing one element
 of every stripe subgroup, homomorphism clauses by looking up label pairs.
 """
@@ -269,6 +270,26 @@ def stabilize_by_random_schedule(
         c = [x - t for x, t in zip(c, rows[i])]
         firings[i] += 1
     return tuple(c), tuple(firings)
+
+
+def forbidden_subset_by_enumeration(g: SinkedGraph, s, live) -> frozenset[int]:
+    """The largest forbidden subconfiguration of s inside the non-sink
+    indices live: the union of every nonempty U within live with
+    s_v < sum over u in U of m(v, u) for each v in U, found by trying every
+    subset, multiplicities looked up by label.  A union of forbidden sets is
+    forbidden, so the union is the largest one; empty when there is none.
+    For at most 10 vertices."""
+    live = sorted(live)
+    if len(live) > 10:
+        raise ValueError("enumeration is for at most 10 vertices")
+    labels = g.nonsink_order
+    found: set[int] = set()
+    for size in range(1, len(live) + 1):
+        for subset in itertools.combinations(live, size):
+            if all(s[v] < sum(g.arc_multiplicity(labels[v], labels[u]) for u in subset)
+                   for v in subset):
+                found.update(subset)
+    return frozenset(found)
 
 
 def lift_by_le_borgne_rossin(g: SinkedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

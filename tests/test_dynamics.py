@@ -23,11 +23,13 @@ from oracles import (
     burning_order_by_sweeps,
     burning_script_by_fixed_point,
     det_by_permutation_expansion,
+    forbidden_subset_by_enumeration,
     lift_by_le_borgne_rossin,
     recurrents_by_closure,
     representative_by_le_borgne_rossin,
     stabilize_by_random_schedule,
 )
+from sandpiles import dynamics
 from sandpiles.dynamics import (
     RecurrentConfig,
     SandpileGroup,
@@ -52,6 +54,7 @@ from sandpiles.errors import (
 from sandpiles.intlinalg import IntMatrix, LatticeSolver, reduced_laplacian
 from sandpiles.graphs import (
     SinkedGraph,
+    build_digraph,
     build_multigraph,
     cone,
     cycle_graph,
@@ -108,6 +111,202 @@ class TestStabilize:
             reference = stabilize(g, c)
             for seed in range(4):
                 assert stabilize_by_random_schedule(g, c, random.Random(seed)) == reference
+
+
+def _kernel(g: SinkedGraph, c) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The FIFO kernel run to the end, with no budget and no ladder."""
+    c = list(c)
+    firings = dynamics._topple(c, g.out_degrees, g.adjacency())
+    return tuple(c), tuple(firings)
+
+
+def _ladder(g: SinkedGraph, c, pops: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ladder alone, handed the firings of a direct run cut after pops."""
+    legal = [0] * len(c)
+    dynamics._topple(list(c), g.out_degrees, g.adjacency(), pops, legal)
+    stable, firings = dynamics._ladder(g, list(c), legal)
+    return tuple(stable), tuple(firings)
+
+
+def _centre_pile(k: int, chips: int) -> list[int]:
+    c = [0] * (k * k)
+    c[(k // 2) * k + k // 2] = chips
+    return c
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch) -> list[int]:
+    """Counts the stabilizations that take the dilation ladder."""
+    calls: list[int] = []
+    ladder = dynamics._ladder
+
+    def counted(graph, c, legal):
+        calls.append(len(c))
+        return ladder(graph, c, legal)
+
+    monkeypatch.setattr(dynamics, "_ladder", counted)
+    return calls
+
+
+@pytest.fixture
+def topple_budgets(monkeypatch) -> list[int | None]:
+    """Records the pop budget of every kernel run, None for no budget."""
+    budgets: list[int | None] = []
+    topple = dynamics._topple
+
+    def recorded(c, out, adj, pops=None, firings=None):
+        budgets.append(pops)
+        return topple(c, out, adj, pops, firings)
+
+    monkeypatch.setattr(dynamics, "_topple", recorded)
+    return budgets
+
+
+def _random_undirected(rng: random.Random) -> SinkedGraph:
+    """A random multigraph with a random sink, or a random cone."""
+    if rng.random() < 0.5:
+        return random_sinked_graph(rng, rng.randint(2, 7), 3)
+    return cone(random_connected_multigraph(rng, rng.randint(1, 6), 3), rng.randint(1, 3))
+
+
+def _big_vector(rng: random.Random, g: SinkedGraph) -> list[int]:
+    """Entries from -20 up to 3 out_v, one of them raised by up to 5000."""
+    c = [rng.randint(-20, 3 * d) for d in g.out_degrees]
+    c[rng.randrange(len(c))] += rng.randint(0, 5000)
+    return c
+
+
+class TestDilationLadder:
+    """Undirected stabilizations past the kernel's pop budget take the
+    dilation ladder; its burn-down must stop exactly at the odometer."""
+
+    def test_matches_random_schedule(self, ladder_calls):
+        rng = random.Random(31)
+        for _ in range(60):
+            g = _random_undirected(rng)
+            c = _big_vector(rng, g)
+            reference = stabilize_by_random_schedule(g, c, random.Random(0))
+            assert stabilize(g, c) == reference
+            assert _ladder(g, c) == reference
+            assert _ladder(g, c, rng.randint(1, 40)) == reference
+        assert ladder_calls
+
+    @pytest.mark.parametrize("graph, k", [
+        pytest.param(wired_grid(16), 16, id="wired16"),
+        pytest.param(wired_grid(24), 24, id="wired24"),
+        pytest.param(grid_cone(12), 12, id="gridcone12"),
+    ])
+    def test_matches_kernel_on_grids(self, graph, k, ladder_calls):
+        # Centre piles up to 2^16 and vectors with negative entries; the
+        # big ones outrun the kernel's budget.
+        rng = random.Random(k)
+        vectors = [_centre_pile(k, 2**e) for e in (6, 10, 13, 16)]
+        for _ in range(3):
+            c = [rng.randint(-6, 6) for _ in range(k * k)]
+            c[rng.randrange(k * k)] += 2**14
+            vectors.append(c)
+        for c in vectors:
+            reference = _kernel(graph, c)
+            assert stabilize(graph, c) == reference
+            assert _ladder(graph, c) == reference
+        assert ladder_calls
+
+    def test_medium_piles_stay_direct(self, ladder_calls):
+        g = wired_grid(32)
+        stabilize(g, _centre_pile(32, 2**10))
+        assert ladder_calls == []
+        stabilize(g, _centre_pile(32, 2**13))
+        assert ladder_calls == [32 * 32]
+
+    def test_cut_run_resumes(self):
+        g = wired_grid(8)
+        c = _centre_pile(8, 2**9)
+        out, adj = g.out_degrees, g.adjacency()
+        work, firings = list(c), [0] * len(c)
+        assert dynamics._topple(work, out, adj, 10, firings) is None
+        assert 0 < sum(firings) < sum(_kernel(g, c)[1])
+        assert dynamics._topple(work, out, adj, 10**6, firings) is firings
+        assert (tuple(work), tuple(firings)) == _kernel(g, c)
+
+    def test_budget_is_one_rung_then_one_per_bit(self, topple_budgets, monkeypatch):
+        handed = []
+        ladder = dynamics._ladder
+
+        def spy(graph, c, legal):
+            handed.append(list(legal))
+            return ladder(graph, c, legal)
+
+        monkeypatch.setattr(dynamics, "_ladder", spy)
+        g = wired_grid(16)
+        cost = g.n_nonsink + g.n_arcs
+        assert cost == 16 * 16 + 2 * 2 * 16 * 15
+        c = _centre_pile(16, 2**13)
+        stabilize(g, c)
+        assert topple_budgets[:2] == [cost, 13 * cost]
+        # The ladder is handed the firings of the cut direct run.
+        work, cut = list(c), [0] * len(c)
+        for pops in (cost, 13 * cost):
+            assert dynamics._topple(work, g.out_degrees, g.adjacency(), pops, cut) is None
+        assert handed == [cut] and sum(cut) > 0
+
+    def test_within_budget_input_is_read_once(self, ladder_calls):
+        # The budget's rung count needs max(c), a pass over the input; an
+        # input stabilized within one rung's pops never pays it.
+        class Counted(list):
+            passes = 0
+
+            def __iter__(self):
+                Counted.passes += 1
+                return super().__iter__()
+
+        g = wired_grid(32)
+        assert stabilize(g, Counted(_centre_pile(32, 2**8)))[1][32 * 16 + 16] > 0
+        assert Counted.passes == 1 and ladder_calls == []
+
+    def test_overshooting_guesses_burn_down_to_the_odometer(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            g = _random_undirected(rng)
+            c = _big_vector(rng, g)
+            stable, odometer = _kernel(g, c)
+            guess = [f + rng.randint(0, 40) for f in odometer]
+            floor = [rng.randint(0, f) for f in odometer]
+            s, w = dynamics._settle(g, list(c), guess, floor)
+            assert (tuple(s), tuple(w)) == (stable, odometer)
+
+    def test_restricted_burning_matches_enumeration(self):
+        rng = random.Random(5)
+        unburnt = 0
+        for _ in range(300):
+            g = _random_undirected(rng)
+            n = g.n_nonsink
+            s = [rng.randint(-1, d - 1) for d in g.out_degrees]
+            live = [v for v in range(n) if rng.random() < 0.8]
+            found = dynamics._unburnt(s, live, g.adjacency())
+            assert frozenset(found) == forbidden_subset_by_enumeration(g, s, live)
+            unburnt += bool(found)
+        assert 30 < unburnt < 270
+
+    def test_digraphs_never_take_the_ladder(self, topple_budgets, ladder_calls):
+        rng = random.Random(2)
+        for _ in range(20):
+            g = random_sinked_digraph(rng, rng.randint(2, 5))
+            c = [d - 1 for d in g.out_degrees]
+            c[0] += 5000
+            assert stabilize(g, c) == _kernel(g, c)
+        assert set(topple_budgets) == {None} and ladder_calls == []
+
+    def test_burn_down_is_wrong_on_a_digraph(self):
+        # a -> b -> s with c = (1, 0): a fires once, then b, so the odometer
+        # is (1, 1).  The burning reads arcs from the burnt end: b burns,
+        # but no arc leads from b back to a, so a's need never drops and a
+        # stays unburnt.  The burn-down, started at the odometer, untopples
+        # a and then b down to (0, 0), where s = (1, 0) is not even stable.
+        g = SinkedGraph(build_digraph(["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]), "s")
+        assert stabilize(g, (1, 0)) == ((0, 0), (1, 1))
+        assert dynamics._unburnt([0, 0], [0, 1], g.adjacency()) == [0]
+        s, w = dynamics._settle(g, [1, 0], [1, 1], [0, 0])
+        assert w == [0, 0] and s == [1, 0]
 
 
 @contextlib.contextmanager
