@@ -3,8 +3,11 @@
 Subcommands: group, stabilize, identity, recurrents, add, representative,
 check-hom, product, hypercube, snf.  Exit codes: 0 success, 1 input or
 validation error, 2 verification FAIL.  Output is deterministic JSON by
-default (sorted keys, big integers as decimal strings); --output text gives a
-human-readable fallback.  The format is set by --output alone.
+default (sorted keys; integers printed in full at any size, a group's order
+as a decimal string); --output text gives a human-readable fallback.  The
+format is set by --output alone.  Input integers longer than CPython's
+int-to-str limit (4300 digits unless PYTHONINTMAXSTRDIGITS sets another) are
+refused with FormatError.
 
 Each subcommand imports only the layers it runs: stabilize, identity,
 representative and add load errors, graphs, dynamics and jsonio; intlinalg
@@ -45,11 +48,21 @@ _MAX_D = 12
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(dumps(payload))
-        return
-    for key in sorted(payload):
-        print(f"{key}: {payload[key]}")
+    # CPython 3.10.7+ refuses int-to-str past 4300 digits by default.  The
+    # limit is lifted only while the payload prints, so every integer prints
+    # in full and the input readers still refuse longer tokens.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(dumps(payload))
+            return
+        for key in sorted(payload):
+            print(f"{key}: {payload[key]}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _sinked(graph, sink_flag: str | None) -> SinkedGraph:

@@ -143,25 +143,22 @@ def _unburnt(s: Sequence[int], live: list[int], adj) -> list[int]:
     return [v for v in live if unburnt[v]]
 
 
-def _settle(graph: SinkedGraph, c: list[int], guess: list[int], floor: list[int]):
-    """(stable, odometer) of c from a guess >= 0 and a floor the odometer
-    is known to reach (see `stabilize`): topple c - L^T guess up, then, while
-    the burning restricted to {w > floor} leaves an unburnt set U, untopple
-    U once.  Each untoppling lowers sum(w - floor), so the loop is bounded."""
+def _settle(graph: SinkedGraph, c: list[int], guess: list[int]):
+    """(stable, odometer) of c from a guess >= 0 (see `stabilize`): topple
+    c - L^T guess up, then, while the burning restricted to supp(w) leaves
+    an unburnt set U, untopple U once.  Each untoppling lowers sum(w) and
+    keeps w >= 0, so the loop is bounded."""
     out, adj = graph.out_degrees, graph.adjacency()
     s = [x - y for x, y in zip(c, graph.fire(guess))]
     w = [g + k for g, k in zip(guess, _topple(s, out, adj))]
-    live = [v for v, (a, b) in enumerate(zip(w, floor)) if a > b]
-    while live:
-        forbidden = _unburnt(s, live, adj)
-        if not forbidden:
-            break
+    live = [v for v, x in enumerate(w) if x]
+    while forbidden := _unburnt(s, live, adj):
         for v in forbidden:
             w[v] -= 1
             s[v] += out[v]
             for u, m in adj[v]:
                 s[u] -= m
-        live = [v for v in live if w[v] > floor[v]]
+        live = [v for v in live if w[v]]
     return s, w
 
 
@@ -170,11 +167,15 @@ def _ladder(graph: SinkedGraph, c: list[int], legal: list[int]) -> tuple[list[in
     rung first, given firings legal from c; see `stabilize`."""
     w1 = w2 = None
     for j in reversed(range(max(1, max(c)).bit_length())):
-        floor = [0] * len(c) if w1 is None else [2 * a for a in w1]
-        guess = floor if w2 is None else [max(0, 3 * a - 2 * b) for a, b in zip(w1, w2)]
+        if w1 is None:
+            guess = [0] * len(c)
+        elif w2 is None:
+            guess = [2 * a for a in w1]
+        else:
+            guess = [max(0, 3 * a - 2 * b) for a, b in zip(w1, w2)]
         if not j:
-            floor, guess = list(map(max, floor, legal)), list(map(max, guess, legal))
-        s, w = _settle(graph, [x >> j for x in c], guess, floor)
+            guess = list(map(max, guess, legal))
+        s, w = _settle(graph, [x >> j for x in c], guess)
         w1, w2 = w, w1
     return s, w1
 
@@ -188,26 +189,21 @@ def stabilize(graph: SinkedGraph, values: Sequence[int]) -> tuple[Chips, Chips]:
     rung's pops, so that an input done within them is read once, then the
     rest.  A c it has not stabilized by then takes the ladder (`_ladder`),
     which keeps the cut run's firings P.  Rung j stabilizes c_j = c >> j,
-    from the coarsest rung down to c_0 = c, with w_i the odometer of rung i
-    and the floor F = 2 w_{j+1} (0 on the first rung).  It starts from a
-    guess G: 0 on the first rung, F on the second and
-    max(0, 3 w_{j+1} - 2 w_{j+2}) after that; on c_0 both F and G are
-    raised to at least P.  It topples c_j - L^T G up to a stable s with
-    w = G + f, then burns down (`_settle`): while Dhar's burning restricted
-    to {w > F} leaves an unburnt set U, it untopples U once, w_U -= 1,
-    s += L^T 1_U.
+    from the coarsest rung down to c_0 = c, with w_i the odometer of rung i.
+    It starts from a guess G >= 0: 0 on the first rung, 2 w_{j+1} on the
+    second and max(0, 3 w_{j+1} - 2 w_{j+2}) after that, raised to at least
+    P on c_0.  It topples c_j - L^T G up to a stable s with w = G + f, then
+    burns down (`_settle`): while Dhar's burning restricted to supp(w)
+    leaves an unburnt set U, it untopples U once, w_U -= 1, s += L^T 1_U.
 
-    The answer is exact, so it equals the kernel's:
-      - Least action: a w >= 0 with c - L^T w stable is at least the
-        odometer, and any legal toppling sequence is at most it.
-      - c_j >= 2 c_{j+1}, and firing the odometer of c_{j+1} twice is legal
-        from c_j, so the odometer o of c_j is at least F.  P is legal from
-        c_0, so o >= P there.
-      - Untoppling a forbidden set U keeps s stable: a vertex of U gains
-        out_v - deg_U(v) <= out_v - 1 - s_v, the others lose.  U lies in
-        {w > F}, so w stays >= F >= 0 and, by least action, >= o.
+    The answer is exact for any guess, so it equals the kernel's:
+      - Least action: a w >= 0 with c_j - L^T w stable is at least the
+        odometer o of c_j.
+      - Untoppling a forbidden set U inside supp(w) keeps s stable: a
+        vertex of U gains out_v - deg_U(v) <= out_v - 1 - s_v, the others
+        lose.  It keeps w >= 0, so w - 1_U >= o: U lies in {w > o}.
       - If w != o, the set A where w - o takes its maximum M > 0 lies in
-        {w > F} and is forbidden: for v in A the edges are symmetric and
+        supp(w) and is forbidden: for v in A the edges are symmetric and
         w - o <= M - 1 off A, so s_v <= t_v - out_v + deg_A(v) < deg_A(v),
         with t = c_j - L^T o stable.
       - At w = o nothing is left unburnt.  In a set of vertices that fired,

@@ -6,6 +6,8 @@ multiplicities, configuration entries and JSON matrix entries and
 dimensions only as JSON integers: a fraction or a boolean is refused, never
 rounded or read as 0 and 1.  Lists are JSON arrays, labels JSON strings.
 Plain-text matrix entries are ASCII decimal integers.  Files are UTF-8.
+An integer longer than CPython's int-to-str limit (4300 digits by default,
+CPython 3.10.7+) is refused with FormatError, in every file kind.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ def _read_text(path: str | Path) -> str:
 def _load_json(path: str | Path):
     try:
         return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past CPython's
+        # int-to-str digit limit.
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -149,7 +153,10 @@ def load_matrix(path: str | Path) -> IntMatrix:
         tokens = line.split()
         if not all(_TEXT_INT.fullmatch(tok) for tok in tokens):
             raise FormatError(f"malformed matrix row {line.strip()!r}")
-        rows.append([int(tok) for tok in tokens])
+        try:
+            rows.append([int(tok) for tok in tokens])
+        except ValueError as exc:
+            raise FormatError(f"malformed matrix row: {exc}") from exc
     if not rows:
         raise FormatError("empty matrix file")
     if len({len(r) for r in rows}) != 1:

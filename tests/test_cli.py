@@ -279,6 +279,53 @@ class TestUnreadableFiles:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture
+def digit_limit() -> int:
+    """CPython's int-to-str digit limit; skips where there is none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    return limit
+
+
+class TestIntegersPastTheDigitLimit:
+    """CPython 3.10.7+ refuses int-to-str conversion past a digit limit
+    (4300 by default).  Output prints every integer in full; an input token
+    past the limit is a malformed file, refused with one FormatError line."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_snf_prints_a_diagonal_in_full(self, tmp_path, capsys, digit_limit, fmt):
+        a, b = 10**3000 + 1, 10**3000 + 3
+        m = write(tmp_path, "m.txt", f"{a} 0\n0 {b}\n")
+        assert main(["--output", fmt, "snf", str(m)]) == 0
+        out = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == digit_limit
+        expected = str(Decimal(a * b))
+        assert len(expected) == 6001
+        if fmt == "json":
+            assert out.split() == ["{", '"diagonal":', "[", "1,", expected, "]", "}"]
+        else:
+            assert out == f"diagonal: [1, {expected}]\n"
+
+    @pytest.mark.parametrize("kind", ["graph", "config", "hom", "matrix", "text-matrix"])
+    def test_a_longer_input_token_is_refused(self, tmp_path, capsys, square_cone,
+                                             digit_limit, kind):
+        token = "1" + "0" * digit_limit
+        payload = {
+            "graph": '{"format": "sandpile-graph-v1", "directed": false, "vertices": '
+                     f'["a", "s"], "edges": [["a", "s", {token}]], "sink": "s"}}',
+            "config": f"[{token}, 0, 0, 0]",
+            "hom": f'{{"map": {{}}, "subset_V": [], "kind": "uniform", "x": {token}}}',
+            "matrix": f'{{"rows": 1, "cols": 1, "entries": [[{token}]]}}',
+            "text-matrix": f"{token} 0\n0 1\n",
+        }[kind]
+        bad = write(tmp_path, "bad.txt", payload)
+        assert main(_read_as(kind.removeprefix("text-"), bad, square_cone)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+
+
 class TestCliCommands:
     def test_group(self, tmp_path, capsys):
         path = tmp_path / "c5.json"

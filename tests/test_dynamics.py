@@ -263,16 +263,34 @@ class TestDilationLadder:
         assert stabilize(g, Counted(_centre_pile(32, 2**8)))[1][32 * 16 + 16] > 0
         assert Counted.passes == 1 and ladder_calls == []
 
-    def test_overshooting_guesses_burn_down_to_the_odometer(self):
+    def test_overshooting_guesses_burn_down_to_the_odometer(self, monkeypatch):
+        # Every set the burn-down untopples lies in {w > odometer}, with w
+        # read back from s by the lattice solver: c - L^T w = s.
+        unburnt = dynamics._unburnt
+        returned: list[tuple[list[int], list[int]]] = []
+
+        def spy(s, live, adj):
+            found = unburnt(s, live, adj)
+            returned.append((list(s), found))
+            return found
+
+        monkeypatch.setattr(dynamics, "_unburnt", spy)
         rng = random.Random(7)
+        untoppled = 0
         for _ in range(200):
             g = _random_undirected(rng)
             c = _big_vector(rng, g)
             stable, odometer = _kernel(g, c)
             guess = [f + rng.randint(0, 40) for f in odometer]
-            floor = [rng.randint(0, f) for f in odometer]
-            s, w = dynamics._settle(g, list(c), guess, floor)
+            returned.clear()
+            s, w = dynamics._settle(g, list(c), guess)
             assert (tuple(s), tuple(w)) == (stable, odometer)
+            group = sandpile_group(g)
+            for s_then, found in returned:
+                w_then = group.in_image([x - y for x, y in zip(c, s_then)])
+                assert all(w_then[v] > odometer[v] for v in found)
+                untoppled += bool(found)
+        assert untoppled > 200
 
     def test_restricted_burning_matches_enumeration(self):
         rng = random.Random(5)
@@ -305,7 +323,7 @@ class TestDilationLadder:
         g = SinkedGraph(build_digraph(["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]), "s")
         assert stabilize(g, (1, 0)) == ((0, 0), (1, 1))
         assert dynamics._unburnt([0, 0], [0, 1], g.adjacency()) == [0]
-        s, w = dynamics._settle(g, [1, 0], [1, 1], [0, 0])
+        s, w = dynamics._settle(g, [1, 0], [1, 1])
         assert w == [0, 0] and s == [1, 0]
 
 

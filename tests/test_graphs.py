@@ -64,6 +64,20 @@ class TestBuildMultigraph:
         with pytest.raises(NonPositiveMultiplicity):
             build_multigraph(["a", "b"], [("a", "b", 0)])
 
+    def test_index_of_an_unknown_label(self):
+        for g in (build_multigraph(["a", "b"], [("a", "b", 1)]),
+                  build_digraph(["a", "b"], [("a", "b", 1)])):
+            assert g.index("b") == 1
+            with pytest.raises(UnknownVertex, match="^c$"):
+                g.index("c")
+
+    def test_nonsink_index_refuses_the_sink_and_unknown_labels(self):
+        g = cone(k2())
+        assert [g.nonsink_index(v) for v in g.nonsink_order] == [0, 1]
+        for label in ("s", "x"):
+            with pytest.raises(UnknownVertex):
+                g.nonsink_index(label)
+
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)

@@ -706,12 +706,14 @@ class TestFractionFreeLU:
     (lambda: IntMatrix(1, 2, ((1,),)), "entry shape does not match dimensions"),
     (lambda: IntMatrix.from_rows([[1, 2]]).mul_vector((1,)), "dimension mismatch"),
     (lambda: LatticeSolver(IntMatrix.from_rows([[2]])).solve((1, 0)), "dimension mismatch"),
+    (lambda: sandpile_group(cone(hypercube(3))).in_image([1, 2]), "dimension mismatch"),
     (lambda: LatticeSolver(IntMatrix.from_rows([[1, 2]])), "lattice solving needs a square"),
     (lambda: determinant(IntMatrix.from_rows([[1, 2]])), "determinant needs a square"),
     (lambda: invariant_factors(IntMatrix.from_rows([[1, 2]])), "invariant factors need a square"),
     (lambda: elementary_divisors_of((3, 0)), "cyclic orders must be positive"),
-], ids=["negative-dimension", "entry-shape", "mul-vector", "solve", "solver-not-square",
-        "determinant-not-square", "invariant-factors-not-square", "cyclic-order"])
+], ids=["negative-dimension", "entry-shape", "mul-vector", "solve", "walsh-solve",
+        "solver-not-square", "determinant-not-square", "invariant-factors-not-square",
+        "cyclic-order"])
 def test_malformed_shapes_are_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()
@@ -747,6 +749,13 @@ class TestFactorize:
         assert _factorize(primes[0] ** 2 * primes[2]) == {primes[0]: 2, primes[2]: 1}
         # Above the Miller-Rabin bound, composites are still split by rho.
         assert _factorize(primes[0] ** 3) == {primes[0]: 3}
+
+    def test_base_primes_and_their_multiples(self):
+        # A multiple of a Miller-Rabin base is decided by that base alone.
+        for p in intlinalg._MR_BASES:
+            assert intlinalg._strong_probable_prime(p)
+            for k in (2, p, 43, 10**30 + 1):
+                assert not intlinalg._strong_probable_prime(k * p)
 
     def test_probable_prime_above_bound_is_refused(self, monkeypatch):
         # A Miller-Rabin that passes every input stands in for a strong
