@@ -210,7 +210,7 @@ def cmd_snf(args, fmt: str) -> int:
             _emit({"diagonal": [1] * (a.rows - len(factors)) + list(factors)}, fmt)
             return EXIT_OK
     dec = smith_normal_form(a)
-    payload = {"diagonal": [int(x) for x in dec.diagonal()]}
+    payload = {"diagonal": list(dec.diagonal())}
     if args.transforms:
         payload["u"] = matrix_to_dict(dec.u)
         payload["d"] = matrix_to_dict(dec.d)

@@ -1,7 +1,10 @@
 """Chip-firing dynamics and the sandpile group law.
 
 Configurations are plain tuples of ints indexed by a sinked graph's
-nonsink_order.  Stabilization accepts negative entries (only vertices at or
+nonsink_order.  Entries are Python ints, taken as given: every entry point
+checks a vector's length against the graph, never its entries' types, and
+the file readers of `jsonio` are where text becomes an int and anything
+else is refused.  Stabilization accepts negative entries (only vertices at or
 above their out-degree topple), so the recurrent representative of any chip
 vector is one stabilization: add a lattice vector that lifts it above the
 maximal stable configuration, then topple (Le Borgne and Rossin 2002).  One
@@ -69,7 +72,7 @@ def _check_vector(graph: SinkedGraph, values: Sequence[int]) -> list[int]:
         raise GraphMismatch(
             f"vector length {len(values)} != {graph.n_nonsink} non-sink vertices"
         )
-    return [int(x) for x in values]
+    return list(values)
 
 
 def _require_global_sink(graph: SinkedGraph) -> None:
@@ -600,8 +603,6 @@ def identity(graph: SinkedGraph) -> RecurrentConfig:
 
 
 def add_recurrent(c1: RecurrentConfig, c2: RecurrentConfig) -> RecurrentConfig:
-    if c1.graph != c2.graph:
-        raise GraphMismatch("configurations live on different graphs")
     return sandpile_group(c1.graph).add(c1, c2)
 
 

@@ -67,7 +67,10 @@ class IntMatrix(Record):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        """The matrix of rows of Python ints, taken as given: the shape is
+        checked, the entries' types are not; `jsonio.load_matrix` is where
+        text becomes an int."""
+        entries = tuple(map(tuple, rows))
         ncols = len(entries[0]) if entries else 0
         return IntMatrix(len(entries), ncols, entries)
 

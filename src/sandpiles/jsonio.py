@@ -7,7 +7,13 @@ dimensions only as JSON integers: a fraction or a boolean is refused, never
 rounded or read as 0 and 1.  Lists are JSON arrays, labels JSON strings.
 Plain-text matrix entries are ASCII decimal integers.  Files are UTF-8.
 An integer longer than CPython's int-to-str limit (4300 digits by default,
-CPython 3.10.7+) is refused with FormatError, in every file kind.
+CPython 3.10.7+) is refused with FormatError, in every file kind, naming
+its digit count and PYTHONINTMAXSTRDIGITS, the variable that lifts the
+limit.
+
+These readers are the package's one integer gate.  Entries are Python
+ints everywhere else: the library checks the lengths of vectors and the
+shapes of matrices, never the types of their entries, and converts none.
 """
 
 from __future__ import annotations
@@ -51,13 +57,23 @@ def _read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _load_json(path: str | Path):
+def _past_digit_limit(where: str | Path, exc: ValueError) -> FormatError:
+    """The refusal of an integer past CPython's int-to-str digit limit: the
+    first clause of CPython's message, with the limit and the token's digit
+    count, then the environment variable that lifts the limit in place of
+    CPython's advice to call sys.set_int_max_str_digits()."""
+    clause = str(exc).partition(";")[0]
+    return FormatError(f"{where}: {clause}; set PYTHONINTMAXSTRDIGITS=0 to lift the limit")
+
+
+def _parse_json(text: str, where: str | Path):
     try:
-        return json.loads(_read_text(path))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and an integer past CPython's
-        # int-to-str digit limit.
-        raise FormatError(f"{path}: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        # The one other ValueError json.loads raises.
+        raise _past_digit_limit(where, exc) from exc
 
 
 def graph_to_dict(g: Multigraph | Digraph | SinkedGraph) -> dict:
@@ -96,7 +112,7 @@ def graph_from_dict(data: dict) -> Multigraph | Digraph | SinkedGraph:
 
 
 def load_graph(path: str | Path) -> Multigraph | Digraph | SinkedGraph:
-    return graph_from_dict(_load_json(path))
+    return graph_from_dict(_parse_json(_read_text(path), path))
 
 
 def save_graph(g, path: str | Path) -> None:
@@ -104,7 +120,7 @@ def save_graph(g, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> tuple[int, ...]:
-    data = _load_json(path)
+    data = _parse_json(_read_text(path), path)
     if not isinstance(data, list):
         raise FormatError("configuration file must hold a JSON integer array")
     return tuple(_json(x, int, "configuration entry") for x in data)
@@ -114,7 +130,7 @@ def load_hom(path: str | Path, source, target) -> UniformHom:
     """Parse and validate a homomorphism file against already-loaded graphs."""
     from .morphisms import HOM_KINDS, VertexMap, validate_hom
 
-    data = _load_json(path)
+    data = _parse_json(_read_text(path), path)
     if not isinstance(data, dict):
         raise FormatError("hom file must hold a JSON object")
     try:
@@ -138,15 +154,15 @@ def load_matrix(path: str | Path) -> IntMatrix:
 
     text = _read_text(path)
     if text.lstrip().startswith("{"):
+        data = _parse_json(text, "malformed matrix file")
         try:
-            data = json.loads(text)
             entries = [[_json(x, int, "matrix entry") for x in row] for row in data["entries"]]
             a = IntMatrix.from_rows(entries)
             if (a.rows != _json(data["rows"], int, '"rows"')
                     or a.cols != _json(data["cols"], int, '"cols"')):
                 raise FormatError("matrix dimensions disagree with entries")
             return a
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed matrix file: {exc}") from exc
     rows = []
     for line in filter(str.strip, text.splitlines()):
@@ -156,7 +172,7 @@ def load_matrix(path: str | Path) -> IntMatrix:
         try:
             rows.append([int(tok) for tok in tokens])
         except ValueError as exc:
-            raise FormatError(f"malformed matrix row: {exc}") from exc
+            raise _past_digit_limit("malformed matrix row", exc) from exc
     if not rows:
         raise FormatError("empty matrix file")
     if len({len(r) for r in rows}) != 1:

@@ -324,6 +324,11 @@ class TestIntegersPastTheDigitLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+        # The advice is one a CLI user can follow: the environment variable,
+        # not a call into the interpreter.
+        assert f"value has {digit_limit + 1} digits" in captured.err
+        assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
 
 
 class TestCliCommands:

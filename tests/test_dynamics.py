@@ -16,6 +16,7 @@ from conftest import (
     random_connected_multigraph,
     random_sinked_digraph,
     random_sinked_graph,
+    unconverted,
     wired_grid,
 )
 from oracles import (
@@ -1075,6 +1076,32 @@ def test_group_cache_evicts_oldest(monkeypatch):
     assert sandpile_group(graphs[2]) is groups[2]
     assert sandpile_group(graphs[0]) is not groups[0]
     assert list(dynamics._group_cache) == [graphs[2], graphs[0]]
+
+
+class TestEntriesAreTakenAsGiven:
+    """Entries are Python ints; no entry point converts them with int(), so an
+    int that refuses int() gives the answers its plain value gives."""
+
+    def test_stabilize(self):
+        g = cone(k2())
+        assert stabilize(g, unconverted([3, 2])) == stabilize(g, [3, 2]) == ((1, 0), (2, 2))
+
+    def test_stabilize_on_the_ladder(self, ladder_calls):
+        g = wired_grid(16)
+        c = _centre_pile(16, 2**13)
+        assert stabilize(g, unconverted(c)) == _kernel(g, c)
+        assert ladder_calls == [16 * 16]
+
+    def test_group_queries(self):
+        g = contracted_square()
+        group = sandpile_group(g)
+        c, x = (1, 2, 2, 3), (-7, 40, 3, 0)
+        assert group.is_recurrent(unconverted(c)) and not group.is_recurrent(unconverted([0] * 4))
+        assert group.representative(unconverted(c)).values == c
+        assert group.representative(unconverted(x)) == group.representative(x)
+        assert group.congruent(unconverted(x), unconverted(group.representative(x).values))
+        assert not group.congruent(unconverted(c), unconverted(group.identity.values))
+        assert group.element_order(unconverted(c)) == group.element_order(c) == 48
 
 
 class TestCongruent:

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Unconverted,
     contracted_square,
     random_connected_multigraph,
     random_sinked_digraph,
     random_sinked_graph,
+    unconverted,
 )
 from oracles import (
     det_by_permutation_expansion,
@@ -717,6 +719,12 @@ class TestFractionFreeLU:
 def test_malformed_shapes_are_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_from_rows_takes_entries_as_given():
+    a = IntMatrix.from_rows([unconverted([2, -1]), unconverted([-1, 2])])
+    assert a == IntMatrix.from_rows([[2, -1], [-1, 2]])
+    assert type(a.entries[0][0]) is Unconverted and determinant(a) == 3
 
 
 class TestFactorize:
